@@ -60,7 +60,6 @@ from .control import (
 )
 from .simulate import (
     GenerationReport,
-    LineageState,
     ReplacementSpectrum,
     SpineUrnState,
     TreeCampaign,
@@ -69,7 +68,6 @@ from .simulate import (
     gibbs_conditional_estimate,
     many_to_one_estimate,
     replacement_matrix,
-    simulate_reinforced_tree,
     simulate_reinforced_urn,
     simulate_spine_urn,
     simulate_tree_campaign,

@@ -165,12 +165,15 @@ class _Integrand:
         self.finite = finite
         self.lam_bar = float(np.max(vals[finite]))
         self.exponents = nu.weights * (1.0 - q) / q
-        top = finite & (vals == self.lam_bar)
+        rel = np.array([math.exp(v - self.lam_bar) for v in vals])
+        # an entry so close to the maximum that exp(gap) rounds to 1 is tied
+        # with it; kept apart it would put a zero of (1 - e s) at s = 1
+        top = finite & (rel == 1.0)
         self.top = top
         self.c_star = float(self.exponents[top].sum())
         lower = finite & ~top
         self.lower_idx = np.nonzero(lower)[0]
-        self.lower_e = [math.exp(v - self.lam_bar) for v in vals[lower]]
+        self.lower_e = rel[lower].tolist()
         self.lower_c = [float(c) for c in self.exponents[lower]]
 
     def smooth_factor(self, s: float) -> float:

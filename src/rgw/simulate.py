@@ -1,10 +1,14 @@
 """Monte Carlo engines and exact enumeration for reinforced branching trees.
 
-Trees are never stored explicitly. A generation is a flat matrix with one row
-per living individual holding the histogram of out-degrees along its ancestral
-line, which is the only state the reinforcement mechanism needs: a memory draw
-samples from that histogram, a fresh draw samples from the base law, and each
-child inherits the parent's histogram plus the parent's own draw.
+Trees are never stored explicitly. Reinforcement reads only the histogram of
+out-degrees along an individual's ancestral line: a memory draw samples from
+that histogram, a fresh draw samples from the base law, and each child
+inherits the parent's histogram plus the parent's own draw. Individuals of one
+replica that share a histogram are therefore exchangeable, so a generation is
+stored as classes (replica, histogram, multiplicity), and one multinomial draw
+per class replaces one draw per individual. A replica holds at most
+C(g+k-1, k-1) classes at generation g over k atoms, so the cost of a campaign
+grows polynomially in depth while its population grows exponentially.
 
 The same ancestral mechanism viewed along a single lineage is a Polya type
 urn, simulated here both one run at a time and as vectorized batches. Batches
@@ -36,24 +40,6 @@ DEFAULT_POP_CAP = 10_000_000
 # replicas are processed in fixed-size chunks; the value is part of the
 # deterministic draw schedule and must never depend on thread count
 _CHUNK = 1024
-
-
-@dataclass(frozen=True)
-class LineageState:
-    """Ancestral out-degree histogram of one individual."""
-
-    counts: EmpiricalMeasure
-    generation: int
-
-    def __post_init__(self):
-        if self.generation < 0:
-            raise ContractViolationError("generation must be non-negative")
-        if self.counts.total != self.generation:
-            raise ContractViolationError(
-                f"ancestral counts total {self.counts.total} != generation {self.generation}")
-        for k, c in zip(self.counts.support, self.counts.counts):
-            if k == 0 and c > 0:
-                raise ContractViolationError("an ancestor with no children is impossible")
 
 
 @dataclass(frozen=True)
@@ -143,72 +129,11 @@ def _memory_indices(rows: np.ndarray, total: float, u: np.ndarray) -> np.ndarray
     return (cs <= (u * total)[:, None]).sum(axis=1)
 
 
-def _tree_step(hist: np.ndarray, rid: np.ndarray, gen: int, q: float,
-               cum_nu: np.ndarray, support_arr: np.ndarray,
-               g_rng: np.random.Generator):
-    """Expand one generation: every row draws, then spawns that many copies."""
-    n = hist.shape[0]
-    u_mode = g_rng.random(n)
-    u_val = g_rng.random(n)
-    j = _fresh_indices(cum_nu, u_val)
-    if q > 0.0 and gen > 0:
-        mem = u_mode < q
-        if mem.any():
-            j[mem] = _memory_indices(hist[mem], float(gen), u_val[mem])
-    child = hist.copy()
-    child[np.arange(n), j] += 1
-    reps = support_arr[j]
-    new_hist = np.repeat(child, reps, axis=0)
-    new_rid = np.repeat(rid, reps)
-    if __debug__ and new_hist.shape[0]:
-        assert int(new_hist.sum(axis=1).max()) == gen + 1
-        assert int(new_hist.sum(axis=1).min()) == gen + 1
-    return new_hist, new_rid
-
-
 def _histogram_of(rows: np.ndarray) -> dict[tuple[int, ...], int]:
     if rows.shape[0] == 0:
         return {}
     uniq, cnt = np.unique(rows, axis=0, return_counts=True)
     return {tuple(int(x) for x in u): int(c) for u, c in zip(uniq, cnt)}
-
-
-def simulate_reinforced_tree(nu: OffspringLaw, q: float, n_max: int,
-                             rng: RngStream, *,
-                             pop_cap: int = DEFAULT_POP_CAP) -> list[GenerationReport]:
-    """One reinforced tree, reported generation by generation.
-
-    The root draws from nu. Every later individual draws from its ancestral
-    out-degree histogram with probability q and from nu otherwise, then
-    produces that many children, each inheriting the updated histogram. The
-    run stops at extinction, at ``n_max``, or when a generation reaches
-    ``pop_cap`` (flagged as truncated, not an error).
-    """
-    _check_q(q, allow_zero=True)
-    if n_max < 1:
-        raise ContractViolationError("n_max must be at least 1")
-    if pop_cap < 1:
-        raise ContractViolationError("pop_cap must be at least 1")
-    support = nu.support
-    k = len(support)
-    cum_nu = np.cumsum(nu.weights)
-    support_arr = np.asarray(support, dtype=np.int64)
-
-    hist = np.zeros((1, k), dtype=np.int32)
-    rid = np.zeros(1, dtype=np.int64)
-    reports = [GenerationReport(0, 1, support, {(0,) * k: 1}, True, 1 >= pop_cap)]
-    if reports[0].truncated:
-        return reports
-    for g in range(n_max):
-        g_rng = rng.generator("tree", g)
-        hist, rid = _tree_step(hist, rid, g, q, cum_nu, support_arr, g_rng)
-        pop = hist.shape[0]
-        truncated = pop >= pop_cap
-        reports.append(GenerationReport(g + 1, pop, support, _histogram_of(hist),
-                                        pop > 0, truncated))
-        if pop == 0 or truncated:
-            break
-    return reports
 
 
 def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
@@ -217,8 +142,19 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
                            keep_histograms: bool = False) -> TreeCampaign:
     """Replica campaign of reinforced trees, chunk-batched for throughput.
 
-    With q = 0 and no histogram request the per-individual state is not
-    needed, so generations advance by one multinomial draw per replica.
+    Each generation holds classes: a replica, an ancestral histogram and the
+    number of living individuals that share them. A class of multiplicity m
+    at generation g takes one multinomial draw of m over
+    q * histogram / g + (1 - q) * nu (nu alone at g = 0); a draw of atom j
+    sends support[j] children per draw to the class histogram + e_j, and
+    equal classes merge. The work per generation is one draw per class, at
+    most C(g+k-1, k-1) per replica over k atoms, whatever the population.
+    With q = 0 and no histogram request the histogram is not needed, so each
+    replica is one class and advances by one multinomial draw.
+
+    A replica whose population reaches ``pop_cap`` stops there and is
+    recorded in ``truncated_at``. ``keep_histograms`` records, for every
+    generation, the census ``{(replica, counts): individuals}``.
     """
     _check_q(q, allow_zero=True)
     if n_max < 1 or replicas < 1 or pop_cap < 1:
@@ -248,14 +184,29 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
             active[idx] = (z > 0) & ~over
         return TreeCampaign(support, pops, trunc_at, None)
 
-    cum_nu = np.cumsum(nu.weights)
+    # A class is keyed by one int64: the chunk-local replica id as the most
+    # significant digit, then the histogram's free columns in radix n_max + 1.
+    # The atom-0 column is always 0 and the last positive column is fixed by
+    # the generation, so neither takes a digit.
+    pos_cols = np.flatnonzero(support_arr > 0)
+    free = pos_cols[:-1]
+    radix = n_max + 1
+    replica_place = radix ** len(free)
+    if min(replicas, _CHUNK) * replica_place > np.iinfo(np.int64).max:
+        raise ContractViolationError(
+            f"class keys of {len(pos_cols)} positive atoms at depth {n_max} "
+            "overflow int64")
+    place = np.zeros(k, dtype=np.int64)
+    place[free] = radix ** np.arange(len(free), dtype=np.int64)
+
     pop_parts, trunc_parts = [], []
     hist_acc: list[dict] | None = [dict() for _ in range(n_max + 1)] if keep_histograms else None
     for chunk_idx, start in enumerate(range(0, replicas, _CHUNK)):
         rc = min(_CHUNK, replicas - start)
         stream = rng.child(chunk_idx)
-        hist = np.zeros((rc, k), dtype=np.int32)
         rid = np.arange(rc, dtype=np.int64)
+        hist = np.zeros((rc, k), dtype=np.int64)
+        mult = np.ones(rc, dtype=np.int64)
         pops = np.zeros((rc, n_max + 1), dtype=np.int64)
         pops[:, 0] = 1
         trunc_at = np.full(rc, -1, dtype=np.int64)
@@ -264,28 +215,47 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
                 hist_acc[0][(start + r, (0,) * k)] = 1
         if pop_cap <= 1:
             trunc_at[:] = 0
-            hist = hist[:0]
-            rid = rid[:0]
+            rid, hist, mult = rid[:0], hist[:0], mult[:0]
         for g in range(n_max):
-            if hist.shape[0] == 0:
+            if mult.size == 0:
                 break
             g_rng = stream.generator("tree", g)
-            hist, rid = _tree_step(hist, rid, g, q, cum_nu, support_arr, g_rng)
-            z = np.bincount(rid, minlength=rc)
+            p = nu.weights
+            if q > 0.0 and g > 0:
+                p = q / g * hist + (1.0 - q) * nu.weights
+            draws = g_rng.multinomial(mult, p)
+            # a draw of atom j sends support[j] children to class hist + e_j
+            kids = draws[:, pos_cols] * support_arr[pos_cols]
+            keys = (rid * replica_place + hist @ place)[:, None] + place[pos_cols]
+            born = kids > 0
+            keys, kids = keys[born], kids[born]
+            # merging by sort and int64 reduceat keeps multiplicities exact,
+            # where bincount's float64 weights would round past 2^53
+            order = np.argsort(keys)
+            keys, kids = keys[order], kids[order]
+            head = np.ones(keys.size, dtype=bool)
+            head[1:] = keys[1:] != keys[:-1]
+            starts = np.flatnonzero(head)
+            mult = np.add.reduceat(kids, starts) if starts.size else kids
+            keys = keys[starts]
+            rid = keys // replica_place
+            hist = np.zeros((keys.size, k), dtype=np.int64)
+            hist[:, free] = keys[:, None] // place[free] % radix
+            if pos_cols.size:
+                hist[:, pos_cols[-1]] = g + 1 - hist[:, free].sum(axis=1)
+            z = np.zeros(rc, dtype=np.int64)
+            np.add.at(z, rid, mult)
             live = trunc_at < 0
             pops[live, g + 1] = z[live]
-            if hist_acc is not None and hist.shape[0]:
-                tagged = np.column_stack([rid, hist])
-                uniq, cnt = np.unique(tagged, axis=0, return_counts=True)
+            if hist_acc is not None:
                 layer = hist_acc[g + 1]
-                for u, c in zip(uniq, cnt):
-                    key = (start + int(u[0]), tuple(int(x) for x in u[1:]))
-                    layer[key] = int(c)
+                for r, h, m in zip((rid + start).tolist(), hist.tolist(), mult.tolist()):
+                    layer[(r, tuple(h))] = m
             over = live & (z >= pop_cap)
             if over.any():
                 trunc_at[over] = g + 1
                 keep = ~over[rid]
-                hist, rid = hist[keep], rid[keep]
+                rid, hist, mult = rid[keep], hist[keep], mult[keep]
         pop_parts.append(pops)
         trunc_parts.append(trunc_at)
     populations = np.vstack(pop_parts)
@@ -400,16 +370,19 @@ def enumerate_expected_counts(nu: OffspringLaw, q: float, n: int) -> dict[tuple[
     P(next = k | counts) = q * count_k / i + (1 - q) nu(k), with nu alone at
     the first step. Continuations after a 0 carry zero weight, so only the
     all-positive histograms accumulate mass; every histogram of total n over
-    the support appears as a key, the impossible ones with value 0.
+    the support appears as a key, the impossible ones with value 0. Depths
+    whose histograms of total <= n number over 10^7 are refused.
     """
     _check_q(q, allow_zero=True)
     if n < 1:
         raise ContractViolationError("n must be at least 1")
-    if len(nu.support) ** n > 10_000_000:
-        raise ContractViolationError(
-            f"{len(nu.support)}^{n} degree sequences exceed the enumeration guard")
     support = nu.support
     k = len(support)
+    # the program visits every histogram of total i <= n once
+    if math.comb(n + k, k) > 10_000_000:
+        raise ContractViolationError(
+            f"{math.comb(n + k, k)} histograms of depth <= {n} over {k} atoms "
+            "exceed the enumeration guard")
     nu_w = nu.weights
 
     states: dict[tuple[int, ...], float] = {(0,) * k: 1.0}
@@ -436,10 +409,18 @@ def enumerate_expected_counts(nu: OffspringLaw, q: float, n: int) -> dict[tuple[
 
     result: dict[tuple[int, ...], float] = {}
     for c in compositions(n, k):
-        weight = 1.0
-        for idx in range(k):
-            weight *= float(support[idx]) ** c[idx]
-        result[c] = states.get(c, 0.0) * weight
+        mass = states.get(c, 0.0)
+        if mass == 0.0:
+            result[c] = 0.0
+            continue
+        try:
+            weight = math.prod(float(s) ** e for s, e in zip(support, c))
+        except OverflowError:
+            weight = math.inf
+        if weight == math.inf:
+            raise NumericError("expected count overflows float64",
+                               {"histogram": c, "depth": n})
+        result[c] = mass * weight
     return result
 
 

@@ -22,6 +22,15 @@ def invoke(args, tmp_path, name="out.txt"):
 
 
 class TestGoldenFiles:
+    """Each golden file is the output of one command, run from the root of
+    the repository:
+
+    PYTHONPATH=src python -m rgw rate --law demos/laws/uniform12.json --q 1/3 --grid 0.05 --out tests/golden/rate_flagship.csv
+    PYTHONPATH=src python -m rgw classify --law demos/laws/uniform12.json --q 1/3 --grid 0.1 --out tests/golden/classify_flagship.csv
+    PYTHONPATH=src python -m rgw survival --law demos/laws/uniform12.json --q-grid 1/5:4/5:1/5 --out tests/golden/survival_grid.csv
+    PYTHONPATH=src python -m rgw simulate --law demos/laws/uniform12.json --q 1/3 --n-max 6 --replicas 50 --seed 9 --histograms --out tests/golden/simulate_small.csv
+    """
+
     def test_rate_curve(self, tmp_path):
         code, text = invoke(["rate", "--law", LAW, "--q", "1/3",
                              "--grid", "0.05"], tmp_path)

@@ -95,6 +95,17 @@ class TestLogMgf:
             assert float(np.sum(grad.weights)) == pytest.approx(1.0, abs=1e-9)
             assert np.all(grad.weights >= 0.0)
 
+    def test_near_tied_tilt_counts_as_tied(self):
+        # exp(-1e-17) rounds to 1, so this tilt is (0, 0) to the integrand
+        near = LogWeights((1, 2), (0.0, -1e-17))
+        tied = LogWeights((1, 2), (0.0, 0.0))
+        for q in (0.7, 0.9):
+            assert (reinforced_log_mgf(near, FLAGSHIP, q)
+                    == reinforced_log_mgf(tied, FLAGSHIP, q))
+            grad = reinforced_log_mgf_grad(near, FLAGSHIP, q)
+            assert grad.weights.tolist() == pytest.approx([0.5, 0.5],
+                                                          abs=1e-12)
+
 
 class TestRate:
     def test_flagship_values(self):

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rgw import (ContractViolationError, OffspringLaw,
+from rgw import (ContractViolationError, NumericError, OffspringLaw,
                  ProbVector, RngStream, activity_from_law,
                  enumerate_expected_counts, gibbs_conditional_estimate,
                  law_from_activity, linf_distance, many_to_one_estimate,
@@ -64,6 +64,40 @@ class TestTreeCampaign:
             for rid in range(40):
                 assert totals.get(rid, 0) == camp.populations[rid, g]
 
+    def test_census_means_match_enumeration_per_histogram(self):
+        nu = OffspringLaw((0, 1, 3), (0.2, 0.5, 0.3))
+        q, n, replicas = 0.45, 5, 20000
+        camp = simulate_tree_campaign(nu, q, n, replicas, RngStream(23),
+                                      keep_histograms=True)
+        assert all(counts[0] == 0 for layer in camp.histograms
+                   for _, counts in layer)
+        per_replica: dict[tuple[int, ...], np.ndarray] = {}
+        for (rid, counts), cnt in camp.histograms[n].items():
+            per_replica.setdefault(counts, np.zeros(replicas))[rid] = cnt
+        exact = enumerate_expected_counts(nu, q, n)
+        assert set(per_replica) <= {c for c, v in exact.items() if v > 0}
+        for counts, expected in exact.items():
+            if expected == 0.0:
+                continue
+            sizes = per_replica.get(counts, np.zeros(replicas))
+            se = sizes.std(ddof=1) / math.sqrt(replicas)
+            assert abs(sizes.mean() - expected) < 3.0 * se
+
+    def test_depth_thirty_matches_enumeration(self):
+        replicas = 1000
+        camp = simulate_tree_campaign(FLAGSHIP, Q, 30, replicas, RngStream(24))
+        assert np.all(camp.truncated_at == -1)
+        exact = sum(enumerate_expected_counts(FLAGSHIP, Q, 30).values())
+        assert exact == pytest.approx(1079550.09, abs=0.01)
+        sizes = camp.populations[:, 30].astype(float)
+        se = sizes.std(ddof=1) / math.sqrt(replicas)
+        assert abs(sizes.mean() - exact) < 3.0 * se
+
+    def test_class_key_overflow_is_refused(self):
+        nu = OffspringLaw(tuple(range(1, 8)), (1.0 / 7.0,) * 7)
+        with pytest.raises(ContractViolationError, match="overflow"):
+            simulate_tree_campaign(nu, Q, 10_000, 4, RngStream(25))
+
 
 class TestEnumeration:
     def test_single_generation_is_size_biased_mass(self):
@@ -87,6 +121,18 @@ class TestEnumeration:
             memoryless = sum(enumerate_expected_counts(FLAGSHIP, 0.0,
                                                        n).values())
             assert memoryless == pytest.approx(1.5 ** n, rel=1e-12)
+
+    def test_guard_counts_histograms_not_sequences(self):
+        # 2^24 degree sequences, but only 325 histograms of depth <= 24
+        assert len(enumerate_expected_counts(FLAGSHIP, Q, 24)) == 25
+        seven = OffspringLaw(tuple(range(1, 8)), (1.0 / 7.0,) * 7)
+        with pytest.raises(ContractViolationError, match="guard"):
+            enumerate_expected_counts(seven, Q, 30)
+
+    def test_overflowing_expected_count_is_a_numeric_error(self):
+        huge = OffspringLaw((1, 10 ** 200), (0.5, 0.5))
+        with pytest.raises(NumericError):
+            enumerate_expected_counts(huge, Q, 2)
 
 
 class TestManyToOne:
