@@ -30,6 +30,7 @@ from .measures import (
     log_degree_weights,
     mean,
     mix,
+    mixed_entropy,
     offspring_law_from_json,
     offspring_law_to_json,
     pair,
@@ -37,12 +38,9 @@ from .measures import (
     size_biased,
 )
 from .rate import (
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
     RateDual,
     concentration_target,
     growth_exponent,
-    log_mgf,
     min_rate_over_halfspace,
     reinforced_log_mgf,
     reinforced_log_mgf_grad,

@@ -25,17 +25,19 @@ from itertools import product as _cartesian
 
 import numpy as np
 
-from .errors import ContractViolationError, NumericError, SupportMismatchError
+from .errors import ContractViolationError, NumericError
 from .measures import (
     OffspringLaw,
     ProbVector,
+    _check_q,
+    _check_same_support,
     align,
     log_degree_weights,
-    mix,
+    mixed_entropy,
     pair,
     relative_entropy,
 )
-from .rate import DEFAULT_QUADRATURE, QuadratureSpec, reinforced_rate, sanov_rate
+from .rate import reinforced_rate
 
 DECISION_TOL = 1e-6
 
@@ -100,8 +102,7 @@ def classify_memoryless(rho: ProbVector, nu: OffspringLaw, *,
 
 
 def classify_reinforced(rho: ProbVector, nu: OffspringLaw, q: float, *,
-                        tol: float = DECISION_TOL,
-                        quad: QuadratureSpec = DEFAULT_QUADRATURE) -> Verdict:
+                        tol: float = DECISION_TOL) -> Verdict:
     """Verdict for the reinforced tree with memory q in (0, 1).
 
     Branch order: a target charging atom 0 can never be an ancestral
@@ -110,13 +111,11 @@ def classify_reinforced(rho: ProbVector, nu: OffspringLaw, q: float, *,
     covers targets off the base support, whose deviation rate is infinite);
     then the margin certificates and the honest indeterminate band.
     """
-    if math.isnan(q) or not (0.0 < q < 1.0):
-        raise ContractViolationError(f"memory parameter {q!r} outside (0, 1)")
+    _check_q(q)
     rho_a, nu_a = align(rho, nu.as_prob_vector())
     ln = log_degree_weights(rho_a.support)
     gain = pair(rho_a, ln)
-    reference = mix(q, rho_a, nu_a)
-    ent = relative_entropy(rho_a, reference)
+    ent = mixed_entropy(rho, nu, q)
     subcritical = q * rho.mean() + (1.0 - q) * nu.mean() < 1.0
 
     if gain == -math.inf:
@@ -128,7 +127,7 @@ def classify_reinforced(rho: ProbVector, nu: OffspringLaw, q: float, *,
         rate = math.inf
     else:
         nu_full = OffspringLaw(nu_a.support, nu_a.weights)
-        rate = reinforced_rate(rho_a, nu_full, q, quad).value
+        rate = reinforced_rate(rho_a, nu_full, q).value
     margin_ev = rate - gain
     margin_pe = gain - ent
 
@@ -168,6 +167,7 @@ def min_memory_for_persistence(rho: ProbVector, nu: OffspringLaw) -> float | Non
 
 def activity_constraint_residual(a, nu: OffspringLaw, q: float) -> float:
     """Signed defect of the admissibility identity sum nu/(1-qa) = 1/(1-q)."""
+    _check_q(q)
     a = np.asarray(a, dtype=float)
     return float(np.sum(nu.weights / (1.0 - q * a)) - 1.0 / (1.0 - q))
 
@@ -175,8 +175,7 @@ def activity_constraint_residual(a, nu: OffspringLaw, q: float) -> float:
 def validate_activities(a, nu: OffspringLaw, q: float, *,
                         tol: float = 1e-8) -> np.ndarray:
     """Check an activity vector against its box and admissibility constraints."""
-    if math.isnan(q) or not (0.0 < q < 1.0):
-        raise ContractViolationError(f"memory parameter {q!r} outside (0, 1)")
+    _check_q(q)
     a = np.asarray(a, dtype=float)
     if a.shape != (len(nu.support),):
         raise ContractViolationError(
@@ -200,10 +199,8 @@ def activity_from_law(rho: ProbVector, nu: OffspringLaw, q: float) -> np.ndarray
     atom 0. Admissibility is an algebraic identity for this construction and
     is re-checked to one part in 1e10.
     """
-    if math.isnan(q) or not (0.0 < q < 1.0):
-        raise ContractViolationError(f"memory parameter {q!r} outside (0, 1)")
-    if rho.support != nu.support:
-        raise SupportMismatchError(f"supports differ: {rho.support} vs {nu.support}")
+    _check_q(q)
+    _check_same_support(rho, nu)
     if _zero_mass(rho) > 0.0:
         raise ContractViolationError("the target must not charge atom 0")
     a = rho.weights / (q * rho.weights + (1.0 - q) * nu.weights)

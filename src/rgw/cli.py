@@ -16,9 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .classify import (classify_memoryless, classify_reinforced,
                        two_type_weak_persistence)
 from .control import rate_by_control
 from .errors import NumericError, StatisticalFailureError
-from .measures import OffspringLaw, ProbVector, load_offspring_law
+from .measures import OffspringLaw, ProbVector, load_offspring_law, mixed_entropy
 from .rate import reinforced_rate, sanov_rate
 from .rng import RngStream
 from .simulate import (gibbs_conditional_estimate, simulate_reinforced_urn,
@@ -37,6 +37,9 @@ from .verify import verify_suite
 
 _SUBCOMMANDS = ("rate", "classify", "simulate", "urn", "spine", "two-type",
                 "gibbs", "survival", "verify")
+# CSV rows are formatted and written this many at a time, so a large table
+# is never held in memory as text
+_CSV_BLOCK = 4096
 
 
 class _UsageError(Exception):
@@ -158,21 +161,24 @@ def _json_safe(value):
     return value
 
 
-def _render(columns: list[str], rows: list[list], fmt: str) -> str:
+def _render(columns: list[str], rows, fmt: str):
+    """Yield the table as text: CSV in blocks of rows, JSON as one document."""
     if fmt == "json":
         out = [{c: _json_safe(v) for c, v in zip(columns, row)} for row in rows]
-        return json.dumps(out, indent=1) + "\n"
-    lines = [",".join(columns)]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+        yield json.dumps(out, indent=1) + "\n"
+        return
+    yield ",".join(columns) + "\n"
+    rows = iter(rows)
+    while block := list(islice(rows, _CSV_BLOCK)):
+        yield "".join(",".join(_cell(v) for v in row) + "\n" for row in block)
 
 
-def _write(text: str, out: str | None) -> None:
+def _write(chunks, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _rho_key(rho: ProbVector) -> str:
@@ -193,21 +199,10 @@ def _is_flagship(nu: OffspringLaw) -> bool:
             and float(nu.weights[1]) == 0.5)
 
 
-def _entropy_bound(rho: ProbVector, nu: OffspringLaw, q: float) -> float:
-    # persistence-side bound: divergence of rho from the q-mixture with nu
-    atoms = sorted(set(rho.support) | set(nu.support))
-    r = np.array([rho.prob(k) for k in atoms])
-    mix = q * r + (1.0 - q) * np.array([nu.prob(k) for k in atoms])
-    pos = r > 0.0
-    if np.any(pos & (mix <= 0.0)):
-        return math.inf
-    return float(np.sum(r[pos] * np.log(r[pos] / mix[pos])))
-
-
 def _rate_columns(rho: ProbVector, nu: OffspringLaw, q: float) -> list:
     closed = q == 0.0 or (_is_flagship(nu) and abs(q - 1.0 / 3.0) <= 1e-12)
     neg_log_q = math.inf if q == 0.0 else -math.log(q)
-    return [closed, _rate_value(rho, nu, q), _entropy_bound(rho, nu, q),
+    return [closed, _rate_value(rho, nu, q), mixed_entropy(rho, nu, q),
             neg_log_q]
 
 
@@ -403,10 +398,9 @@ def _verify_control(args) -> int:
     rho = _parse_prob_vector(args.rho, "--rho")
     value, path = rate_by_control(rho, nu, q, steps=args.m,
                                   restarts=args.restarts,
-                                  rng=RngStream(args.seed),
-                                  workers=args.threads)
+                                  rng=RngStream(args.seed))
     dual = _rate_value(rho, nu, q)
-    bound = _entropy_bound(rho, nu, q)
+    bound = mixed_entropy(rho, nu, q)
     lines = ["step," + ",".join(f"eta_{k}" for k in path.support)]
     lines.extend(",".join([str(i)] + [_cell(float(v)) for v in row])
                  for i, row in enumerate(path.rows))
@@ -414,8 +408,8 @@ def _verify_control(args) -> int:
               "gap_to_dual": value - dual,
               "gap_to_upper_bound": bound - value,
               "best_path": "\n".join(lines)}
-    _write(json.dumps({k: _json_safe(v) for k, v in report.items()},
-                      indent=1) + "\n", args.out)
+    _write([json.dumps({k: _json_safe(v) for k, v in report.items()},
+                       indent=1) + "\n"], args.out)
     # a valid bound sits between the dual value and the constant-path bound
     ok = value - dual >= -1e-6 and bound - value >= -1e-6
     return 0 if ok else 3
@@ -425,7 +419,7 @@ def _cmd_verify(args) -> int:
     if args.mode == "control":
         return _verify_control(args)
     level = "full" if args.full else "quick"
-    report = verify_suite(level, args.seed, threads=args.threads)
+    report = verify_suite(level, args.seed)
     for check in report["checks"]:
         flag = "ok  " if check["passed"] else "FAIL"
         sys.stderr.write(f"{flag} {check['name']:28s} "
@@ -434,7 +428,7 @@ def _cmd_verify(args) -> int:
     sys.stderr.write(("all checks passed" if report["all_passed"]
                       else "verification FAILED") +
                      f" ({report['elapsed_seconds']} s)\n")
-    _write(json.dumps(report, indent=1) + "\n", args.out)
+    _write([json.dumps(report, indent=1) + "\n"], args.out)
     return 0 if report["all_passed"] else 3
 
 
@@ -443,9 +437,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="base seed for all randomness (default 42)")
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--threads", type=int,
-                     default=max(1, os.cpu_count() or 1),
-                     help="worker threads (env RGW_THREADS overrides)")
 
 
 def _build_parser() -> _Parser:
@@ -558,12 +549,6 @@ def run(argv: list[str]) -> int:
     if getattr(args, "command", None) is None:
         parser.print_usage(sys.stderr)
         return 1
-    env_threads = os.environ.get("RGW_THREADS")
-    if env_threads is not None:
-        try:
-            args.threads = max(1, int(env_threads))
-        except ValueError:
-            sys.stderr.write(f"ignoring bad RGW_THREADS={env_threads!r}\n")
     try:
         return args.fn(args)
     except _UsageError as exc:

@@ -19,13 +19,13 @@ so the reported value never exceeds the constant-control bound.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, InfeasibleError, SupportMismatchError
-from .measures import OffspringLaw, ProbVector
+from .errors import ContractViolationError, InfeasibleError
+from .measures import (OffspringLaw, ProbVector, _check_q, _check_same_support,
+                       mixed_entropy)
 from .rng import RngStream
 
 _BETA_STAGES = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
@@ -63,16 +63,6 @@ class ControlPath:
 
     def time_average(self) -> ProbVector:
         return ProbVector(self.support, self.rows.mean(axis=0))
-
-
-def _check_law_pair(rho: ProbVector, nu: OffspringLaw):
-    if rho.support != nu.support:
-        raise SupportMismatchError(f"supports differ: {rho.support} vs {nu.support}")
-
-
-def _check_q(q: float):
-    if math.isnan(q) or not (0.0 <= q < 1.0):
-        raise ContractViolationError(f"memory parameter {q!r} outside [0, 1)")
 
 
 def _references(rows: np.ndarray, nu_w: np.ndarray, q: float) -> np.ndarray:
@@ -115,19 +105,15 @@ def _project_rows(rows: np.ndarray) -> np.ndarray:
 
 def control_objective(path: ControlPath, nu: OffspringLaw, q: float) -> float:
     """Average running entropy cost of a control path against nu with memory q."""
-    if path.support != nu.support:
-        raise SupportMismatchError(f"supports differ: {path.support} vs {nu.support}")
-    _check_q(q)
+    _check_same_support(path, nu)
+    _check_q(q, allow_zero=True)
     return _objective(path.rows, nu.weights, q)
 
 
 def constant_control_value(rho: ProbVector, nu: OffspringLaw, q: float) -> float:
     """Cost of the constant path eta == rho: the mixed relative entropy."""
-    _check_law_pair(rho, nu)
-    _check_q(q)
-    refs = q * rho.weights + (1.0 - q) * nu.weights
-    mask = rho.weights > 0.0
-    return float(np.sum(rho.weights[mask] * np.log(rho.weights[mask] / refs[mask])))
+    _check_same_support(rho, nu)
+    return mixed_entropy(rho, nu, q)
 
 
 def _optimize_one(rows0: np.ndarray, rho_w: np.ndarray, nu_w: np.ndarray,
@@ -168,17 +154,17 @@ def _optimize_one(rows0: np.ndarray, rho_w: np.ndarray, nu_w: np.ndarray,
 def rate_by_control(rho: ProbVector, nu: OffspringLaw, q: float, *,
                     steps: int = 64, restarts: int = 8,
                     iters_per_stage: int = 250,
-                    rng: RngStream = RngStream(42),
-                    workers: int = 1) -> tuple[float, ControlPath]:
+                    rng: RngStream = RngStream(42)) -> tuple[float, ControlPath]:
     """Upper bound on the rate function by optimizing a discretized control.
 
     Runs one descent from the constant path and ``restarts - 1`` from
-    Dirichlet-perturbed starts, annealing the mean-constraint penalty, and
-    returns the best repaired path. The constant path itself stays in the
-    candidate set, so the value never exceeds the constant-control bound.
+    Dirichlet-perturbed starts, one after another, annealing the
+    mean-constraint penalty, and returns the best repaired path. The
+    constant path itself stays in the candidate set, so the value never
+    exceeds the constant-control bound.
     """
-    _check_law_pair(rho, nu)
-    _check_q(q)
+    _check_same_support(rho, nu)
+    _check_q(q, allow_zero=True)
     if steps < 2:
         raise ContractViolationError("need at least two control steps")
     if restarts < 1:
@@ -193,17 +179,10 @@ def rate_by_control(rho: ProbVector, nu: OffspringLaw, q: float, *,
         mix_w = 0.35
         starts.append((1.0 - mix_w) * np.tile(rho_w, (steps, 1)) + mix_w * noise)
 
-    def run(idx_rows):
-        idx, rows0 = idx_rows
+    results = []
+    for idx, rows0 in enumerate(starts):
         rows = _optimize_one(rows0, rho_w, nu_w, q, iters_per_stage)
-        return _objective(rows, nu_w, q), idx, rows
-
-    jobs = list(enumerate(starts))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
+        results.append((_objective(rows, nu_w, q), idx, rows))
 
     # the exactly feasible constant path caps the answer from above
     const_rows = np.tile(rho_w, (steps, 1))
@@ -221,8 +200,8 @@ def two_phase_probe(rho: ProbVector, nu: OffspringLaw, q: float, eps: float,
     back to rho along rho + eps (1/t - 1)(rho - nu). Evaluated in closed form
     on a midpoint grid. At eps = 0 this is exactly the constant-control cost.
     """
-    _check_law_pair(rho, nu)
-    _check_q(q)
+    _check_same_support(rho, nu)
+    _check_q(q, allow_zero=True)
     if math.isnan(eps) or eps < 0.0:
         raise ContractViolationError("eps must be non-negative")
     if (rho.weights <= 0.0).any():

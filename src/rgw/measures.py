@@ -57,8 +57,25 @@ def _freeze(obj, **fields):
         object.__setattr__(obj, name, value)
 
 
-@dataclass(frozen=True, eq=False)
-class OffspringLaw:
+class _Weighted:
+    """Point lookup, mean and display shared by laws and probability vectors."""
+
+    def __repr__(self):
+        body = ", ".join(f"{k}: {p:.6g}" for k, p in zip(self.support, self.weights))
+        return f"{type(self).__name__}({{{body}}})"
+
+    def prob(self, k: int) -> float:
+        try:
+            return float(self.weights[self.support.index(k)])
+        except ValueError:
+            return 0.0
+
+    def mean(self) -> float:
+        return float(np.dot(self.support, self.weights))
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class OffspringLaw(_Weighted):
     """Reproduction law on a finite subset of the non-negative integers.
 
     Atoms with zero weight are dropped at construction, so the stored weights
@@ -83,33 +100,12 @@ class OffspringLaw:
             raise ContractViolationError(f"offspring weights sum to {total!r}, not 1")
         _freeze(self, support=sup, weights=w / total)
 
-    def __repr__(self):
-        body = ", ".join(f"{k}: {p:.6g}" for k, p in zip(self.support, self.weights))
-        return f"OffspringLaw({{{body}}})"
-
-    def prob(self, k: int) -> float:
-        try:
-            return float(self.weights[self.support.index(k)])
-        except ValueError:
-            return 0.0
-
-    def mean(self) -> float:
-        return float(np.dot(self.support, self.weights))
-
     def as_prob_vector(self) -> "ProbVector":
         return ProbVector(self.support, self.weights)
 
-    @property
-    def singleton_support(self) -> bool:
-        """True when the law is a single atom (degenerate but accepted)."""
-        return len(self.support) == 1
 
-    def as_dict(self) -> dict[int, float]:
-        return {k: float(p) for k, p in zip(self.support, self.weights)}
-
-
-@dataclass(frozen=True, eq=False)
-class ProbVector:
+@dataclass(frozen=True, eq=False, repr=False)
+class ProbVector(_Weighted):
     """Probability vector over a fixed support; zero entries are allowed."""
 
     support: tuple[int, ...]
@@ -126,26 +122,6 @@ class ProbVector:
         if abs(total - 1.0) > _SUM_TOL:
             raise ContractViolationError(f"probability weights sum to {total!r}, not 1")
         _freeze(self, support=sup, weights=w / total)
-
-    def __repr__(self):
-        body = ", ".join(f"{k}: {p:.6g}" for k, p in zip(self.support, self.weights))
-        return f"ProbVector({{{body}}})"
-
-    def prob(self, k: int) -> float:
-        try:
-            return float(self.weights[self.support.index(k)])
-        except ValueError:
-            return 0.0
-
-    def mean(self) -> float:
-        return float(np.dot(self.support, self.weights))
-
-    def restricted_support(self) -> tuple[int, ...]:
-        """Atoms carrying strictly positive mass."""
-        return tuple(k for k, p in zip(self.support, self.weights) if p > 0.0)
-
-    def as_dict(self) -> dict[int, float]:
-        return {k: float(p) for k, p in zip(self.support, self.weights)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,6 +230,14 @@ def _check_same_support(a, b):
         raise SupportMismatchError(f"supports differ: {a.support} vs {b.support}")
 
 
+def _check_q(q: float, *, allow_zero: bool = False):
+    """Reject a memory parameter outside (0, 1), or [0, 1) with allow_zero."""
+    lo_ok = q >= 0.0 if allow_zero else q > 0.0
+    if math.isnan(q) or not lo_ok or q >= 1.0:
+        dom = "[0, 1)" if allow_zero else "(0, 1)"
+        raise ContractViolationError(f"memory parameter {q!r} outside {dom}")
+
+
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -270,6 +254,24 @@ def relative_entropy(rho: ProbVector, sigma: ProbVector) -> float:
     if (s[mask] == 0.0).any():
         return math.inf
     return float(np.sum(r[mask] * np.log(r[mask] / s[mask])))
+
+
+def mixed_entropy(rho: ProbVector, nu, q: float) -> float:
+    """Mixed relative entropy H(rho | q rho + (1-q) nu), q in [0, 1).
+
+    The entropy threshold of persistence and the cost of the constant
+    control. ``nu`` is a law or probability vector; both measures are read
+    on the union of their supports, so the value stays finite for q > 0 even
+    when rho charges atoms outside the support of nu.
+    """
+    _check_q(q, allow_zero=True)
+    atoms = sorted(set(rho.support) | set(nu.support))
+    r = np.array([rho.prob(k) for k in atoms])
+    ref = q * r + (1.0 - q) * np.array([nu.prob(k) for k in atoms])
+    pos = r > 0.0
+    if (ref[pos] == 0.0).any():
+        return math.inf
+    return float(np.sum(r[pos] * np.log(r[pos] / ref[pos])))
 
 
 def pair(rho: ProbVector, lam: LogWeights) -> float:
@@ -292,7 +294,7 @@ def size_biased(nu: OffspringLaw) -> ProbVector:
 
 def mean(measure) -> float:
     """Mean offspring number of a law or probability vector."""
-    return float(np.dot(measure.support, measure.weights))
+    return measure.mean()
 
 
 def mix(t: float, rho: ProbVector, sigma: ProbVector) -> ProbVector:

@@ -26,18 +26,20 @@ get gradient component 0; the all -inf tilt yields -inf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy import integrate
 from scipy.special import roots_jacobi
 
-from .errors import ContractViolationError, NumericError, SupportMismatchError
+from .errors import ContractViolationError, NumericError
 from .measures import (
     LogWeights,
     OffspringLaw,
     ProbVector,
+    _check_q,
+    _check_same_support,
     log_degree_weights,
     mean,
     pair,
@@ -47,30 +49,9 @@ from .measures import (
 
 _JACOBI_ORDERS = (12, 20, 32, 52, 84, 136)
 _PANEL_SPLIT = 0.9
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and panel policy for the log-mgf integrals.
-
-    ``rel_tol`` is a relative target in (0, 1e-4]; ``singular_endpoint``
-    enables the Gauss-Jacobi endpoint panel (disabling it falls back to one
-    adaptive pass over the whole interval, which is slower near the endpoint
-    zero and only intended for diagnostics).
-    """
-
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 200
-    singular_endpoint: bool = True
-
-    def __post_init__(self):
-        if math.isnan(self.rel_tol) or not (0.0 < self.rel_tol <= 1e-4):
-            raise ContractViolationError("rel_tol must lie in (0, 1e-4]")
-        if self.max_subdivisions < 10:
-            raise ContractViolationError("max_subdivisions must be at least 10")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
+# relative target and QUADPACK subdivision limit of every log-mgf integral
+_REL_TOL = 1e-10
+_MAX_SUBDIVISIONS = 200
 
 
 @dataclass(frozen=True)
@@ -94,33 +75,13 @@ def _jacobi_rule(order: int, gamma: float):
     return nodes, weights
 
 
-def _check_pair(lam: LogWeights, nu: OffspringLaw):
-    if lam.support != nu.support:
-        raise SupportMismatchError(f"supports differ: {lam.support} vs {nu.support}")
-
-
-def _check_q_open(q: float):
-    if math.isnan(q) or not (0.0 < q < 1.0):
-        raise ContractViolationError(f"memory parameter {q!r} outside (0, 1)")
-
-
-def _endpoint_integral(g, gamma: float, quad: QuadratureSpec) -> float:
+def _endpoint_integral(g, gamma: float) -> float:
     """integral_0^1 (1-s)^gamma g(s) ds with g smooth on [0, 1]."""
-    if not quad.singular_endpoint:
-        val, err, *rest = integrate.quad(
-            lambda s: (1.0 - s) ** gamma * g(s) if s < 1.0 else 0.0,
-            0.0, 1.0, epsabs=0.0, epsrel=quad.rel_tol,
-            limit=quad.max_subdivisions, full_output=1)
-        if err > 1e3 * quad.rel_tol * max(abs(val), 1e-300):
-            raise NumericError("quadrature did not converge",
-                               {"value": val, "abserr": err})
-        return val
-
     smooth, err, *rest = integrate.quad(
         lambda s: (1.0 - s) ** gamma * g(s),
-        0.0, _PANEL_SPLIT, epsabs=0.0, epsrel=quad.rel_tol,
-        limit=quad.max_subdivisions, full_output=1)
-    if err > 1e3 * quad.rel_tol * max(abs(smooth), 1e-300):
+        0.0, _PANEL_SPLIT, epsabs=0.0, epsrel=_REL_TOL,
+        limit=_MAX_SUBDIVISIONS, full_output=1)
+    if err > 1e3 * _REL_TOL * max(abs(smooth), 1e-300):
         raise NumericError("adaptive panel did not converge",
                            {"value": smooth, "abserr": err})
 
@@ -138,7 +99,7 @@ def _endpoint_integral(g, gamma: float, quad: QuadratureSpec) -> float:
         vals = np.array([g(si) for si in s])
         panel = scale * 0.5 ** (gamma + 1.0) * float(np.dot(weights, vals))
         if panel_prev is not None:
-            tol = quad.rel_tol * max(abs(smooth + panel), 1e-300)
+            tol = _REL_TOL * max(abs(smooth + panel), 1e-300)
             if abs(panel - panel_prev) <= tol:
                 return smooth + panel
         panel_prev = panel
@@ -147,9 +108,9 @@ def _endpoint_integral(g, gamma: float, quad: QuadratureSpec) -> float:
     # tied tilt coordinates); hand the whole weight to adaptive QUADPACK
     val, err, *rest = integrate.quad(
         g, 0.0, 1.0, weight="alg", wvar=(0.0, gamma),
-        epsabs=0.0, epsrel=quad.rel_tol, limit=quad.max_subdivisions,
+        epsabs=0.0, epsrel=_REL_TOL, limit=_MAX_SUBDIVISIONS,
         full_output=1)
-    if err > 1e3 * quad.rel_tol * max(abs(val), 1e-300):
+    if err > 1e3 * _REL_TOL * max(abs(val), 1e-300):
         raise NumericError("endpoint panel did not converge",
                            {"smooth": smooth, "panel": panel, "gamma": gamma,
                             "adaptive": val, "abserr": err})
@@ -184,11 +145,10 @@ class _Integrand:
         return math.exp(acc)
 
 
-def _mgf_parts(lam: LogWeights, nu: OffspringLaw, q: float,
-               quad: QuadratureSpec, want_grad: bool):
+def _mgf_parts(lam: LogWeights, nu: OffspringLaw, q: float, want_grad: bool):
     """Log of the rescaled integral and, optionally, raw gradient parts."""
     geom = _Integrand(lam, nu, q)
-    denom = _endpoint_integral(geom.smooth_factor, geom.c_star, quad)
+    denom = _endpoint_integral(geom.smooth_factor, geom.c_star)
     if not (denom > 0.0) or not math.isfinite(denom):
         raise NumericError("mgf integral collapsed", {"denominator": denom})
     log_integral = -geom.lam_bar + math.log(denom)
@@ -200,41 +160,28 @@ def _mgf_parts(lam: LogWeights, nu: OffspringLaw, q: float,
         def ratio(s: float, e=e) -> float:
             u = e * s
             return u / (1.0 - u) * geom.smooth_factor(s)
-        grad[pos] = c * _endpoint_integral(ratio, geom.c_star, quad) / denom
+        grad[pos] = c * _endpoint_integral(ratio, geom.c_star) / denom
     if geom.top.any():
         def top_ratio(s: float) -> float:
             return s * geom.smooth_factor(s)
-        shared = _endpoint_integral(top_ratio, geom.c_star - 1.0, quad) / denom
+        shared = _endpoint_integral(top_ratio, geom.c_star - 1.0) / denom
         grad[geom.top] = geom.exponents[geom.top] * shared
     return log_integral, grad
 
 
-def log_mgf(lam: LogWeights, nu: OffspringLaw) -> float:
-    """Cumulant generating function log sum nu(k) exp(lam(k)) of one draw."""
-    _check_pair(lam, nu)
-    if lam.all_neg_inf:
-        return -math.inf
-    finite = lam.finite_mask()
-    lam_bar = float(np.max(lam.values[finite]))
-    acc = float(np.sum(nu.weights[finite] * np.exp(lam.values[finite] - lam_bar)))
-    return lam_bar + math.log(acc)
-
-
 def sanov_rate(rho: ProbVector, nu: OffspringLaw) -> float:
     """Rate function of iid empirical measures: relative entropy to nu."""
-    if rho.support != nu.support:
-        raise SupportMismatchError(f"supports differ: {rho.support} vs {nu.support}")
+    _check_same_support(rho, nu)
     return relative_entropy(rho, nu.as_prob_vector())
 
 
-def reinforced_log_mgf(lam: LogWeights, nu: OffspringLaw, q: float,
-                       quad: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def reinforced_log_mgf(lam: LogWeights, nu: OffspringLaw, q: float) -> float:
     """Limiting cumulant generating function under memory q, by quadrature."""
-    _check_pair(lam, nu)
-    _check_q_open(q)
+    _check_same_support(lam, nu)
+    _check_q(q)
     if lam.all_neg_inf:
         return -math.inf
-    log_integral, _ = _mgf_parts(lam, nu, q, quad, want_grad=False)
+    log_integral, _ = _mgf_parts(lam, nu, q, want_grad=False)
     return math.log(q) - log_integral
 
 
@@ -245,8 +192,8 @@ def reinforced_log_mgf_polynomial(lam: LogWeights, nu: OffspringLaw, q: float) -
     coefficient. Independent of the quadrature path; degrees much beyond a
     few hundred lose accuracy to coefficient cancellation.
     """
-    _check_pair(lam, nu)
-    _check_q_open(q)
+    _check_same_support(lam, nu)
+    _check_q(q)
     if lam.all_neg_inf:
         return -math.inf
     exponents = nu.weights * (1.0 - q) / q
@@ -268,34 +215,23 @@ def reinforced_log_mgf_polynomial(lam: LogWeights, nu: OffspringLaw, q: float) -
     return math.log(q) + lam_bar - math.log(integral)
 
 
-def reinforced_log_mgf_grad(lam: LogWeights, nu: OffspringLaw, q: float,
-                            quad: QuadratureSpec = DEFAULT_QUADRATURE) -> ProbVector:
+def reinforced_log_mgf_grad(lam: LogWeights, nu: OffspringLaw, q: float) -> ProbVector:
     """Gradient of the reinforced log-mgf: a probability vector.
 
     Components are ratios of endpoint-weighted integrals; they vanish exactly
     where lam is -inf and sum to 1 (checked against quadrature drift before
     renormalizing).
     """
-    _check_pair(lam, nu)
-    _check_q_open(q)
+    _check_same_support(lam, nu)
+    _check_q(q)
     if lam.all_neg_inf:
         raise ContractViolationError("gradient undefined at the all -inf sentinel")
-    _, grad = _mgf_parts(lam, nu, q, quad, want_grad=True)
+    _, grad = _mgf_parts(lam, nu, q, want_grad=True)
     drift = abs(float(grad.sum()) - 1.0)
-    gate = max(1e-9, 1e2 * quad.rel_tol)
-    if drift > gate:
+    if drift > 1e2 * _REL_TOL:
         raise NumericError("gradient components sum to 1 beyond tolerance",
                            {"drift": drift, "gradient": grad.tolist()})
     return ProbVector(lam.support, grad / grad.sum())
-
-
-def _grad_components(lam: LogWeights, nu: OffspringLaw, q: float,
-                     quad: QuadratureSpec = DEFAULT_QUADRATURE) -> np.ndarray:
-    """Raw gradient components before renormalization (for invariant tests)."""
-    _check_pair(lam, nu)
-    _check_q_open(q)
-    _, grad = _mgf_parts(lam, nu, q, quad, want_grad=True)
-    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +405,7 @@ def _boundary_rate(rho_work: np.ndarray, c_work: np.ndarray, q: float,
                     residual=best, iterations=iterations)
 
 
-def reinforced_rate(rho: ProbVector, nu: OffspringLaw, q: float,
-                    quad: QuadratureSpec = DEFAULT_QUADRATURE, *,
+def reinforced_rate(rho: ProbVector, nu: OffspringLaw, q: float, *,
                     tol: float = 1e-9, max_iter: int = 200,
                     tilt0: LogWeights | None = None) -> RateDual:
     """Rate function of lineage empirical measures, with its dual tilt.
@@ -481,9 +416,8 @@ def reinforced_rate(rho: ProbVector, nu: OffspringLaw, q: float,
     the Newton direction is unusable. Coordinates where rho vanishes get
     tilt -inf.
     """
-    if rho.support != nu.support:
-        raise SupportMismatchError(f"supports differ: {rho.support} vs {nu.support}")
-    _check_q_open(q)
+    _check_same_support(rho, nu)
+    _check_q(q)
     support = rho.support
     rho_full = rho.weights
     work_idx = np.nonzero(rho_full > 0.0)[0]
@@ -502,12 +436,12 @@ def reinforced_rate(rho: ProbVector, nu: OffspringLaw, q: float,
 
     def grad_at(lw) -> np.ndarray:
         tilt = _tilt_from_work(support, work_idx, lw)
-        _, g = _mgf_parts(tilt, nu, q, quad, want_grad=True)
+        _, g = _mgf_parts(tilt, nu, q, want_grad=True)
         return g[work_idx]
 
     def value_at(lw) -> float:
         tilt = _tilt_from_work(support, work_idx, lw)
-        log_integral, _ = _mgf_parts(tilt, nu, q, quad, want_grad=False)
+        log_integral, _ = _mgf_parts(tilt, nu, q, want_grad=False)
         mgf = math.log(q) - log_integral
         return float(np.dot(rho_work, lw)) - mgf
 
@@ -616,7 +550,7 @@ def reinforced_rate(rho: ProbVector, nu: OffspringLaw, q: float,
 
     lam_work = lam_work - np.max(lam_work)
     tilt = _tilt_from_work(support, work_idx, lam_work)
-    log_integral, _ = _mgf_parts(tilt, nu, q, quad, want_grad=False)
+    log_integral, _ = _mgf_parts(tilt, nu, q, want_grad=False)
     mgf = math.log(q) - log_integral
     value = pair(rho, tilt) - mgf
     if value < -1e-9 or value > -math.log(q) + 1e-9:
@@ -630,29 +564,25 @@ def reinforced_rate(rho: ProbVector, nu: OffspringLaw, q: float,
 # derived quantities
 # ---------------------------------------------------------------------------
 
-def concentration_target(nu: OffspringLaw, q: float,
-                         quad: QuadratureSpec = DEFAULT_QUADRATURE) -> ProbVector:
+def concentration_target(nu: OffspringLaw, q: float) -> ProbVector:
     """Limit law of the empirical lineage measure on the surviving tree.
 
     Memoryless case: the size-biased law. With memory: the gradient of the
     reinforced log-mgf at the log-degree tilt.
     """
-    if math.isnan(q) or not (0.0 <= q < 1.0):
-        raise ContractViolationError(f"memory parameter {q!r} outside [0, 1)")
+    _check_q(q, allow_zero=True)
     if q == 0.0:
         return size_biased(nu)
-    return reinforced_log_mgf_grad(log_degree_weights(nu.support), nu, q, quad)
+    return reinforced_log_mgf_grad(log_degree_weights(nu.support), nu, q)
 
 
-def growth_exponent(nu: OffspringLaw, q: float,
-                    quad: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def growth_exponent(nu: OffspringLaw, q: float) -> float:
     """Exponential growth rate of expected generation sizes."""
-    if math.isnan(q) or not (0.0 <= q < 1.0):
-        raise ContractViolationError(f"memory parameter {q!r} outside [0, 1)")
+    _check_q(q, allow_zero=True)
     if q == 0.0:
         m = mean(nu)
         return -math.inf if m == 0.0 else math.log(m)
-    return reinforced_log_mgf(log_degree_weights(nu.support), nu, q, quad)
+    return reinforced_log_mgf(log_degree_weights(nu.support), nu, q)
 
 
 # ---------------------------------------------------------------------------
@@ -690,8 +620,7 @@ def _project_feasible(x: np.ndarray, w: np.ndarray, c: float,
     return out / out.sum()
 
 
-def min_rate_over_halfspace(nu: OffspringLaw, q: float, w, c: float,
-                            quad: QuadratureSpec = DEFAULT_QUADRATURE, *,
+def min_rate_over_halfspace(nu: OffspringLaw, q: float, w, c: float, *,
                             max_iter: int = 300, tol: float = 1e-8):
     """Minimize the rate function over {rho : <rho, w> >= c}.
 
@@ -700,7 +629,7 @@ def min_rate_over_halfspace(nu: OffspringLaw, q: float, w, c: float,
     projected gradient descent on the simplex-halfspace intersection, using
     the dual tilt as the gradient of the rate function.
     """
-    _check_q_open(q)
+    _check_q(q)
     w = np.asarray(w, dtype=float)
     if w.shape != (len(nu.support),) or not np.isfinite(w).all():
         raise ContractViolationError("halfspace functional must be finite over the support")
@@ -715,7 +644,7 @@ def min_rate_over_halfspace(nu: OffspringLaw, q: float, w, c: float,
     x = _project_feasible(nu_vec.weights.copy(), w, c)
     x = np.maximum(x, floor)
     x /= x.sum()
-    dual = reinforced_rate(ProbVector(nu.support, x), nu, q, quad)
+    dual = reinforced_rate(ProbVector(nu.support, x), nu, q)
     value = dual.value
     step = 1.0
     for _ in range(max_iter):
@@ -729,7 +658,7 @@ def min_rate_over_halfspace(nu: OffspringLaw, q: float, w, c: float,
             cand /= cand.sum()
             if float(np.abs(cand - x).max()) < 1e-14:
                 break
-            cand_dual = reinforced_rate(ProbVector(nu.support, cand), nu, q, quad,
+            cand_dual = reinforced_rate(ProbVector(nu.support, cand), nu, q,
                                         tilt0=dual.tilt)
             if cand_dual.value < value - 1e-14:
                 x, dual, value = cand, cand_dual, cand_dual.value

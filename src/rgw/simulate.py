@@ -32,13 +32,13 @@ import numpy as np
 
 from .classify import validate_activities
 from .errors import ContractViolationError, NumericError, StatisticalFailureError
-from .measures import EmpiricalMeasure, OffspringLaw, ProbVector
+from .measures import EmpiricalMeasure, OffspringLaw, ProbVector, _check_q
 from .rng import RngStream
 
 DEFAULT_POP_CAP = 10_000_000
 
 # replicas are processed in fixed-size chunks; the value is part of the
-# deterministic draw schedule and must never depend on thread count
+# deterministic draw schedule
 _CHUNK = 1024
 
 
@@ -112,13 +112,6 @@ class SpineUrnState:
                 f"ball total {total} != 2 + 2*{self.steps}")
 
 
-def _check_q(q: float, *, allow_zero: bool):
-    lo_ok = q >= 0.0 if allow_zero else q > 0.0
-    if math.isnan(q) or not lo_ok or q >= 1.0:
-        dom = "[0, 1)" if allow_zero else "(0, 1)"
-        raise ContractViolationError(f"memory parameter {q!r} outside {dom}")
-
-
 def _fresh_indices(cum_nu: np.ndarray, u: np.ndarray) -> np.ndarray:
     j = np.searchsorted(cum_nu, u, side="right")
     return np.minimum(j, len(cum_nu) - 1).astype(np.int64)
@@ -182,6 +175,8 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
             over = z >= pop_cap
             trunc_at[idx[over]] = g + 1
             active[idx] = (z > 0) & ~over
+        pops.setflags(write=False)
+        trunc_at.setflags(write=False)
         return TreeCampaign(support, pops, trunc_at, None)
 
     # A class is keyed by one int64: the chunk-local replica id as the most
@@ -274,7 +269,7 @@ def simulate_reinforced_urn(nu: OffspringLaw, q: float, n: int,
     earlier one with probability q, else follows nu. Every draw has marginal
     law nu.
     """
-    _check_q(q, allow_zero=False)
+    _check_q(q)
     if n < 1:
         raise ContractViolationError("n must be at least 1")
     support = nu.support
@@ -436,7 +431,7 @@ def simulate_spine_urn(nu: OffspringLaw, q: float, a, n: int,
     Returns the empirical frequencies of the n color additions and the final
     state.
     """
-    _check_q(q, allow_zero=False)
+    _check_q(q)
     if n < 1:
         raise ContractViolationError("n must be at least 1")
     a = validate_activities(a, nu, q, tol=1e-9)
@@ -522,7 +517,7 @@ def replacement_matrix(nu: OffspringLaw, q: float, a, *,
     eigenvalue is 1 and the left eigenvector, normalized on the support
     colors, is the stationary color frequency. Computed by power iteration.
     """
-    _check_q(q, allow_zero=False)
+    _check_q(q)
     a = validate_activities(a, nu, q, tol=1e-8)
     pos = [idx for idx, kk in enumerate(nu.support) if kk != 0]
     sup = tuple(nu.support[idx] for idx in pos)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, NumericError
-from .measures import OffspringLaw
+from .measures import OffspringLaw, _check_q
 
 _BRANCH_POINT = -math.exp(-1.0)
 _BISECTION_ITERS = 200
@@ -99,8 +99,7 @@ def survival_functional(a, nu: OffspringLaw, q: float) -> float:
     an activity of 0 contributes nothing (its stationary frequency
     vanishes). No admissibility is assumed, only the box constraints.
     """
-    if math.isnan(q) or not (0.0 < q < 1.0):
-        raise ContractViolationError(f"memory parameter {q!r} outside (0, 1)")
+    _check_q(q)
     a = _box_check(a, nu, q)
     total = 0.0
     for idx, k in enumerate(nu.support):
@@ -124,8 +123,7 @@ def stationarity_ratios(a, nu: OffspringLaw, q: float):
     the constrained minimizer these are equal across coordinates. Returns
     the atoms and their ratios; every listed activity must be positive.
     """
-    if math.isnan(q) or not (0.0 < q < 1.0):
-        raise ContractViolationError(f"memory parameter {q!r} outside (0, 1)")
+    _check_q(q)
     a = _box_check(a, nu, q)
     atoms = []
     ratios = []
@@ -189,8 +187,7 @@ def solve_survival_minimizer(nu: OffspringLaw, q: float) -> SurvivalReport:
     unique admissible C. The upper end expands geometrically toward the
     ceiling first if the target is not yet bracketed.
     """
-    if math.isnan(q) or not (0.0 < q < 1.0):
-        raise ContractViolationError(f"memory parameter {q!r} outside (0, 1)")
+    _check_q(q)
     degs = _positive_degrees(nu)
     top = max(degs)
     target = 1.0 / (1.0 - q)
@@ -265,8 +262,7 @@ def proportional_baseline(nu: OffspringLaw, q: float) -> tuple[float, float]:
     c in (0, 1/(q max S)); the value is never below the constrained
     minimum.
     """
-    if math.isnan(q) or not (0.0 < q < 1.0):
-        raise ContractViolationError(f"memory parameter {q!r} outside (0, 1)")
+    _check_q(q)
     degs = _positive_degrees(nu)
     top = max(degs)
     target = 1.0 / (1.0 - q)

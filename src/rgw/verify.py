@@ -14,6 +14,7 @@ freshly chosen seed can fail a 3-standard-error bound by honest chance.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 
@@ -115,22 +116,20 @@ def _check_duality(rng: RngStream) -> tuple[float, float]:
     return 1e-6, worst
 
 
-def _check_control(rng: RngStream, *, steps: int, restarts: int,
-                   threads: int) -> tuple[float, float]:
+def _check_control(rng: RngStream, *, steps: int,
+                   restarts: int) -> tuple[float, float]:
     rho = ProbVector((1, 2), (0.2, 0.8))
     value, _ = rate_by_control(rho, _FLAGSHIP, _Q_FLAGSHIP, steps=steps,
-                               restarts=restarts, rng=rng.child(1),
-                               workers=threads)
+                               restarts=restarts, rng=rng.child(1))
     exact = closed_form_rate(0.2)
     return 0.02, abs(value - exact) / exact
 
 
-def _check_control_margin(rng: RngStream, *, steps: int, restarts: int,
-                          threads: int) -> tuple[float, float]:
+def _check_control_margin(rng: RngStream, *, steps: int,
+                          restarts: int) -> tuple[float, float]:
     rho = ProbVector((1, 2), (0.2, 0.8))
     value, _ = rate_by_control(rho, _FLAGSHIP, _Q_FLAGSHIP, steps=steps,
-                               restarts=restarts, rng=rng.child(2),
-                               workers=threads)
+                               restarts=restarts, rng=rng.child(2))
     bound = constant_control_value(rho, _FLAGSHIP, _Q_FLAGSHIP)
     return 0.0, max(0.0, value - (bound - 1e-3))
 
@@ -211,11 +210,13 @@ def _check_lambert() -> tuple[float, float]:
 
 
 def _survival_instances(rng: RngStream):
+    """The survival test laws with their solved certificates, as
+    ``(nu, q, report)`` triples."""
     gen = rng.generator("survival-instances")
     cases = [(_FLAGSHIP, _Q_FLAGSHIP), (OffspringLaw((0, 2), (0.5, 0.5)), 0.6)]
     while len(cases) < 10:
         cases.append((_random_law(gen), float(gen.uniform(0.1, 0.8))))
-    return cases
+    return [(nu, q, solve_survival_minimizer(nu, q)) for nu, q in cases]
 
 
 def _projected_gradient_minimum(nu: OffspringLaw, q: float,
@@ -289,17 +290,16 @@ def _projected_gradient_minimum(nu: OffspringLaw, q: float,
     return best
 
 
-def _check_survival_constraint(rng: RngStream) -> tuple[float, float]:
+def _check_survival_constraint(instances) -> tuple[float, float]:
     worst = 0.0
-    for nu, q in _survival_instances(rng):
-        worst = max(worst, solve_survival_minimizer(nu, q).constraint_residual)
+    for _, _, report in instances:
+        worst = max(worst, report.constraint_residual)
     return 1e-10, worst
 
 
-def _check_survival_stationarity(rng: RngStream) -> tuple[float, float]:
+def _check_survival_stationarity(instances) -> tuple[float, float]:
     worst = 0.0
-    for nu, q in _survival_instances(rng):
-        report = solve_survival_minimizer(nu, q)
+    for nu, q, report in instances:
         _, ratios = stationarity_ratios(report.activities, nu, q)
         if len(ratios) > 1:
             spread = float(np.ptp(ratios)) / max(1.0, float(np.abs(ratios).max()))
@@ -307,22 +307,23 @@ def _check_survival_stationarity(rng: RngStream) -> tuple[float, float]:
     return 1e-6, worst
 
 
-def _check_survival_baseline(rng: RngStream) -> tuple[float, float]:
+def _check_survival_baseline(instances) -> tuple[float, float]:
     worst = 0.0
-    for nu, q in _survival_instances(rng):
-        report = solve_survival_minimizer(nu, q)
+    for _, _, report in instances:
         worst = max(worst, max(0.0, report.minimum_value - report.baseline_value))
     return 1e-9, worst
 
 
-def _check_survival_oracle(rng: RngStream) -> tuple[float, float]:
+def _check_survival_oracle(rng: RngStream, instances) -> tuple[float, float]:
     gen = rng.generator("survival-oracle")
     worst = 0.0
-    for nu, q in _survival_instances(rng):
-        report = solve_survival_minimizer(nu, q)
+    for nu, q, report in instances:
         oracle = _projected_gradient_minimum(nu, q, gen)
         worst = max(worst, abs(report.minimum_value - oracle))
     return 1e-6, worst
+
+
+_PHASE_MESH = 1.0 / 200.0
 
 
 def _scan_verdicts(mesh: float):
@@ -337,36 +338,35 @@ def _scan_verdicts(mesh: float):
     return ps, kinds, margins
 
 
-def _check_phase_boundary() -> tuple[float, float]:
-    mesh = 1.0 / 200.0
-    ps, kinds, _ = _scan_verdicts(mesh)
+def _check_phase_boundary(scan) -> tuple[float, float]:
+    ps, kinds, _ = scan
     persistent = [p for p, k in zip(ps, kinds)
                   if k is VerdictKind.STRONGLY_PERSISTENT]
     evanescent = [p for p, k in zip(ps, kinds) if k is VerdictKind.EVANESCENT]
     if not persistent or not evanescent:
-        return mesh, math.inf
+        return _PHASE_MESH, math.inf
     last_persistent = max(persistent)
     first_evanescent = min(evanescent)
     worst = max(abs(last_persistent - _CROSSING_PERSISTENCE),
                 abs(first_evanescent - _CROSSING_EVANESCENCE))
-    return mesh, worst
+    return _PHASE_MESH, worst
 
 
-def _check_phase_exclusivity() -> tuple[float, float]:
-    mesh = 1.0 / 200.0
-    _, _, margins = _scan_verdicts(mesh)
+def _check_phase_exclusivity(scan) -> tuple[float, float]:
+    _, _, margins = scan
     worst = 0.0
     for ev, pe in margins:
         worst = max(worst, max(0.0, min(ev, pe)))
     return DECISION_TOL, worst
 
 
-def verify_suite(level: str = "quick", seed: int = 42, *,
-                 threads: int = 1) -> dict:
+def verify_suite(level: str = "quick", seed: int = 42) -> dict:
     """Run every cross-module check at the given level.
 
     Returns a JSON-ready report: one entry per check with its tolerance, the
-    observed deviation, and the pass flag, plus an overall verdict.
+    observed deviation, and the pass flag, plus an overall verdict. Work that
+    several checks share (the survival solves, the verdict scan) runs once
+    per call, inside the first check that needs it, and is timed there.
     """
     if level not in ("quick", "full"):
         raise ValueError(f"unknown verify level {level!r}")
@@ -374,17 +374,23 @@ def verify_suite(level: str = "quick", seed: int = 42, *,
     full = level == "full"
     slice_points = (0.5, 0.75, 1.0, 1.25, 1.4) if full else (0.5, 1.25)
 
+    @functools.cache
+    def survival_instances():
+        return _survival_instances(rng)
+
+    @functools.cache
+    def verdict_scan():
+        return _scan_verdicts(_PHASE_MESH)
+
     plan = [
         ("closed_form_log_mgf", lambda: _check_closed_form_log_mgf()),
         ("closed_form_rate", lambda: _check_closed_form_rate()),
         ("concentration_target", lambda: _check_concentration_target()),
         ("duality_identity", lambda: _check_duality(rng)),
         ("control_upper_bound", lambda: _check_control(
-            rng, steps=64 if full else 32, restarts=8 if full else 2,
-            threads=threads)),
+            rng, steps=64 if full else 32, restarts=8 if full else 2)),
         ("control_strict_margin", lambda: _check_control_margin(
-            rng, steps=64 if full else 32, restarts=8 if full else 2,
-            threads=threads)),
+            rng, steps=64 if full else 32, restarts=8 if full else 2)),
         ("triangulation", lambda: _check_triangulation(
             rng, qs=(0.0, _Q_FLAGSHIP) if full else (_Q_FLAGSHIP,),
             n_values=(3, 4, 5, 6) if full else (3,),
@@ -401,12 +407,17 @@ def verify_suite(level: str = "quick", seed: int = 42, *,
         ("replacement_left_vector",
          lambda: _check_replacement_left_vector(slice_points)),
         ("lambert_residual", lambda: _check_lambert()),
-        ("survival_constraint", lambda: _check_survival_constraint(rng)),
-        ("survival_stationarity", lambda: _check_survival_stationarity(rng)),
-        ("survival_baseline_gap", lambda: _check_survival_baseline(rng)),
-        ("survival_oracle_gap", lambda: _check_survival_oracle(rng)),
-        ("phase_boundary", lambda: _check_phase_boundary()),
-        ("phase_exclusivity", lambda: _check_phase_exclusivity()),
+        ("survival_constraint",
+         lambda: _check_survival_constraint(survival_instances())),
+        ("survival_stationarity",
+         lambda: _check_survival_stationarity(survival_instances())),
+        ("survival_baseline_gap",
+         lambda: _check_survival_baseline(survival_instances())),
+        ("survival_oracle_gap",
+         lambda: _check_survival_oracle(rng, survival_instances())),
+        ("phase_boundary", lambda: _check_phase_boundary(verdict_scan())),
+        ("phase_exclusivity",
+         lambda: _check_phase_exclusivity(verdict_scan())),
     ]
     if full:
         plan.append(("census_lln",

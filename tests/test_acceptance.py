@@ -21,7 +21,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 @pytest.fixture(scope="module")
 def report():
-    return verify_suite("full", 42, threads=1)
+    return verify_suite("full", 42)
 
 
 def check(report, name):

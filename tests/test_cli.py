@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from rgw import cli
 from rgw.cli import run
 
 REPO = Path(__file__).resolve().parent.parent
@@ -57,6 +58,16 @@ class TestGoldenFiles:
         assert text == (GOLDEN / "simulate_small.csv").read_text()
 
 
+    def test_csv_blocks_keep_the_bytes(self, tmp_path, monkeypatch):
+        # blocks far smaller than the table cut it at many row boundaries
+        monkeypatch.setattr(cli, "_CSV_BLOCK", 7)
+        code, text = invoke(["simulate", "--law", LAW, "--q", "1/3",
+                             "--n-max", "6", "--replicas", "50", "--seed",
+                             "9", "--histograms"], tmp_path)
+        assert code == 0
+        assert text == (GOLDEN / "simulate_small.csv").read_text()
+
+
 class TestDeterminism:
     def test_identical_invocations_are_byte_identical(self, tmp_path):
         args = ["simulate", "--law", LAW, "--q", "0", "--n-max", "8",
@@ -89,8 +100,8 @@ class TestFormats:
 
     def test_verify_control_report(self, tmp_path):
         code, text = invoke(["verify", "control", "--rho", "1:0.2;2:0.8",
-                             "--m", "8", "--restarts", "2", "--seed", "5",
-                             "--threads", "1"], tmp_path)
+                             "--m", "8", "--restarts", "2", "--seed", "5"],
+                            tmp_path)
         assert code == 0
         report = json.loads(text)
         assert set(report) == {"value", "gap_to_dual", "gap_to_upper_bound",
@@ -149,8 +160,7 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_quick_verification_passes(self, tmp_path, capsys):
-        code, text = invoke(["verify", "--quick", "--seed", "42",
-                             "--threads", "1"], tmp_path)
+        code, text = invoke(["verify", "--quick", "--seed", "42"], tmp_path)
         capsys.readouterr()
         assert code == 0
         report = json.loads(text)

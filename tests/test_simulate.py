@@ -45,6 +45,12 @@ class TestTreeCampaign:
         assert np.all(camp.truncated_at == 4)
         assert np.all(camp.populations[:, 4] == 16)
 
+    @pytest.mark.parametrize("q", [0.0, 0.3])
+    def test_campaign_arrays_are_read_only(self, q):
+        camp = simulate_tree_campaign(FLAGSHIP, q, 4, 5, RngStream(3))
+        assert camp.populations.flags.writeable is False
+        assert camp.truncated_at.flags.writeable is False
+
     def test_mean_population_matches_enumeration(self):
         replicas = 20000
         camp = simulate_tree_campaign(FLAGSHIP, Q, 8, replicas, RngStream(8))
