@@ -18,7 +18,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -136,41 +136,64 @@ def _grid_points(step_text: str) -> list[tuple[Fraction, float]]:
     return points
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return "%.17g" % float(value)
-    return str(value)
+_BOOL_TEXT = {True: "true", False: "false"}
+_FLOAT_TEXT = "%.17g"
 
 
-def _json_safe(value):
-    if isinstance(value, (float, np.floating)):
-        x = float(value)
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return x
-    if isinstance(value, (bool, int, str)) or value is None:
-        return value
-    if isinstance(value, np.integer):
-        return int(value)
-    return value
+def _json_float(value):
+    x = float(value)
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return x
+
+
+def _cell_rule(kind: type, fmt: str):
+    """The function that turns a cell of Python or NumPy type ``kind`` into
+    CSV text or a JSON value: None is empty (null), a bool true or false,
+    an int its digits, a float 17 significant digits (a number, or "inf" or
+    "-inf" in JSON); any other value is written as its str (passed to JSON
+    as it is)."""
+    csv = fmt == "csv"
+    if kind is type(None):
+        return (lambda v: "") if csv else (lambda v: None)
+    if issubclass(kind, (bool, np.bool_)):
+        return _BOOL_TEXT.__getitem__ if csv else bool
+    if issubclass(kind, (int, np.integer)):
+        return str if csv else int
+    if issubclass(kind, (float, np.floating)):
+        return _FLOAT_TEXT.__mod__ if csv else _json_float
+    return str if csv else (lambda v: v)
+
+
+def _column(values, fmt: str) -> list:
+    kinds = set(map(type, values))
+    if len(kinds) == 1:
+        return list(map(_cell_rule(kinds.pop(), fmt), values))
+    rules = {kind: _cell_rule(kind, fmt) for kind in kinds}
+    return [rules[type(v)](v) for v in values]
 
 
 def _render(columns: list[str], rows, fmt: str):
-    """Yield the table as text: CSV in blocks of rows, JSON as one document."""
-    if fmt == "json":
-        out = [{c: _json_safe(v) for c, v in zip(columns, row)} for row in rows]
-        yield json.dumps(out, indent=1) + "\n"
-        return
-    yield ",".join(columns) + "\n"
+    """Yield the table as text: CSV in blocks of rows, JSON as one document.
+
+    Rows are taken ``_CSV_BLOCK`` at a time and each block is converted a
+    column at a time, every cell of one type in a column by the same rule of
+    ``_cell_rule``; CSV lines are then joined from the converted columns and
+    written block by block, while JSON rows are collected for one document.
+    The text is the same as converting the cells one by one.
+    """
+    if fmt == "csv":
+        yield ",".join(columns) + "\n"
+    records = []
     rows = iter(rows)
     while block := list(islice(rows, _CSV_BLOCK)):
-        yield "".join(",".join(_cell(v) for v in row) + "\n" for row in block)
+        cols = [_column(values, fmt) for values in zip(*block)]
+        if fmt == "csv":
+            yield "\n".join(map(",".join, zip(*cols))) + "\n"
+        else:
+            records.extend(dict(zip(columns, row)) for row in zip(*cols))
+    if fmt == "json":
+        yield json.dumps(records, indent=1) + "\n"
 
 
 def _write(chunks, out: str | None) -> None:
@@ -182,7 +205,7 @@ def _write(chunks, out: str | None) -> None:
 
 
 def _rho_key(rho: ProbVector) -> str:
-    return ";".join(f"{k}:{_cell(float(w))}"
+    return ";".join(f"{k}:{_FLOAT_TEXT % w}"
                     for k, w in zip(rho.support, rho.weights))
 
 
@@ -262,38 +285,41 @@ def _cmd_simulate(args) -> int:
                                       RngStream(args.seed),
                                       pop_cap=args.pop_cap,
                                       keep_histograms=args.histograms)
-    pops = campaign.populations
-    trunc = campaign.truncated_at
-    by_replica = None
-    if campaign.histograms is not None:
-        # re-bucket each generation's census by replica for O(1) row lookups
-        by_replica = []
-        for layer in campaign.histograms:
-            d: dict[int, list] = {}
-            for (rid, counts), cnt in layer.items():
-                d.setdefault(rid, []).append((counts, cnt))
-            by_replica.append(d)
+    trunc = campaign.truncated_at.tolist()
+    # each generation's census in (replica, counts) order, consumed a
+    # replica at a time
+    census = ([sorted(layer.items()) for layer in campaign.histograms]
+              if campaign.histograms is not None else None)
+    cursor = [0] * (args.n_max + 1)
     columns = ["replica", "generation", "population", "survived",
                "truncated", "hist_key", "hist_count"]
 
-    def rows():
-        for r in range(args.replicas):
-            # rows stop at the truncation point; beyond it the recorded
-            # population would read zero while the process is merely capped
-            last = int(trunc[r]) if trunc[r] >= 0 else args.n_max
-            cut = bool(trunc[r] >= 0)
-            alive = bool(cut or pops[r, args.n_max] > 0)
-            for g in range(last + 1):
-                pop = int(pops[r, g])
-                classes = (sorted(by_replica[g].get(r, ()))
-                           if by_replica is not None else [])
-                if not classes:
-                    yield [r, g, pop, alive, cut, "", ""]
-                for counts, cnt in classes:
-                    yield [r, g, pop, alive, cut,
-                           _hist_key(campaign.support, counts), cnt]
+    def replica_rows(r):
+        pops = campaign.populations[r].tolist()
+        # rows stop at the truncation point; beyond it the recorded
+        # population would read zero while the process is merely capped
+        cut = trunc[r] >= 0
+        last = trunc[r] if cut else args.n_max
+        alive = cut or pops[args.n_max] > 0
+        if census is None:
+            return zip(repeat(r), range(last + 1), pops, repeat(alive),
+                       repeat(cut), repeat(""), repeat(""))
+        rows = []
+        for g in range(last + 1):
+            layer, start = census[g], cursor[g]
+            end = start
+            while end < len(layer) and layer[end][0][0] == r:
+                end += 1
+            cursor[g] = end
+            rows.extend([r, g, pops[g], alive, cut,
+                         _hist_key(campaign.support, counts), cnt]
+                        for (_, counts), cnt in layer[start:end])
+            if start == end:
+                rows.append([r, g, pops[g], alive, cut, "", ""])
+        return rows
 
-    _write(_render(columns, rows(), args.format), args.out)
+    rows = chain.from_iterable(map(replica_rows, range(args.replicas)))
+    _write(_render(columns, rows, args.format), args.out)
     return 0
 
 
@@ -401,15 +427,16 @@ def _verify_control(args) -> int:
                                   rng=RngStream(args.seed))
     dual = _rate_value(rho, nu, q)
     bound = mixed_entropy(rho, nu, q)
-    lines = ["step," + ",".join(f"eta_{k}" for k in path.support)]
-    lines.extend(",".join([str(i)] + [_cell(float(v)) for v in row])
-                 for i, row in enumerate(path.rows))
+    steps = ([i, *row] for i, row in enumerate(path.rows))
+    best_path = "".join(_render(["step"] + [f"eta_{k}" for k in path.support],
+                                steps, "csv"))
     report = {"value": value,
               "gap_to_dual": value - dual,
               "gap_to_upper_bound": bound - value,
-              "best_path": "\n".join(lines)}
-    _write([json.dumps({k: _json_safe(v) for k, v in report.items()},
-                       indent=1) + "\n"], args.out)
+              "best_path": best_path.rstrip("\n")}
+    _write([json.dumps({k: _cell_rule(type(v), "json")(v)
+                        for k, v in report.items()}, indent=1) + "\n"],
+           args.out)
     # a valid bound sits between the dual value and the constant-path bound
     ok = value - dual >= -1e-6 and bound - value >= -1e-6
     return 0 if ok else 3

@@ -41,6 +41,13 @@ DEFAULT_POP_CAP = 10_000_000
 # deterministic draw schedule
 _CHUNK = 1024
 
+# urn steps are verified a chunk at a time (see _speculate): a chunk holds at
+# most this many steps times colors, so a pass's arrays stay under 1 MB each,
+# and keeps only its verified prefix after this many passes that change a
+# decision
+_SPECULATE_CELLS = 1 << 16
+_SPECULATE_PASSES = 4
+
 
 @dataclass(frozen=True)
 class GenerationReport:
@@ -261,6 +268,43 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
     return TreeCampaign(support, populations, truncated_at, hist_out)
 
 
+def _speculate(n: int, width: int, state, decide, advance):
+    """Decisions of an n-step chain computed a chunk of steps at a time,
+    equal to those of a loop that takes one step at a time.
+
+    Step i's decision depends on the state left by the steps before it.
+    ``decide(state, i, m, guess)`` returns the decisions of steps i..i+m-1
+    when step i+s sees ``state`` advanced by ``guess[:s]``, or by nothing if
+    ``guess`` is None; ``advance(state, decisions)`` returns the state after
+    them. A chunk first guesses every decision from its starting state, then
+    recomputes the decisions from the last guess until they repeat. Where a
+    recomputation first differs from its guess, at step j, the steps before
+    j saw their true states and so did step j; if the passes run out, the
+    chunk keeps steps up to j, at least one, and the next chunk starts there.
+    Chunks grow with i, as a chunk moves the state by about m / i, up to
+    ``_SPECULATE_CELLS`` steps times ``width``. Returns the decisions and the
+    final state.
+    """
+    out = np.empty(n, dtype=np.int64)
+    cap = max(64, _SPECULATE_CELLS // width)
+    i = 0
+    while i < n:
+        m = min(n - i, max(64, i // 16), cap)
+        guess = decide(state, i, m, None)
+        for _ in range(_SPECULATE_PASSES):
+            dec = decide(state, i, m, guess)
+            miss = np.flatnonzero(dec != guess)
+            if miss.size == 0:
+                break
+            guess = dec
+        else:
+            dec = dec[:miss[0] + 1]
+        out[i:i + dec.size] = dec
+        state = advance(state, dec)
+        i += dec.size
+    return out, state
+
+
 def simulate_reinforced_urn(nu: OffspringLaw, q: float, n: int,
                             rng: RngStream) -> tuple[np.ndarray, EmpiricalMeasure]:
     """One reinforced draw sequence of length n, with its final census.
@@ -268,6 +312,13 @@ def simulate_reinforced_urn(nu: OffspringLaw, q: float, n: int,
     The first draw follows nu; each later draw repeats a uniformly chosen
     earlier one with probability q, else follows nu. Every draw has marginal
     law nu.
+
+    Draw i compares u_val[i] * i with the cumulative color counts of the
+    draws before it (a memory draw) or u_val[i] with the cumulative law (a
+    fresh draw), from the uniforms drawn up front. ``_speculate`` steps the
+    draws a chunk at a time; the counts it compares are integers, so every
+    comparison is the one a loop taking one draw at a time makes, and the
+    stream and the sequence are that loop's.
     """
     _check_q(q)
     if n < 1:
@@ -277,28 +328,31 @@ def simulate_reinforced_urn(nu: OffspringLaw, q: float, n: int,
     g_rng = rng.generator("urn")
     u_mode = g_rng.random(n)
     u_val = g_rng.random(n)
-    cum_nu = nu.weights.cumsum().tolist()
-    counts = [0] * k
-    seq = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        if i > 0 and u_mode[i] < q:
-            target = u_val[i] * i
-            acc = 0
-            j = k - 1
-            for idx in range(k):
-                acc += counts[idx]
-                if target < acc:
-                    j = idx
-                    break
-        else:
-            u = u_val[i]
-            j = k - 1
-            for idx in range(k):
-                if u < cum_nu[idx]:
-                    j = idx
-                    break
-        counts[j] += 1
-        seq[i] = support[j]
+    memory = u_mode < q
+    memory[0] = False
+    fresh = _fresh_indices(np.cumsum(nu.weights), u_val)
+
+    def decide(counts, i, m, guess):
+        target = u_val[i:i + m] * np.arange(i, i + m)
+        # the draw is the number of colors whose cumulative count before the
+        # step is at most the target; the last color needs no count
+        j = np.zeros(m, dtype=np.int64)
+        acc = 0
+        for c in range(k - 1):
+            acc += counts[c]
+            if guess is None:
+                j += acc <= target
+            else:
+                below = guess <= c
+                j += acc + np.cumsum(below) - below <= target
+        return np.where(memory[i:i + m], j, fresh[i:i + m])
+
+    def advance(counts, drawn):
+        return counts + np.bincount(drawn, minlength=k)
+
+    drawn, counts = _speculate(n, k, np.zeros(k, dtype=np.int64), decide,
+                               advance)
+    seq = np.asarray(support, dtype=np.int64)[drawn]
     return seq, EmpiricalMeasure(support, counts)
 
 
@@ -430,6 +484,15 @@ def simulate_spine_urn(nu: OffspringLaw, q: float, a, n: int,
     adds one auxiliary plus one color sampled proportionally to a(k) nu(k).
     Returns the empirical frequencies of the n color additions and the final
     state.
+
+    Step i picks the first ball color whose running weight sum exceeds
+    u_pick[i] times the total weight, and an auxiliary pick adds the color
+    that u_color[i] selects, from the uniforms drawn up front. The color
+    weights and the total are accumulated apart, each in step order, as a
+    one-step-at-a-time loop does; ``_speculate`` steps the urn a chunk at a
+    time with sequential cumulative sums that add the same floats in the
+    same order, so the stream, every comparison and the result are those of
+    that loop.
     """
     _check_q(q)
     if n < 1:
@@ -443,54 +506,49 @@ def simulate_spine_urn(nu: OffspringLaw, q: float, a, n: int,
     star_pick = np.asarray(a * nu.weights, dtype=float)
     if star_pick.sum() <= 0.0:
         raise ContractViolationError("all activities vanish, the urn cannot move")
-    cum_star = (star_pick / star_pick.sum()).cumsum().tolist()
-    cum_nu = nu.weights.cumsum().tolist()
+    cum_star = (star_pick / star_pick.sum()).cumsum()
 
     g_init = rng.generator("spine-init")
-    u0 = float(g_init.random())
-    first = k - 1
-    for idx in range(k):
-        if u0 < cum_nu[idx]:
-            first = idx
-            break
-    counts = [0] * (k + 1)
+    first = _fresh_indices(nu.weights.cumsum(), g_init.random(1))[0]
+    counts = np.zeros(k + 1, dtype=np.int64)
     counts[first] = 1
     counts[k] = 1
 
     g_rng = rng.generator("spine")
     u_pick = g_rng.random(n)
     u_color = g_rng.random(n)
-    act_l = act.tolist()
-    weights = [counts[c] * act_l[c] for c in range(k + 1)]
-    total_w = sum(weights)
-    tally = [0] * k
-    for i in range(n):
-        t = u_pick[i] * total_w
-        acc = 0.0
-        picked = k
-        for c in range(k + 1):
-            acc += weights[c]
-            if t < acc:
-                picked = c
-                break
-        if picked < k:
-            added = picked
-        else:
-            u = u_color[i]
-            added = k - 1
-            for idx in range(k):
-                if u < cum_star[idx]:
-                    added = idx
-                    break
-        counts[added] += 1
-        counts[k] += 1
-        weights[added] += act_l[added]
-        weights[k] += act_l[k]
-        total_w += act_l[added] + act_l[k]
-        tally[added] += 1
-    freqs = ProbVector(support, np.asarray(tally, dtype=float) / n)
-    state = SpineUrnState(support, np.asarray(counts, dtype=np.int64),
-                          act.copy(), n)
+    star = _fresh_indices(cum_star, u_color)
+
+    def path(state, added):
+        # per weight, its value before each step and after the last; a color
+        # weight adds 0.0 on the steps that pass it by, which leaves it exact
+        inc = np.zeros((k + 1, added.size + 1))
+        inc[:, 0] = state
+        inc[added, np.arange(1, added.size + 1)] = act[added]
+        inc[k, 1:] = act[added] + act[k]
+        return np.cumsum(inc, axis=1)
+
+    def decide(state, i, m, guess):
+        w = state[:, None] if guess is None else path(state, guess)[:, :-1]
+        t = u_pick[i:i + m] * w[k]
+        # the loop's running sum over the colors, in its order
+        acc = w[0]
+        picked = (acc <= t).astype(np.int64)
+        for c in range(1, k):
+            acc = acc + w[c]
+            picked += acc <= t
+        return np.where(picked < k, picked, star[i:i + m])
+
+    # state: the k color weights, then the total weight, accumulated apart
+    weights = counts * act
+    state = np.append(weights[:k], sum(weights.tolist()))
+    added, _ = _speculate(n, k + 1, state, decide,
+                          lambda state, added: path(state, added)[:, -1])
+    tally = np.bincount(added, minlength=k)
+    counts[:k] += tally
+    counts[k] += n
+    freqs = ProbVector(support, tally / n)
+    state = SpineUrnState(support, counts, act.copy(), n)
     return freqs, state
 
 

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rgw import cli
@@ -30,6 +32,7 @@ class TestGoldenFiles:
     PYTHONPATH=src python -m rgw classify --law demos/laws/uniform12.json --q 1/3 --grid 0.1 --out tests/golden/classify_flagship.csv
     PYTHONPATH=src python -m rgw survival --law demos/laws/uniform12.json --q-grid 1/5:4/5:1/5 --out tests/golden/survival_grid.csv
     PYTHONPATH=src python -m rgw simulate --law demos/laws/uniform12.json --q 1/3 --n-max 6 --replicas 50 --seed 9 --histograms --out tests/golden/simulate_small.csv
+    PYTHONPATH=src python -m rgw simulate --law demos/laws/uniform12.json --q 1/3 --n-max 6 --replicas 50 --seed 9 --pop-cap 40 --out tests/golden/simulate_capped.csv
     """
 
     def test_rate_curve(self, tmp_path):
@@ -57,6 +60,14 @@ class TestGoldenFiles:
         assert code == 0
         assert text == (GOLDEN / "simulate_small.csv").read_text()
 
+    def test_simulation_without_histograms(self, tmp_path):
+        # the census-free rows, with replicas cut short by the population cap
+        code, text = invoke(["simulate", "--law", LAW, "--q", "1/3",
+                             "--n-max", "6", "--replicas", "50", "--seed",
+                             "9", "--pop-cap", "40"], tmp_path)
+        assert code == 0
+        assert ",true,true,," in text
+        assert text == (GOLDEN / "simulate_capped.csv").read_text()
 
     def test_csv_blocks_keep_the_bytes(self, tmp_path, monkeypatch):
         # blocks far smaller than the table cut it at many row boundaries
@@ -66,6 +77,77 @@ class TestGoldenFiles:
                              "9", "--histograms"], tmp_path)
         assert code == 0
         assert text == (GOLDEN / "simulate_small.csv").read_text()
+
+
+def old_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return "%.17g" % float(value)
+    return str(value)
+
+
+def old_json_safe(value):
+    if isinstance(value, (float, np.floating)):
+        x = float(value)
+        if math.isinf(x):
+            return "inf" if x > 0 else "-inf"
+        return x
+    if isinstance(value, (bool, int, str)) or value is None:
+        return value
+    if isinstance(value, np.integer):
+        return int(value)
+    return value
+
+
+# the per-cell rules the column-wise rendering replaced, kept as its oracle
+def old_render(columns, rows, fmt):
+    if fmt == "json":
+        out = [{c: old_json_safe(v) for c, v in zip(columns, row)}
+               for row in rows]
+        # the old rules passed NumPy bools through, which json cannot write
+        return json.dumps(out, indent=1, default=bool) + "\n"
+    return ",".join(columns) + "\n" + "".join(
+        ",".join(old_cell(v) for v in row) + "\n" for row in rows)
+
+
+MIXED_COLUMNS = ["flag", "count", "value", "label", "maybe"]
+MIXED_ROWS = [
+    [True, 3, 0.1, "a", None],
+    [np.False_, np.int64(-7), np.float64(2.5), "", 1.5],
+    [np.True_, np.int32(5), np.float32(0.1), "b;c", np.nan],
+    [False, 2 ** 70, math.inf, "x", True],
+    [np.bool_(True), 0, -math.inf, "y", 4],
+    [None, None, math.nan, None, "z"],
+    [True, np.uint8(255), -0.0, "", np.float64(-math.inf)],
+    [False, -1, 1e300, "w", np.int16(-3)],
+]
+
+
+class TestRender:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_mixed_table_follows_the_cell_rules(self, fmt):
+        text = "".join(cli._render(MIXED_COLUMNS, MIXED_ROWS, fmt))
+        assert text == old_render(MIXED_COLUMNS, MIXED_ROWS, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table_longer_than_a_block(self, fmt):
+        rows = [MIXED_ROWS[i % len(MIXED_ROWS)][:2]
+                + [i, i / 7, "r" if i % 3 else None]
+                for i in range(2 * cli._CSV_BLOCK + 5)]
+        chunks = list(cli._render(MIXED_COLUMNS, rows, fmt))
+        if fmt == "csv":
+            assert len(chunks) == 1 + 3
+        assert "".join(chunks) == old_render(MIXED_COLUMNS, rows, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_empty_table(self, fmt):
+        text = "".join(cli._render(MIXED_COLUMNS, [], fmt))
+        assert text == old_render(MIXED_COLUMNS, [], fmt)
 
 
 class TestDeterminism:

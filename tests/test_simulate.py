@@ -15,6 +15,10 @@ from rgw import (ContractViolationError, NumericError, OffspringLaw,
                  mean, replacement_matrix, simulate_reinforced_urn,
                  simulate_spine_urn, simulate_tree_campaign,
                  simulate_two_type)
+from rgw import simulate
+from rgw.classify import validate_activities
+from rgw.measures import EmpiricalMeasure, _check_q
+from rgw.simulate import SpineUrnState
 
 FLAGSHIP = OffspringLaw((1, 2), (0.5, 0.5))
 Q = 1.0 / 3.0
@@ -206,6 +210,159 @@ class TestSpineUrn:
         assert np.allclose(target.weights, rho.weights, atol=1e-12)
         freq, _ = simulate_spine_urn(FLAGSHIP, Q, a, 200_000, RngStream(16))
         assert linf_distance(freq, target) < 0.02
+
+
+# The one-step-at-a-time urn loops the chunked stepping replaced, kept as
+# its oracle: the same stream must give bit-identical results.
+
+
+def loop_reinforced_urn(nu: OffspringLaw, q: float, n: int,
+                         rng: RngStream) -> tuple[np.ndarray, EmpiricalMeasure]:
+    _check_q(q)
+    if n < 1:
+        raise ContractViolationError("n must be at least 1")
+    support = nu.support
+    k = len(support)
+    g_rng = rng.generator("urn")
+    u_mode = g_rng.random(n)
+    u_val = g_rng.random(n)
+    cum_nu = nu.weights.cumsum().tolist()
+    counts = [0] * k
+    seq = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        if i > 0 and u_mode[i] < q:
+            target = u_val[i] * i
+            acc = 0
+            j = k - 1
+            for idx in range(k):
+                acc += counts[idx]
+                if target < acc:
+                    j = idx
+                    break
+        else:
+            u = u_val[i]
+            j = k - 1
+            for idx in range(k):
+                if u < cum_nu[idx]:
+                    j = idx
+                    break
+        counts[j] += 1
+        seq[i] = support[j]
+    return seq, EmpiricalMeasure(support, counts)
+
+
+def loop_spine_urn(nu: OffspringLaw, q: float, a, n: int,
+                    rng: RngStream) -> tuple[ProbVector, SpineUrnState]:
+    _check_q(q)
+    if n < 1:
+        raise ContractViolationError("n must be at least 1")
+    a = validate_activities(a, nu, q, tol=1e-9)
+    support = nu.support
+    k = len(support)
+    act = np.empty(k + 1)
+    act[:k] = q * a
+    act[k] = (1.0 - q) * float(np.dot(a, nu.weights))
+    star_pick = np.asarray(a * nu.weights, dtype=float)
+    if star_pick.sum() <= 0.0:
+        raise ContractViolationError("all activities vanish, the urn cannot move")
+    cum_star = (star_pick / star_pick.sum()).cumsum().tolist()
+    cum_nu = nu.weights.cumsum().tolist()
+
+    g_init = rng.generator("spine-init")
+    u0 = float(g_init.random())
+    first = k - 1
+    for idx in range(k):
+        if u0 < cum_nu[idx]:
+            first = idx
+            break
+    counts = [0] * (k + 1)
+    counts[first] = 1
+    counts[k] = 1
+
+    g_rng = rng.generator("spine")
+    u_pick = g_rng.random(n)
+    u_color = g_rng.random(n)
+    act_l = act.tolist()
+    weights = [counts[c] * act_l[c] for c in range(k + 1)]
+    total_w = sum(weights)
+    tally = [0] * k
+    for i in range(n):
+        t = u_pick[i] * total_w
+        acc = 0.0
+        picked = k
+        for c in range(k + 1):
+            acc += weights[c]
+            if t < acc:
+                picked = c
+                break
+        if picked < k:
+            added = picked
+        else:
+            u = u_color[i]
+            added = k - 1
+            for idx in range(k):
+                if u < cum_star[idx]:
+                    added = idx
+                    break
+        counts[added] += 1
+        counts[k] += 1
+        weights[added] += act_l[added]
+        weights[k] += act_l[k]
+        total_w += act_l[added] + act_l[k]
+        tally[added] += 1
+    freqs = ProbVector(support, np.asarray(tally, dtype=float) / n)
+    state = SpineUrnState(support, np.asarray(counts, dtype=np.int64),
+                          act.copy(), n)
+    return freqs, state
+
+
+# laws of 2, 3 and 4 atoms, one with atom 0, each with a spine target
+URN_CASES = [(FLAGSHIP, (0.2, 0.8)),
+             (OffspringLaw((1, 2, 4), (0.5, 0.3, 0.2)), (0.2, 0.3, 0.5)),
+             (OffspringLaw((0, 1, 2, 3), (0.1, 0.3, 0.4, 0.2)),
+              (0.0, 0.2, 0.3, 0.5))]
+# 1 and 2, either side of the first chunk boundary (64 steps) and of the
+# first boundary past a grown chunk (1024 + 64), and a run of growing chunks
+URN_STEPS = [1, 2, 63, 64, 65, 1087, 1088, 1089, 20000]
+
+
+@pytest.mark.parametrize("q", [0.02, 1.0 / 3.0, 0.98])
+@pytest.mark.parametrize("nu, rho", URN_CASES,
+                         ids=["2atoms", "3atoms", "4atoms_with_0"])
+class TestChunkedUrnsMatchTheLoop:
+    def test_reinforced_urn(self, nu, rho, q):
+        for seed in (1, 2, 3):
+            for n in URN_STEPS:
+                seq, census = simulate_reinforced_urn(nu, q, n,
+                                                      RngStream(seed))
+                ref_seq, ref_census = loop_reinforced_urn(nu, q, n,
+                                                          RngStream(seed))
+                assert np.array_equal(seq, ref_seq)
+                assert np.array_equal(census.counts, ref_census.counts)
+
+    def test_spine_urn(self, nu, rho, q):
+        a = activity_from_law(ProbVector(nu.support, rho), nu, q)
+        for seed in (1, 2, 3):
+            for n in URN_STEPS:
+                freq, state = simulate_spine_urn(nu, q, a, n, RngStream(seed))
+                ref_freq, ref_state = loop_spine_urn(nu, q, a, n,
+                                                     RngStream(seed))
+                assert np.array_equal(freq.weights, ref_freq.weights)
+                assert np.array_equal(state.counts, ref_state.counts)
+                assert np.array_equal(state.activities, ref_state.activities)
+
+    def test_chunks_cut_short_stay_exact(self, nu, rho, q, monkeypatch):
+        # one pass per chunk: a chunk whose first guess is off keeps only
+        # its verified prefix
+        monkeypatch.setattr(simulate, "_SPECULATE_PASSES", 1)
+        a = activity_from_law(ProbVector(nu.support, rho), nu, q)
+        seq, _ = simulate_reinforced_urn(nu, q, 5000, RngStream(4))
+        assert np.array_equal(seq, loop_reinforced_urn(nu, q, 5000,
+                                                       RngStream(4))[0])
+        _, state = simulate_spine_urn(nu, q, a, 5000, RngStream(4))
+        assert np.array_equal(state.counts,
+                              loop_spine_urn(nu, q, a, 5000,
+                                             RngStream(4))[1].counts)
 
 
 class TestReplacementMatrix:
