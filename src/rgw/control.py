@@ -14,6 +14,13 @@ half-step reference equal eta_1 itself. The optimizer enforces the mean
 constraint by a quadratic penalty annealed over six stages, followed by an
 exact feasibility repair, and always keeps the constant path as a candidate,
 so the reported value never exceeds the constant-control bound.
+
+All restarts descend together as one (restarts, m, k) array: the helpers
+below take that leading restart axis, and each restart keeps its own step
+size, stage and value, so a batched run gives exactly the values and paths
+of running the restarts one after another. Cumulative sums and row means
+run along the step axis and each restart's cost is summed over its own
+m*k block, which keeps every float equal to the one-restart computation.
 """
 
 from __future__ import annotations
@@ -66,26 +73,29 @@ class ControlPath:
 
 
 def _references(rows: np.ndarray, nu_w: np.ndarray, q: float) -> np.ndarray:
-    """Mixture references q psi_{i-1/2} + (1-q) nu for every step."""
-    m = rows.shape[0]
+    """Mixture references q psi_{i-1/2} + (1-q) nu for every restart and step."""
+    m = rows.shape[1]
     half = np.arange(1, m + 1) - 0.5
-    psi = (np.cumsum(rows, axis=0) - 0.5 * rows) / half[:, None]
-    return q * psi + (1.0 - q) * nu_w[None, :]
+    psi = (np.cumsum(rows, axis=1) - 0.5 * rows) / half[:, None]
+    return q * psi + (1.0 - q) * nu_w
 
 
-def _objective(rows: np.ndarray, nu_w: np.ndarray, q: float) -> float:
+def _objective(rows: np.ndarray, nu_w: np.ndarray, q: float) -> np.ndarray:
+    """Running entropy cost of each restart's (m, k) block of rows."""
+    restarts, m, k = rows.shape
     refs = _references(rows, nu_w, q)
     safe = np.where(rows > 0.0, rows, 1.0)
-    return float(np.sum(rows * np.log(safe / refs)) / rows.shape[0])
+    cost = (rows * np.log(safe / refs)).reshape(restarts, m * k)
+    return np.sum(cost, axis=1) / m
 
 
 def _gradient(rows: np.ndarray, nu_w: np.ndarray, q: float) -> np.ndarray:
-    m = rows.shape[0]
+    m = rows.shape[1]
     half = np.arange(1, m + 1) - 0.5
     refs = _references(rows, nu_w, q)
     ratio = rows / refs
     weighted = ratio / half[:, None]
-    suffix = np.flip(np.cumsum(np.flip(weighted, axis=0), axis=0), axis=0) - weighted
+    suffix = np.flip(np.cumsum(np.flip(weighted, axis=1), axis=1), axis=1) - weighted
     grad = (np.log(np.maximum(rows, _LOG_FLOOR) / refs) + 1.0
             - q * (0.5 * weighted + suffix))
     return grad / m
@@ -93,21 +103,30 @@ def _gradient(rows: np.ndarray, nu_w: np.ndarray, q: float) -> np.ndarray:
 
 def _project_rows(rows: np.ndarray) -> np.ndarray:
     """Euclidean projection of every row onto the simplex."""
-    m, k = rows.shape
-    u = -np.sort(-rows, axis=1)
-    css = np.cumsum(u, axis=1) - 1.0
+    k = rows.shape[-1]
+    u = -np.sort(-rows, axis=-1)
+    css = np.cumsum(u, axis=-1) - 1.0
     idx = np.arange(1, k + 1)
     cond = u - css / idx > 0
-    last = k - 1 - np.argmax(cond[:, ::-1], axis=1)
-    theta = css[np.arange(m), last] / (last + 1.0)
-    return np.maximum(rows - theta[:, None], 0.0)
+    last = k - 1 - np.argmax(cond[..., ::-1], axis=-1)
+    theta = np.take_along_axis(css, last[..., None], axis=-1)
+    return np.maximum(rows - theta / (last[..., None] + 1.0), 0.0)
+
+
+def _penalized(rows: np.ndarray, rho_w: np.ndarray, nu_w: np.ndarray, q: float,
+               beta: np.ndarray) -> np.ndarray:
+    """Objective plus each restart's quadratic mean-constraint penalty."""
+    gap = rows.mean(axis=1) - rho_w
+    # one np.dot per restart, so each penalty is the float of that restart alone
+    squared = np.array([np.dot(g, g) for g in gap])
+    return _objective(rows, nu_w, q) + beta * squared
 
 
 def control_objective(path: ControlPath, nu: OffspringLaw, q: float) -> float:
     """Average running entropy cost of a control path against nu with memory q."""
     _check_same_support(path, nu)
     _check_q(q, allow_zero=True)
-    return _objective(path.rows, nu.weights, q)
+    return float(_objective(path.rows[None], nu.weights, q)[0])
 
 
 def constant_control_value(rho: ProbVector, nu: OffspringLaw, q: float) -> float:
@@ -116,38 +135,57 @@ def constant_control_value(rho: ProbVector, nu: OffspringLaw, q: float) -> float
     return mixed_entropy(rho, nu, q)
 
 
-def _optimize_one(rows0: np.ndarray, rho_w: np.ndarray, nu_w: np.ndarray,
-                  q: float, iters_per_stage: int) -> np.ndarray:
-    rows = rows0.copy()
-    m = rows.shape[0]
-    for beta in _BETA_STAGES:
-        def penalized(r):
-            gap = r.mean(axis=0) - rho_w
-            return _objective(r, nu_w, q) + beta * float(np.dot(gap, gap))
+def _descend(rows: np.ndarray, rho_w: np.ndarray, nu_w: np.ndarray, q: float,
+             iters_per_stage: int) -> np.ndarray:
+    """Annealed projected-gradient descent of every restart at once.
 
-        current = penalized(rows)
-        step = 0.1
-        for _ in range(iters_per_stage):
-            gap = rows.mean(axis=0) - rho_w
-            grad = _gradient(rows, nu_w, q) + 2.0 * beta * gap[None, :] / m
-            accepted = False
-            while step > 1e-14:
-                cand = _project_rows(rows - step * grad)
-                val = penalized(cand)
-                if val < current - 1e-14:
-                    rows, current = cand, val
-                    step = min(step * 1.5, 1e3)
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
-                break
+    Descends ``rows``, (restarts, m, k), in place. Each restart keeps its
+    own stage, step size, penalized value and iteration count; a round
+    tries one candidate for every restart still descending, which accepts
+    it (and grows its step) or halves its step. A stage ends after
+    ``iters_per_stage`` accepted steps or when the step falls to 1e-14, and
+    then the restart moves to the next penalty weight with its step reset
+    to 0.1.
+    """
+    restarts, m, _ = rows.shape
+    stage = np.zeros(restarts, dtype=int)
+    beta = np.full(restarts, _BETA_STAGES[0])
+    iters = np.zeros(restarts, dtype=int)
+    step = np.full(restarts, 0.1)
+    current = _penalized(rows, rho_w, nu_w, q, beta)
+    active = np.full(restarts, iters_per_stage > 0)
+    while active.any():
+        gap = rows.mean(axis=1) - rho_w
+        grad = (_gradient(rows, nu_w, q)
+                + 2.0 * beta[:, None, None] * gap[:, None, :] / m)
+        cand = _project_rows(rows - step[:, None, None] * grad)
+        val = _penalized(cand, rho_w, nu_w, q, beta)
+        accepted = active & (val < current - 1e-14)
+        rejected = active & ~accepted
+        rows[accepted] = cand[accepted]
+        current[accepted] = val[accepted]
+        step[accepted] = np.minimum(step[accepted] * 1.5, 1e3)
+        step[rejected] *= 0.5
+        iters += accepted
+        ended = ((accepted & (iters == iters_per_stage))
+                 | (rejected & (step <= 1e-14)))
+        if ended.any():
+            stage[ended] += 1
+            active &= stage < len(_BETA_STAGES)
+            ended &= active
+            beta[ended] = np.take(_BETA_STAGES, stage[ended])
+            iters[ended] = 0
+            step[ended] = 0.1
+            current[ended] = _penalized(rows, rho_w, nu_w, q, beta)[ended]
     # exact feasibility repair: shift by the residual, reproject, repeat
+    repairing = np.full(restarts, True)
     for _ in range(200):
-        resid = rho_w - rows.mean(axis=0)
-        if float(np.max(np.abs(resid))) < 1e-13:
+        resid = rho_w - rows.mean(axis=1)
+        repairing &= ~(np.max(np.abs(resid), axis=1) < 1e-13)
+        if not repairing.any():
             break
-        rows = _project_rows(rows + resid[None, :])
+        rows[repairing] = _project_rows(rows[repairing]
+                                        + resid[repairing][:, None, :])
     return rows
 
 
@@ -158,10 +196,11 @@ def rate_by_control(rho: ProbVector, nu: OffspringLaw, q: float, *,
     """Upper bound on the rate function by optimizing a discretized control.
 
     Runs one descent from the constant path and ``restarts - 1`` from
-    Dirichlet-perturbed starts, one after another, annealing the
-    mean-constraint penalty, and returns the best repaired path. The
-    constant path itself stays in the candidate set, so the value never
-    exceeds the constant-control bound.
+    Dirichlet-perturbed starts, all in one batched descent that anneals the
+    mean-constraint penalty, and returns the best repaired path. Values and
+    paths equal those of running the restarts one after another, ties going
+    to the earlier restart. The constant path itself stays in the candidate
+    set, so the value never exceeds the constant-control bound.
     """
     _check_same_support(rho, nu)
     _check_q(q, allow_zero=True)
@@ -169,6 +208,8 @@ def rate_by_control(rho: ProbVector, nu: OffspringLaw, q: float, *,
         raise ContractViolationError("need at least two control steps")
     if restarts < 1:
         raise ContractViolationError("need at least one restart")
+    if iters_per_stage < 0:
+        raise ContractViolationError("iters_per_stage must be non-negative")
     rho_w, nu_w = rho.weights, nu.weights
     k = len(rho_w)
 
@@ -179,15 +220,12 @@ def rate_by_control(rho: ProbVector, nu: OffspringLaw, q: float, *,
         mix_w = 0.35
         starts.append((1.0 - mix_w) * np.tile(rho_w, (steps, 1)) + mix_w * noise)
 
-    results = []
-    for idx, rows0 in enumerate(starts):
-        rows = _optimize_one(rows0, rho_w, nu_w, q, iters_per_stage)
-        results.append((_objective(rows, nu_w, q), idx, rows))
-
+    rows = _descend(np.stack(starts), rho_w, nu_w, q, iters_per_stage)
     # the exactly feasible constant path caps the answer from above
-    const_rows = np.tile(rho_w, (steps, 1))
-    results.append((_objective(const_rows, nu_w, q), len(results), const_rows))
-    value, _, rows = min(results, key=lambda t: (t[0], t[1]))
+    candidates = np.concatenate([rows, starts[0][None]])
+    values = _objective(candidates, nu_w, q)
+    best = min(range(len(values)), key=lambda i: (values[i], i))
+    value, rows = float(values[best]), candidates[best]
     return value, ControlPath(rho.support, rows)
 
 
@@ -202,6 +240,8 @@ def two_phase_probe(rho: ProbVector, nu: OffspringLaw, q: float, eps: float,
     """
     _check_same_support(rho, nu)
     _check_q(q, allow_zero=True)
+    if steps < 1:
+        raise ContractViolationError("the probe needs at least one step")
     if math.isnan(eps) or eps < 0.0:
         raise ContractViolationError("eps must be non-negative")
     if (rho.weights <= 0.0).any():

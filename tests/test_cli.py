@@ -33,6 +33,7 @@ class TestGoldenFiles:
     PYTHONPATH=src python -m rgw survival --law demos/laws/uniform12.json --q-grid 1/5:4/5:1/5 --out tests/golden/survival_grid.csv
     PYTHONPATH=src python -m rgw simulate --law demos/laws/uniform12.json --q 1/3 --n-max 6 --replicas 50 --seed 9 --histograms --out tests/golden/simulate_small.csv
     PYTHONPATH=src python -m rgw simulate --law demos/laws/uniform12.json --q 1/3 --n-max 6 --replicas 50 --seed 9 --pop-cap 40 --out tests/golden/simulate_capped.csv
+    PYTHONPATH=src python -m rgw verify control --rho "1:0.2;2:0.8" --m 16 --restarts 3 --seed 5 --out tests/golden/verify_control.json
     """
 
     def test_rate_curve(self, tmp_path):
@@ -68,6 +69,14 @@ class TestGoldenFiles:
         assert code == 0
         assert ",true,true,," in text
         assert text == (GOLDEN / "simulate_capped.csv").read_text()
+
+    def test_verify_control_report(self, tmp_path):
+        # the bound and its best path, every float at %.17g
+        code, text = invoke(["verify", "control", "--rho", "1:0.2;2:0.8",
+                             "--m", "16", "--restarts", "3", "--seed", "5"],
+                            tmp_path)
+        assert code == 0
+        assert text == (GOLDEN / "verify_control.json").read_text()
 
     def test_csv_blocks_keep_the_bytes(self, tmp_path, monkeypatch):
         # blocks far smaller than the table cut it at many row boundaries

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from rgw import (ContractViolationError, ControlPath, OffspringLaw,
                  ProbVector, RngStream, constant_control_value,
                  control_objective, rate_by_control, reinforced_rate,
                  relative_entropy, two_phase_probe)
+from rgw.control import _BETA_STAGES, _LOG_FLOOR
 from rgw.measures import align, mix
 
 FLAGSHIP = OffspringLaw((1, 2), (0.5, 0.5))
@@ -69,6 +71,12 @@ class TestOptimization:
         drift = np.max(np.abs(path.rows - TARGET.weights))
         assert drift > 0.01
 
+    def test_negative_iteration_budget_is_rejected(self):
+        # it used to run no descent at all; zero stays a valid budget
+        with pytest.raises(ContractViolationError):
+            rate_by_control(TARGET, FLAGSHIP, Q, steps=4, restarts=2,
+                            iters_per_stage=-1)
+
 
 class TestTwoPhaseProbe:
     def test_zero_perturbation_recovers_the_constant_value(self):
@@ -81,3 +89,160 @@ class TestTwoPhaseProbe:
         best = min(two_phase_probe(TARGET, FLAGSHIP, Q, eps)
                    for eps in (0.05, 0.1, 0.2))
         assert best < const - 1e-3
+
+    def test_rejects_fewer_than_one_step(self):
+        # zero steps used to return nan with a warning, negative ones -0.0
+        for steps in (0, -3):
+            with pytest.raises(ContractViolationError):
+                two_phase_probe(TARGET, FLAGSHIP, Q, 0.1, steps=steps)
+
+
+# The serial optimizer that the batched descent replaced, copied verbatim:
+# one restart at a time on (m, k) rows. It is the oracle for the batched
+# path, which must reproduce its value and rows bit for bit.
+
+def _references(rows: np.ndarray, nu_w: np.ndarray, q: float) -> np.ndarray:
+    """Mixture references q psi_{i-1/2} + (1-q) nu for every step."""
+    m = rows.shape[0]
+    half = np.arange(1, m + 1) - 0.5
+    psi = (np.cumsum(rows, axis=0) - 0.5 * rows) / half[:, None]
+    return q * psi + (1.0 - q) * nu_w[None, :]
+
+
+def _objective(rows: np.ndarray, nu_w: np.ndarray, q: float) -> float:
+    refs = _references(rows, nu_w, q)
+    safe = np.where(rows > 0.0, rows, 1.0)
+    return float(np.sum(rows * np.log(safe / refs)) / rows.shape[0])
+
+
+def _gradient(rows: np.ndarray, nu_w: np.ndarray, q: float) -> np.ndarray:
+    m = rows.shape[0]
+    half = np.arange(1, m + 1) - 0.5
+    refs = _references(rows, nu_w, q)
+    ratio = rows / refs
+    weighted = ratio / half[:, None]
+    suffix = np.flip(np.cumsum(np.flip(weighted, axis=0), axis=0), axis=0) - weighted
+    grad = (np.log(np.maximum(rows, _LOG_FLOOR) / refs) + 1.0
+            - q * (0.5 * weighted + suffix))
+    return grad / m
+
+
+def _project_rows(rows: np.ndarray) -> np.ndarray:
+    """Euclidean projection of every row onto the simplex."""
+    m, k = rows.shape
+    u = -np.sort(-rows, axis=1)
+    css = np.cumsum(u, axis=1) - 1.0
+    idx = np.arange(1, k + 1)
+    cond = u - css / idx > 0
+    last = k - 1 - np.argmax(cond[:, ::-1], axis=1)
+    theta = css[np.arange(m), last] / (last + 1.0)
+    return np.maximum(rows - theta[:, None], 0.0)
+
+
+def _optimize_one(rows0: np.ndarray, rho_w: np.ndarray, nu_w: np.ndarray,
+                  q: float, iters_per_stage: int) -> np.ndarray:
+    rows = rows0.copy()
+    m = rows.shape[0]
+    for beta in _BETA_STAGES:
+        def penalized(r):
+            gap = r.mean(axis=0) - rho_w
+            return _objective(r, nu_w, q) + beta * float(np.dot(gap, gap))
+
+        current = penalized(rows)
+        step = 0.1
+        for _ in range(iters_per_stage):
+            gap = rows.mean(axis=0) - rho_w
+            grad = _gradient(rows, nu_w, q) + 2.0 * beta * gap[None, :] / m
+            accepted = False
+            while step > 1e-14:
+                cand = _project_rows(rows - step * grad)
+                val = penalized(cand)
+                if val < current - 1e-14:
+                    rows, current = cand, val
+                    step = min(step * 1.5, 1e3)
+                    accepted = True
+                    break
+                step *= 0.5
+            if not accepted:
+                break
+    # exact feasibility repair: shift by the residual, reproject, repeat
+    for _ in range(200):
+        resid = rho_w - rows.mean(axis=0)
+        if float(np.max(np.abs(resid))) < 1e-13:
+            break
+        rows = _project_rows(rows + resid[None, :])
+    return rows
+
+
+def serial_rate_by_control(rho, nu, q, *, steps, restarts, iters_per_stage,
+                           rng):
+    rho_w, nu_w = rho.weights, nu.weights
+    k = len(rho_w)
+
+    starts = [np.tile(rho_w, (steps, 1))]
+    for r in range(1, restarts):
+        gen = rng.child(r).generator("control-start")
+        noise = gen.dirichlet(np.ones(k), size=steps)
+        mix_w = 0.35
+        starts.append((1.0 - mix_w) * np.tile(rho_w, (steps, 1)) + mix_w * noise)
+
+    results = []
+    for idx, rows0 in enumerate(starts):
+        rows = _optimize_one(rows0, rho_w, nu_w, q, iters_per_stage)
+        results.append((_objective(rows, nu_w, q), idx, rows))
+
+    # the exactly feasible constant path caps the answer from above
+    const_rows = np.tile(rho_w, (steps, 1))
+    results.append((_objective(const_rows, nu_w, q), len(results), const_rows))
+    value, _, rows = min(results, key=lambda t: (t[0], t[1]))
+    return value, ControlPath(rho.support, rows)
+
+
+# two atoms; three with atom 0; seven, with a target that misses one atom
+LAWS = {
+    "k2": (FLAGSHIP, TARGET),
+    "k3_atom0": (OffspringLaw((0, 1, 3), (0.2, 0.5, 0.3)),
+                 ProbVector((0, 1, 3), (0.1, 0.3, 0.6))),
+    "k7_rho_zero": (OffspringLaw(tuple(range(1, 8)),
+                                 (0.1, 0.2, 0.15, 0.1, 0.2, 0.15, 0.1)),
+                    ProbVector(tuple(range(1, 8)),
+                               (0.3, 0.0, 0.1, 0.2, 0.05, 0.25, 0.1))),
+}
+MEMORIES = (0.0, 0.05, 1.0 / 3.0, 0.9)
+SEEDS = (1, 2, 7)
+
+# (steps, restarts, iters_per_stage): every shape with short stages, long
+# stages (which end by step underflow) on the small shapes, and the
+# README's 64 x 8 x 250 once
+SHAPES = ([*itertools.product((2, 16, 64), (1, 2, 8), (0, 1, 3))]
+          + [*itertools.product((2, 16), (1, 2), (250,))]
+          + [(64, 8, 250)])
+
+
+def assert_matches_serial_loop(law, memory, seed, steps, restarts, iters):
+    nu, rho = LAWS[law]
+    value, path = rate_by_control(rho, nu, memory, steps=steps,
+                                  restarts=restarts, iters_per_stage=iters,
+                                  rng=RngStream(seed))
+    ref_value, ref_path = serial_rate_by_control(
+        rho, nu, memory, steps=steps, restarts=restarts,
+        iters_per_stage=iters, rng=RngStream(seed))
+    assert value == ref_value
+    assert np.array_equal(path.rows, ref_path.rows)
+
+
+class TestBatchedDescentMatchesTheSerialLoop:
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    @pytest.mark.parametrize("memory", MEMORIES)
+    def test_laws_and_memories(self, law, memory):
+        for seed in SEEDS:
+            assert_matches_serial_loop(law, memory, seed, 16, 2, 3)
+
+    @pytest.mark.parametrize("steps,restarts,iters", SHAPES)
+    def test_shapes_and_iteration_budgets(self, steps, restarts, iters):
+        # rotate law, memory and seed over the shapes so each meets several
+        at = SHAPES.index((steps, restarts, iters))
+        law = sorted(LAWS)[at % len(LAWS)]
+        memory = MEMORIES[at % len(MEMORIES)]
+        seed = SEEDS[at % len(SEEDS)]
+        assert_matches_serial_loop(law, memory, seed, steps, restarts, iters)
