@@ -37,6 +37,8 @@ from .rng import RngStream
 
 _BETA_STAGES = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
 _LOG_FLOOR = 1e-300
+# largest |time average - rho| of a repaired path
+_REPAIR_TOL = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +183,7 @@ def _descend(rows: np.ndarray, rho_w: np.ndarray, nu_w: np.ndarray, q: float,
     repairing = np.full(restarts, True)
     for _ in range(200):
         resid = rho_w - rows.mean(axis=1)
-        repairing &= ~(np.max(np.abs(resid), axis=1) < 1e-13)
+        repairing &= ~(np.max(np.abs(resid), axis=1) < _REPAIR_TOL)
         if not repairing.any():
             break
         rows[repairing] = _project_rows(rows[repairing]
@@ -221,8 +223,10 @@ def rate_by_control(rho: ProbVector, nu: OffspringLaw, q: float, *,
         starts.append((1.0 - mix_w) * np.tile(rho_w, (steps, 1)) + mix_w * noise)
 
     rows = _descend(np.stack(starts), rho_w, nu_w, q, iters_per_stage)
-    # the exactly feasible constant path caps the answer from above
-    candidates = np.concatenate([rows, starts[0][None]])
+    # a restart the repair left off rho bounds the rate of another target;
+    # the exactly feasible constant path stays and caps the answer from above
+    off = np.max(np.abs(rows.mean(axis=1) - rho_w), axis=1)
+    candidates = np.concatenate([rows[off <= _REPAIR_TOL], starts[0][None]])
     values = _objective(candidates, nu_w, q)
     best = min(range(len(values)), key=lambda i: (values[i], i))
     value, rows = float(values[best]), candidates[best]

@@ -12,12 +12,15 @@ exponent c* (the summed exponents of the maximal entries) at that endpoint,
 and is smooth inside. Quadrature follows that structure: adaptive
 Gauss-Kronrod panels over the first 90% of the interval and a Gauss-Jacobi
 panel with weight (1-s)^{c*} over the last 10%. When every exponent is a
-non-negative integer the integrand is a polynomial and the integral is also
-available in closed form; that fast path doubles as an independent oracle.
+non-negative integer the integrand is a polynomial, which a Gauss-Legendre
+rule of matching degree integrates exactly; that path doubles as an
+independent oracle.
 
-The Fenchel-Legendre transform is solved by a damped Newton iteration on the
-tilt vector (one coordinate anchored at 0 for the additive gauge), with a
-finite-difference Hessian and a gradient-ascent fallback.
+The Fenchel-Legendre transform is one Levenberg-Marquardt solve of the
+gradient-match equation in boundary-layer coordinates m_k = log(1 -
+e^{tilt_k}), with the integrals taken in log space through x = -log t by a
+graded Gauss-Legendre rule. The log-mgf and its gradient above stay on their
+own quadrature, so they check the solver independently.
 
 Conventions: entries lam(k) = -inf contribute factor 1 to the integrand and
 get gradient component 0; the all -inf tilt yields -inf.
@@ -42,7 +45,6 @@ from .measures import (
     _check_same_support,
     log_degree_weights,
     mean,
-    pair,
     relative_entropy,
     size_biased,
 )
@@ -188,9 +190,10 @@ def reinforced_log_mgf(lam: LogWeights, nu: OffspringLaw, q: float) -> float:
 def reinforced_log_mgf_polynomial(lam: LogWeights, nu: OffspringLaw, q: float) -> float:
     """Closed-form value when every exponent nu(k)(1-q)/q is an integer.
 
-    The integrand is then a polynomial, integrated coefficient by
-    coefficient. Independent of the quadrature path; degrees much beyond a
-    few hundred lose accuracy to coefficient cancellation.
+    The integrand is then a polynomial of degree d, the summed exponents, and
+    Gauss-Legendre on floor(d/2) + 1 nodes integrates it exactly; the product
+    is evaluated in log space at the nodes, never expanded into
+    coefficients. Independent of the quadrature path.
     """
     _check_same_support(lam, nu)
     _check_q(q)
@@ -202,16 +205,12 @@ def reinforced_log_mgf_polynomial(lam: LogWeights, nu: OffspringLaw, q: float) -
         raise ContractViolationError("exponents are not integers; no polynomial form")
     finite = lam.finite_mask()
     lam_bar = float(np.max(lam.values[finite]))
-    coeffs = np.array([1.0])
-    for k_val, m in zip(lam.values[finite], rounded[finite].astype(int)):
-        e = math.exp(k_val - lam_bar)
-        for _ in range(m):
-            coeffs = np.convolve(coeffs, [1.0, -e])
-    powers = np.arange(len(coeffs))
-    integral = float(np.sum(coeffs / (powers + 1.0)))
-    if not integral > 0.0:
-        raise NumericError("polynomial integral lost to cancellation",
-                           {"degree": len(coeffs) - 1, "integral": integral})
+    e = np.exp(lam.values[finite] - lam_bar)
+    degree = int(rounded[finite].sum())
+    nodes, weights = np.polynomial.legendre.leggauss(degree // 2 + 1)
+    t = 0.5 * (nodes + 1.0)
+    log_terms = rounded[finite] @ np.log1p(-np.outer(e, t))
+    integral = 0.5 * float(weights @ np.exp(log_terms))
     return math.log(q) + lam_bar - math.log(integral)
 
 
@@ -235,30 +234,25 @@ def reinforced_log_mgf_grad(lam: LogWeights, nu: OffspringLaw, q: float) -> Prob
 
 
 # ---------------------------------------------------------------------------
-# Fenchel-Legendre transform
-# ---------------------------------------------------------------------------
-
-def _tilt_from_work(support, work_idx, lam_work) -> LogWeights:
-    full = np.full(len(support), -np.inf)
-    full[work_idx] = lam_work
-    return LogWeights(support, full)
-
-
-# ---------------------------------------------------------------------------
-# boundary-layer solver
+# Fenchel-Legendre transform, solved in boundary-layer coordinates
 #
 # For memory close to 1 the exponents nu(k)(1-q)/q shrink and the maximizing
 # tilt coordinates tie within exp(-O(q/(1-q))), far below float resolution,
-# so no iteration in tilt space can separate them. These routines work in
-# m_k = log(1 - exp(tilt_k)) instead, where the optimum is O(1), and push the
-# integrals through x = -log(t), where each factor delta + (1-delta)e^{-x}
+# so no iteration in tilt space can separate them. The solver works in
+# m_k = log(1 - exp(tilt_k)) instead, where the optimum is O(1), and pushes
+# the integrals through x = -log(t), where each factor delta + (1-delta)e^{-x}
 # crosses over smoothly at x = log((1-delta)/delta) with unit width whatever
-# the size of delta.
+# the size of delta. The same coordinates serve every q in (0, 1).
 # ---------------------------------------------------------------------------
 
 _BOUNDARY_ORDER = 40
 _BOUNDARY_TAIL = 45.0
 _BOUNDARY_CLIP = -1e-12
+# sup-norm gradient-match residual every solve reaches
+_RESIDUAL_TOL = 1e-9
+# Levenberg-Marquardt iterations before a solve gives up; with the tilt
+# maximum pinned, solves over q in [1e-3, 0.999] take at most about 13
+_LM_MAX_ITER = 120
 
 
 @lru_cache(maxsize=8)
@@ -292,7 +286,7 @@ def _boundary_nodes(m: np.ndarray, c_total: float):
     delta = np.exp(m)
     lg1m = np.log1p(-delta)
     knots = np.clip(lg1m - m, 0.0, None)
-    x_end = float(np.max(knots)) + _BOUNDARY_TAIL
+    x_end = float(np.max(knots, initial=0.0)) + _BOUNDARY_TAIL
     width0 = min(6.0, 18.0 / (2.0 + c_total))
     anchors = sorted({0.0, x_end} | {float(k) for k in knots if 0.0 < k < x_end})
     pts = [0.0]
@@ -307,70 +301,93 @@ def _boundary_nodes(m: np.ndarray, c_total: float):
     return x, w, lg1m, x_end
 
 
-def _boundary_eval(m: np.ndarray, c: np.ndarray, want_jac: bool):
-    """Integral, gradient, and optionally the Jacobian dg/dm at coordinate m.
+def _boundary_eval(m: np.ndarray, c: np.ndarray, c_top: float):
+    """Integral, gradient, and the Jacobian dg/dm at coordinate m.
 
-    All integrands are assembled in log space from
+    ``m`` and ``c`` cover the coordinates below the tilt maximum; the
+    coordinates at the maximum (delta = 0) contribute the factor
+    e^{-c_top x}. All integrands are assembled in log space from
     log f_k = logaddexp(m_k, log(1-delta_k) - x), so coordinates whose
     delta underflows float64 are still exact.
     """
-    x, w, lg1m, x_end = _boundary_nodes(m, float(c.sum()))
+    x, w, lg1m, x_end = _boundary_nodes(m, float(c.sum()) + c_top)
     n = len(m)
     lgf = np.logaddexp(m[:, None], lg1m[:, None] - x[None, :])
-    big_l = -x + c @ lgf
+    big_l = -(1.0 + c_top) * x + c @ lgf
     lg_om = np.log(-np.expm1(-x))
-    cm = float(np.dot(c, m))
+    # past x_end every f_k has settled at delta_k: the tail integrates
+    # e^{-(1 + c_top) x} prod delta^c in closed form
+    log_tail = float(np.dot(c, m)) - (1.0 + c_top) * x_end - math.log1p(c_top)
 
-    ival = float(w @ np.exp(big_l)) + math.exp(cm - x_end)
+    ival = float(w @ np.exp(big_l)) + math.exp(log_tail)
     lgr = lg1m[:, None] + lg_om[None, :] - lgf
     grad_i = np.empty(n)
     for k in range(n):
-        tail = math.exp(lg1m[k] - m[k] + cm - x_end)
+        tail = math.exp(lg1m[k] - m[k] + log_tail)
         grad_i[k] = c[k] * (float(w @ np.exp(big_l + lgr[k])) + tail)
     g = grad_i / ival
-    if not want_jac:
-        return ival, g, None
 
     lgh = m[:, None] + lg_om[None, :] - lgf
     div = np.empty(n)
     for j in range(n):
-        div[j] = c[j] * (float(w @ np.exp(big_l + lgh[j])) + math.exp(cm - x_end))
+        div[j] = c[j] * (float(w @ np.exp(big_l + lgh[j])) + math.exp(log_tail))
     cross = np.empty((n, n))
     for k in range(n):
-        tail_r = math.exp(lg1m[k] - m[k] + cm - x_end)
+        tail_r = math.exp(lg1m[k] - m[k] + log_tail)
         for j in range(n):
             cross[k, j] = c[k] * c[j] * (
                 float(w @ np.exp(big_l + lgr[k] + lgh[j])) + tail_r)
         own = float(w @ np.exp(big_l + m[k] + lg_om - 2.0 * lgf[k]))
-        cross[k, k] -= c[k] * (own + math.exp(-m[k] + cm - x_end))
+        cross[k, k] -= c[k] * (own + math.exp(-m[k] + log_tail))
     jac = (cross - np.outer(g, div)) / ival
     return ival, g, jac
 
 
-def _boundary_rate(rho_work: np.ndarray, c_work: np.ndarray, q: float,
-                   support, work_idx, *, tol: float,
-                   max_iter: int = 120) -> RateDual:
-    """Fenchel transform solved in boundary-layer coordinates.
+def reinforced_rate(rho: ProbVector, nu: OffspringLaw, q: float) -> RateDual:
+    """Rate function of lineage empirical measures, with its dual tilt.
 
-    Levenberg-Marquardt on the gradient-match residual; the additive gauge
-    of the tilt is a null direction of the Jacobian, which the damping
-    absorbs. The returned value uses the virtual-reference form
-    sum rho log(1-delta) - log q + log integral, exact for any reference at
-    or above the tilt maximum.
+    Solves grad log-mgf(tilt) = rho on the support of rho by
+    Levenberg-Marquardt on the gradient-match residual, in the
+    boundary-layer coordinates m above. Each gradient component over nu(k)
+    is an increasing function of tilt(k) against weights shared by all k,
+    so the optimal tilt orders its coordinates as rho/nu does and the
+    largest rho/nu marks the tilt maximum. Pinning those coordinates at 0
+    fixes the additive gauge, makes the integral over t in [0, 1] the whole
+    integral, and leaves them the rest of the unit mass, split as exact ties
+    split it, by their exponents. Coordinates where rho vanishes get tilt
+    -inf.
     """
-    m = np.log(np.maximum(1.0 - rho_work, 1e-300)) / c_work
+    _check_same_support(rho, nu)
+    _check_q(q)
+    work_idx = np.nonzero(rho.weights > 0.0)[0]
+    rho_work = rho.weights[work_idx]
+    c_work = nu.weights[work_idx] * (1.0 - q) / q
+    # ratios equal up to rounding are ties: pinning them together moves the
+    # residual by at most their relative difference
+    ratio = rho_work / c_work
+    top = ratio >= np.max(ratio) * (1.0 - 1e-13)
+    rho_low, c_low = rho_work[~top], c_work[~top]
+    c_top = float(c_work[top].sum())
+    share = c_work[top] / c_top
+
+    def evaluate(m):
+        ival, g, jac = _boundary_eval(m, c_low, c_top)
+        resid = np.concatenate([g - rho_low,
+                                (1.0 - g.sum()) * share - rho_work[top]])
+        return ival, resid, np.vstack([jac, -np.outer(share, jac.sum(axis=0))])
+
+    m = np.log(np.maximum(1.0 - rho_low, 1e-300)) / c_low
     m = np.clip(m, -1e9, _BOUNDARY_CLIP)
-    ival, g, jac = _boundary_eval(m, c_work, True)
-    resid_vec = g - rho_work
+    ival, resid_vec, jac = evaluate(m)
     best = float(np.max(np.abs(resid_vec)))
     tau = 1e-3
     iterations = 0
-    while best > tol and iterations < max_iter:
+    while best > _RESIDUAL_TOL and iterations < _LM_MAX_ITER:
         iterations += 1
         jtj = jac.T @ jac
         rhs = -jac.T @ resid_vec
         damp = np.diag(jtj).copy()
-        damp[damp <= 0.0] = max(float(damp.max()), 1e-300)
+        damp[damp <= 0.0] = max(float(damp.max(initial=0.0)), 1e-300)
         accepted = False
         for _ in range(15):
             try:
@@ -379,10 +396,9 @@ def _boundary_rate(rho_work: np.ndarray, c_work: np.ndarray, q: float,
                 tau *= 10.0
                 continue
             m_new = np.clip(m + step, -1e9, _BOUNDARY_CLIP)
-            ival2, g2, jac2 = _boundary_eval(m_new, c_work, True)
-            r2 = g2 - rho_work
+            ival2, r2, jac2 = evaluate(m_new)
             if float(np.max(np.abs(r2))) < best:
-                m, ival, g, jac, resid_vec = m_new, ival2, g2, jac2, r2
+                m, ival, resid_vec, jac = m_new, ival2, r2, jac2
                 best = float(np.max(np.abs(r2)))
                 tau = max(tau / 3.0, 1e-12)
                 accepted = True
@@ -390,174 +406,19 @@ def _boundary_rate(rho_work: np.ndarray, c_work: np.ndarray, q: float,
             tau *= 10.0
         if not accepted:
             break
-    drift = abs(float(g.sum()) - 1.0)
-    if best > tol or drift > 1e-6:
-        raise NumericError("boundary-layer dual solver did not converge",
-                           {"residual": best, "gradient_drift": drift,
-                            "iterations": iterations})
-    lam_work = np.log1p(-np.exp(m))
+    if best > _RESIDUAL_TOL:
+        raise NumericError("dual solver did not converge",
+                           {"residual": best, "iterations": iterations})
+    lam_work = np.zeros(len(work_idx))
+    lam_work[~top] = np.log1p(-np.exp(m))
     value = float(np.dot(rho_work, lam_work)) - math.log(q) + math.log(ival)
     if value < -1e-9 or value > -math.log(q) + 1e-9:
         raise NumericError("rate value outside its certified range",
                            {"value": value, "upper": -math.log(q)})
-    tilt = _tilt_from_work(support, work_idx, lam_work - np.max(lam_work))
-    return RateDual(value=max(value, 0.0), tilt=tilt,
+    tilt = np.full(len(rho.support), -np.inf)
+    tilt[work_idx] = lam_work
+    return RateDual(value=max(value, 0.0), tilt=LogWeights(rho.support, tilt),
                     residual=best, iterations=iterations)
-
-
-def reinforced_rate(rho: ProbVector, nu: OffspringLaw, q: float, *,
-                    tol: float = 1e-9, max_iter: int = 200,
-                    tilt0: LogWeights | None = None) -> RateDual:
-    """Rate function of lineage empirical measures, with its dual tilt.
-
-    Solves grad log-mgf(tilt) = rho on the support of rho by damped Newton
-    with a finite-difference Hessian, anchoring one coordinate at 0 to fix
-    the additive gauge, and falling back to backtracked gradient steps when
-    the Newton direction is unusable. Coordinates where rho vanishes get
-    tilt -inf.
-    """
-    _check_same_support(rho, nu)
-    _check_q(q)
-    support = rho.support
-    rho_full = rho.weights
-    work_idx = np.nonzero(rho_full > 0.0)[0]
-    rho_work = rho_full[work_idx]
-    anchor = int(np.argmax(rho_work))
-    free = [i for i in range(len(work_idx)) if i != anchor]
-
-    if tilt0 is not None and tilt0.support == support:
-        lam_work = np.array(tilt0.values[work_idx], dtype=float)
-        if not np.isfinite(lam_work).all():
-            lam_work = np.log(rho_work / nu.weights[work_idx])
-    else:
-        # the memoryless transform maximizer, a good warm start for all q
-        lam_work = np.log(rho_work / nu.weights[work_idx])
-    lam_work -= lam_work[anchor]
-
-    def grad_at(lw) -> np.ndarray:
-        tilt = _tilt_from_work(support, work_idx, lw)
-        _, g = _mgf_parts(tilt, nu, q, want_grad=True)
-        return g[work_idx]
-
-    def value_at(lw) -> float:
-        tilt = _tilt_from_work(support, work_idx, lw)
-        log_integral, _ = _mgf_parts(tilt, nu, q, want_grad=False)
-        mgf = math.log(q) - log_integral
-        return float(np.dot(rho_work, lw)) - mgf
-
-    def newton_pass() -> tuple[np.ndarray, float, int]:
-        lam = lam_work
-        g = grad_at(lam)
-        resid = float(np.max(np.abs(g - rho_work)))
-        iterations = 0
-        fd_step = 1e-5
-        while resid > tol and iterations < max_iter:
-            iterations += 1
-            step = None
-            if free:
-                hess = np.empty((len(free), len(free)))
-                for col, j in enumerate(free):
-                    bumped = lam.copy()
-                    bumped[j] += fd_step
-                    gj = grad_at(bumped)
-                    hess[:, col] = (gj[free] - g[free]) / fd_step
-                try:
-                    delta = np.linalg.solve(hess, -(g[free] - rho_work[free]))
-                    if np.isfinite(delta).all():
-                        norm = float(np.max(np.abs(delta)))
-                        if norm > 10.0:
-                            delta *= 10.0 / norm
-                        step = delta
-                except np.linalg.LinAlgError:
-                    step = None
-            else:
-                break  # single-atom support: the gradient identity is exact
-
-            improved = False
-            if step is not None:
-                alpha = 1.0
-                for _ in range(25):
-                    cand = lam.copy()
-                    for pos, j in enumerate(free):
-                        cand[j] += alpha * step[pos]
-                    try:
-                        g_c = grad_at(cand)
-                    except NumericError:
-                        alpha *= 0.5  # trial point broke the quadrature
-                        continue
-                    r_c = float(np.max(np.abs(g_c - rho_work)))
-                    if r_c < resid * (1.0 - 1e-4 * alpha):
-                        lam, g, resid = cand, g_c, r_c
-                        improved = True
-                        break
-                    alpha *= 0.5
-            if not improved:
-                # gradient ascent on the concave dual objective
-                base_val = value_at(lam)
-                direction = rho_work - g
-                alpha = 1.0
-                for _ in range(40):
-                    cand = lam + alpha * direction
-                    cand -= cand[anchor]
-                    try:
-                        val = value_at(cand)
-                        if val > base_val + 1e-14:
-                            g_c = grad_at(cand)
-                        else:
-                            alpha *= 0.5
-                            continue
-                    except NumericError:
-                        alpha *= 0.5
-                        continue
-                    lam, g = cand, g_c
-                    resid = float(np.max(np.abs(g_c - rho_work)))
-                    improved = True
-                    break
-                if not improved:
-                    raise NumericError(
-                        "dual solver stalled",
-                        {"residual": resid, "iterations": iterations,
-                         "tilt": lam.tolist()})
-
-        if resid > tol:
-            raise NumericError(
-                "dual solver did not reach tolerance",
-                {"residual": resid, "iterations": iterations,
-                 "tilt": lam.tolist()})
-        return lam, resid, iterations
-
-    # the tilt-space pass cannot separate the near-tied optimum at large
-    # memory, where the boundary-layer pass is exact; each covers for the
-    # other in its weak regime
-    c_work = nu.weights[work_idx] * (1.0 - q) / q
-    boundary_first = q >= 0.6
-    if boundary_first:
-        try:
-            return _boundary_rate(rho_work, c_work, q, support, work_idx,
-                                  tol=tol)
-        except NumericError:
-            pass
-    try:
-        lam_work, resid, iterations = newton_pass()
-    except NumericError as primary_err:
-        if boundary_first:
-            raise
-        try:
-            return _boundary_rate(rho_work, c_work, q, support, work_idx,
-                                  tol=tol)
-        except NumericError:
-            raise primary_err from None
-
-    lam_work = lam_work - np.max(lam_work)
-    tilt = _tilt_from_work(support, work_idx, lam_work)
-    log_integral, _ = _mgf_parts(tilt, nu, q, want_grad=False)
-    mgf = math.log(q) - log_integral
-    value = pair(rho, tilt) - mgf
-    if value < -1e-9 or value > -math.log(q) + 1e-9:
-        raise NumericError("rate value outside its certified range",
-                           {"value": value, "upper": -math.log(q)})
-    return RateDual(value=max(value, 0.0), tilt=tilt,
-                    residual=resid, iterations=iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -658,8 +519,7 @@ def min_rate_over_halfspace(nu: OffspringLaw, q: float, w, c: float, *,
             cand /= cand.sum()
             if float(np.abs(cand - x).max()) < 1e-14:
                 break
-            cand_dual = reinforced_rate(ProbVector(nu.support, cand), nu, q,
-                                        tilt0=dual.tilt)
+            cand_dual = reinforced_rate(ProbVector(nu.support, cand), nu, q)
             if cand_dual.value < value - 1e-14:
                 x, dual, value = cand, cand_dual, cand_dual.value
                 moved = True

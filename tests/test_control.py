@@ -71,6 +71,14 @@ class TestOptimization:
         drift = np.max(np.abs(path.rows - TARGET.weights))
         assert drift > 0.01
 
+    def test_returned_path_averages_to_the_target(self):
+        # here the repair of one restart stops at its pass cap 2e-11 off rho
+        nu, rho = LAWS["k7_rho_zero"]
+        _, path = rate_by_control(rho, nu, 0.9, steps=64, restarts=2,
+                                  iters_per_stage=3, rng=RngStream(7))
+        off = np.max(np.abs(path.rows.mean(axis=0) - rho.weights))
+        assert off <= 1e-13
+
     def test_negative_iteration_budget_is_rejected(self):
         # it used to run no descent at all; zero stays a valid budget
         with pytest.raises(ContractViolationError):
@@ -99,7 +107,8 @@ class TestTwoPhaseProbe:
 
 # The serial optimizer that the batched descent replaced, copied verbatim:
 # one restart at a time on (m, k) rows. It is the oracle for the batched
-# path, which must reproduce its value and rows bit for bit.
+# path, which must reproduce its value and rows bit for bit. Its choice of
+# the best candidate also drops the restarts whose repair stopped off rho.
 
 def _references(rows: np.ndarray, nu_w: np.ndarray, q: float) -> np.ndarray:
     """Mixture references q psi_{i-1/2} + (1-q) nu for every step."""
@@ -189,7 +198,9 @@ def serial_rate_by_control(rho, nu, q, *, steps, restarts, iters_per_stage,
     results = []
     for idx, rows0 in enumerate(starts):
         rows = _optimize_one(rows0, rho_w, nu_w, q, iters_per_stage)
-        results.append((_objective(rows, nu_w, q), idx, rows))
+        # rate_by_control keeps only the restarts repaired onto rho
+        if float(np.max(np.abs(rows.mean(axis=0) - rho_w))) <= 1e-13:
+            results.append((_objective(rows, nu_w, q), idx, rows))
 
     # the exactly feasible constant path caps the answer from above
     const_rows = np.tile(rho_w, (steps, 1))

@@ -4,15 +4,16 @@ direct search."""
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
 
-from rgw import (OffspringLaw, ProbVector, RngStream, concentration_target,
-                 growth_exponent, log_degree_weights, min_rate_over_halfspace,
-                 pair, reinforced_log_mgf, reinforced_log_mgf_grad,
-                 reinforced_log_mgf_polynomial, reinforced_rate,
-                 relative_entropy, sanov_rate)
+from rgw import (NumericError, OffspringLaw, ProbVector, RngStream,
+                 concentration_target, growth_exponent, log_degree_weights,
+                 min_rate_over_halfspace, pair, reinforced_log_mgf,
+                 reinforced_log_mgf_grad, reinforced_log_mgf_polynomial,
+                 reinforced_rate, relative_entropy, sanov_rate)
 from rgw.measures import LogWeights, align, mix
 
 FLAGSHIP = OffspringLaw((1, 2), (0.5, 0.5))
@@ -59,11 +60,14 @@ class TestLogMgf:
 
     def test_polynomial_path_agrees_with_quadrature(self):
         # the closed polynomial form exists exactly when every exponent
-        # weight (1 - q) nu(k) / q is an integer; build such laws directly
+        # weight (1 - q) nu(k) / q is an integer; build such laws directly,
+        # with exponent sums up to 100, so q reaches down to 1/101
         gen = RngStream(17).generator("rate-tests")
-        for _ in range(10):
+        for total in (*gen.integers(2, 101, size=9), 100):
             size = int(gen.integers(2, 4))
-            exps = gen.integers(1, 4, size=size)
+            cuts = np.sort(gen.choice(np.arange(1, int(total)),
+                                      size=size - 1, replace=False))
+            exps = np.diff(np.concatenate([[0], cuts, [total]]))
             q = 1.0 / (1.0 + int(exps.sum()))
             support = tuple(sorted(gen.choice(np.arange(1, 7), size=size,
                                               replace=False).tolist()))
@@ -191,6 +195,63 @@ class TestRate:
                            .fun for x0 in (-1.0, 0.0, 1.0))
                 assert reinforced_rate(rho, FLAGSHIP, q).value == (
                     pytest.approx(-best, abs=1e-6))
+
+
+def edge_law(support, weights) -> OffspringLaw:
+    w = np.asarray(weights, dtype=float)
+    return OffspringLaw(support, w / w.sum())
+
+
+def many_atoms(k: int):
+    gen = RngStream(24).child(k).generator("rate-tests")
+    support = tuple(range(1, k + 1))
+    return (edge_law(support, np.maximum(gen.dirichlet(np.ones(k)), 1e-3)),
+            np.maximum(gen.dirichlet(np.ones(k)), 1e-3))
+
+
+EDGE_MEMORIES = (1e-3, 0.01, 0.99, 0.999)
+EDGE_CASES = {
+    "atom0": (edge_law((0, 1, 3), (0.2, 0.5, 0.3)), (0.1, 0.3, 0.6)),
+    "base_law": (edge_law((0, 1, 3), (0.2, 0.5, 0.3)), (0.2, 0.5, 0.3)),
+    "single_atom": (edge_law((2,), (1.0,)), (1.0,)),
+    "target_zero": (edge_law((1, 2, 4), (0.3, 0.3, 0.4)), (0.5, 0.0, 0.5)),
+    **{f"atoms{k}": many_atoms(k) for k in range(2, 9)},
+}
+# the slowest edge solve takes about 25 ms on a 2-core host; the bound
+# leaves room for a slow or busy host
+EDGE_SOLVE_S = 0.5
+
+
+class TestEdges:
+    @pytest.mark.parametrize("q", EDGE_MEMORIES)
+    @pytest.mark.parametrize("case", sorted(EDGE_CASES))
+    def test_solve_is_bounded_and_certified(self, case, q):
+        nu, weights = EDGE_CASES[case]
+        w = np.asarray(weights, dtype=float)
+        rho = ProbVector(nu.support, w / w.sum())
+        start = time.perf_counter()
+        dual = reinforced_rate(rho, nu, q)
+        assert time.perf_counter() - start <= EDGE_SOLVE_S
+        assert 0.0 <= dual.value <= -math.log(q)
+        blend = mix(q, rho, nu.as_prob_vector())
+        assert dual.value <= relative_entropy(*align(rho, blend)) + 1e-9
+        assert dual.residual <= 1e-9
+        # Fenchel-Young equality at the returned tilt, by the quadrature path
+        assert dual.value == pytest.approx(
+            pair(rho, dual.tilt) - reinforced_log_mgf(dual.tilt, nu, q),
+            abs=1e-8)
+
+    @pytest.mark.xfail(raises=NumericError, strict=True,
+                       reason="the gradient quadrature cannot resolve a tilt "
+                              "whose entries differ by 1e-16 to 1e-11: the "
+                              "endpoint panel does not converge, or the "
+                              "components do not sum to 1")
+    @pytest.mark.parametrize("q,gap", [
+        *((0.9, 10.0 ** -e) for e in range(16, 10, -1)), (0.7, 1e-16)])
+    def test_gradient_at_a_near_tied_tilt(self, q, gap):
+        lam = LogWeights((1, 2), (0.0, -gap))
+        grad = reinforced_log_mgf_grad(lam, FLAGSHIP, q)
+        assert float(np.sum(grad.weights)) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestSanov:
