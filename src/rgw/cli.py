@@ -18,7 +18,7 @@ import json
 import math
 import sys
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 
 import numpy as np
 
@@ -173,27 +173,41 @@ def _column(values, fmt: str) -> list:
     return [rules[type(v)](v) for v in values]
 
 
-def _render(columns: list[str], rows, fmt: str):
-    """Yield the table as text: CSV in blocks of rows, JSON as one document.
+def _expand(values, index: np.ndarray, fmt: str) -> list:
+    """``_column`` of ``values[index]``, converting each value once."""
+    return np.asarray(_column(values, fmt), dtype=object)[index].tolist()
 
-    Rows are taken ``_CSV_BLOCK`` at a time and each block is converted a
-    column at a time, every cell of one type in a column by the same rule of
-    ``_cell_rule``; CSV lines are then joined from the converted columns and
-    written block by block, while JSON rows are collected for one document.
-    The text is the same as converting the cells one by one.
+
+def _render_blocks(columns: list[str], blocks, fmt: str):
+    """Yield the table as text: CSV a block of rows at a time, JSON as one
+    document.
+
+    Each block holds the cells of its rows a column at a time, converted by
+    ``_column``. CSV lines are joined from the columns and written block by
+    block, while JSON rows are collected for one document.
     """
     if fmt == "csv":
         yield ",".join(columns) + "\n"
     records = []
-    rows = iter(rows)
-    while block := list(islice(rows, _CSV_BLOCK)):
-        cols = [_column(values, fmt) for values in zip(*block)]
+    for cols in blocks:
         if fmt == "csv":
             yield "\n".join(map(",".join, zip(*cols))) + "\n"
         else:
             records.extend(dict(zip(columns, row)) for row in zip(*cols))
     if fmt == "json":
         yield json.dumps(records, indent=1) + "\n"
+
+
+def _render(columns: list[str], rows, fmt: str):
+    """``_render_blocks`` over rows taken ``_CSV_BLOCK`` at a time, each
+    block converted a column at a time: every cell of one type in a column
+    by the same rule of ``_cell_rule``. The text is the same as converting
+    the cells one by one."""
+    rows = iter(rows)
+    blocks = iter(lambda: list(islice(rows, _CSV_BLOCK)), [])
+    return _render_blocks(
+        columns, ([_column(values, fmt) for values in zip(*block)]
+                  for block in blocks), fmt)
 
 
 def _write(chunks, out: str | None) -> None:
@@ -278,6 +292,28 @@ def _hist_key(support: tuple[int, ...], counts: tuple[int, ...]) -> str:
     return "|".join(f"{k}:{c}" for k, c in zip(support, counts) if c)
 
 
+def _population_blocks(populations: np.ndarray, last: np.ndarray,
+                       alive: np.ndarray, cut: np.ndarray, fmt: str):
+    """The converted census-free rows of ``simulate``, generations
+    0..last[r] of each replica r, in blocks of about ``_CSV_BLOCK`` rows
+    taken a column at a time straight from the campaign arrays. A column
+    that repeats a replica's or a generation's value converts it once."""
+    replicas, width = populations.shape
+    per = max(1, _CSV_BLOCK // width)
+    for start in range(0, replicas, per):
+        part = slice(start, start + per)
+        shown = np.arange(width) <= last[part, None]
+        # each row's replica, counted from start, and generation
+        row_of, gen = np.nonzero(shown)
+        yield [_expand(range(start, start + shown.shape[0]), row_of, fmt),
+               _expand(range(width), gen, fmt),
+               _column(populations[part][shown].tolist(), fmt),
+               _expand(alive[part].tolist(), row_of, fmt),
+               _expand(cut[part].tolist(), row_of, fmt),
+               _column([""], fmt) * row_of.size,
+               _column([""], fmt) * row_of.size]
+
+
 def _cmd_simulate(args) -> int:
     nu = _parse_law(args.law)
     q = _parse_q(args.q, allow_zero=True)
@@ -285,37 +321,39 @@ def _cmd_simulate(args) -> int:
                                       RngStream(args.seed),
                                       pop_cap=args.pop_cap,
                                       keep_histograms=args.histograms)
-    trunc = campaign.truncated_at.tolist()
-    # each generation's census in (replica, counts) order, consumed a
-    # replica at a time
-    census = ([sorted(layer.items()) for layer in campaign.histograms]
-              if campaign.histograms is not None else None)
-    cursor = [0] * (args.n_max + 1)
     columns = ["replica", "generation", "population", "survived",
                "truncated", "hist_key", "hist_count"]
+    # rows stop at the truncation point; beyond it the recorded population
+    # would read zero while the process is merely capped
+    trunc = campaign.truncated_at
+    cut = trunc >= 0
+    last = np.where(cut, trunc, args.n_max)
+    alive = cut | (campaign.populations[:, args.n_max] > 0)
+    if campaign.histograms is None:
+        blocks = _population_blocks(campaign.populations, last, alive, cut,
+                                    args.format)
+        _write(_render_blocks(columns, blocks, args.format), args.out)
+        return 0
+    # each generation's census in (replica, counts) order, consumed a
+    # replica at a time
+    census = [sorted(layer.items()) for layer in campaign.histograms]
+    cursor = [0] * (args.n_max + 1)
+    last, alive, cut = last.tolist(), alive.tolist(), cut.tolist()
 
     def replica_rows(r):
         pops = campaign.populations[r].tolist()
-        # rows stop at the truncation point; beyond it the recorded
-        # population would read zero while the process is merely capped
-        cut = trunc[r] >= 0
-        last = trunc[r] if cut else args.n_max
-        alive = cut or pops[args.n_max] > 0
-        if census is None:
-            return zip(repeat(r), range(last + 1), pops, repeat(alive),
-                       repeat(cut), repeat(""), repeat(""))
         rows = []
-        for g in range(last + 1):
+        for g in range(last[r] + 1):
             layer, start = census[g], cursor[g]
             end = start
             while end < len(layer) and layer[end][0][0] == r:
                 end += 1
             cursor[g] = end
-            rows.extend([r, g, pops[g], alive, cut,
+            rows.extend([r, g, pops[g], alive[r], cut[r],
                          _hist_key(campaign.support, counts), cnt]
                         for (_, counts), cnt in layer[start:end])
             if start == end:
-                rows.append([r, g, pops[g], alive, cut, "", ""])
+                rows.append([r, g, pops[g], alive[r], cut[r], "", ""])
         return rows
 
     rows = chain.from_iterable(map(replica_rows, range(args.replicas)))

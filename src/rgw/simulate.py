@@ -11,15 +11,20 @@ C(g+k-1, k-1) classes at generation g over k atoms, so the cost of a campaign
 grows polynomially in depth while its population grows exponentially.
 
 The same ancestral mechanism viewed along a single lineage is a Polya type
-urn, simulated here both one run at a time and as vectorized batches. Batches
-power the many-to-one estimator (lineage draws weighted by the product of
-their values estimate expected vertex counts), rejection-based conditioning,
-and the marginal checks. Exact small-depth expectations come from a dynamic
-program over draw histograms, giving an independent oracle with no randomness.
+urn, simulated here one run at a time and as batches. A batch of replicas
+is stored as classes too: replicas that share a draw histogram are
+exchangeable, so each step takes one multinomial draw per (histogram, count)
+class, and a batch of any size holds at most C(i+k-1, k-1) classes at step
+i. Batches power the many-to-one estimator (lineage draws weighted by the
+product of their values estimate expected vertex counts) and rejection-based
+conditioning, both of which read only the histogram. Exact small-depth
+expectations come from a dynamic program over draw histograms, giving an
+independent oracle with no randomness.
 
 A separate two-color urn with an auxiliary ball type tracks the spine
-construction used in persistence proofs, and a two-type branching benchmark
-provides the weak-persistence comparison model.
+construction used in persistence proofs, and a two-type branching benchmark,
+stored as (type, histogram) classes, provides the weak-persistence
+comparison model.
 """
 
 from __future__ import annotations
@@ -124,16 +129,76 @@ def _fresh_indices(cum_nu: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(j, len(cum_nu) - 1).astype(np.int64)
 
 
-def _memory_indices(rows: np.ndarray, total: float, u: np.ndarray) -> np.ndarray:
-    cs = np.cumsum(rows, axis=1)
-    return (cs <= (u * total)[:, None]).sum(axis=1)
+@dataclass(frozen=True)
+class _ClassKeys:
+    """Layout of int64 class keys.
+
+    A key is a leading digit (a replica or a type) at place ``lead``, above
+    the histogram's columns ``cols[:-1]`` in radix ``radix``. The last of
+    ``cols`` is fixed by the histogram's total and takes no digit; the other
+    columns stay 0 in every class, so they take none either.
+    """
+
+    cols: np.ndarray
+    place: np.ndarray
+    radix: int
+    lead: int
+
+    @classmethod
+    def layout(cls, cols: np.ndarray, k: int, depth: int,
+               leads: int) -> "_ClassKeys":
+        """Keys of ``leads`` leading digits over histograms of total at most
+        ``depth``; raises if the largest overflows int64."""
+        free = cols[:-1]
+        radix = depth + 1
+        lead = radix ** len(free)
+        if leads * lead > np.iinfo(np.int64).max:
+            raise ContractViolationError(
+                f"class keys of {len(cols)} atoms at depth {depth} "
+                "overflow int64")
+        place = np.zeros(k, dtype=np.int64)
+        place[free] = radix ** np.arange(len(free), dtype=np.int64)
+        return cls(cols, place, radix, lead)
+
+    def split(self, keys: np.ndarray, total: int) -> tuple[np.ndarray, np.ndarray]:
+        """The leading digits and the histograms, of total ``total``, of
+        ``keys``."""
+        hist = np.zeros((keys.size, self.place.size), dtype=np.int64)
+        rest = np.full(keys.size, total, dtype=np.int64)
+        # the digits, least significant first, peeled off one at a time
+        for c in self.cols[:-1].tolist():
+            higher = keys // self.radix
+            digit = keys - higher * self.radix
+            hist[:, c] = digit
+            rest -= digit
+            keys = higher
+        if self.cols.size:
+            hist[:, self.cols[-1]] = rest
+        return keys, hist
 
 
-def _histogram_of(rows: np.ndarray) -> dict[tuple[int, ...], int]:
-    if rows.shape[0] == 0:
-        return {}
-    uniq, cnt = np.unique(rows, axis=0, return_counts=True)
-    return {tuple(int(x) for x in u): int(c) for u, c in zip(uniq, cnt)}
+def _class_step(keys: np.ndarray, draws: np.ndarray, pick: np.ndarray,
+                shift: np.ndarray, gain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The classes born of one step, in ascending key order, with their
+    multiplicities.
+
+    ``draws[i]`` holds the outcome counts of the members of the class keyed
+    ``keys[i]``; each draw counted in column ``pick[c]`` sends ``gain[c]``
+    children to the class keyed ``keys[i] + shift[c]``. Equal keys merge by
+    sort and int64 reduceat, which keeps multiplicities exact where
+    bincount's float64 weights would round past 2^53.
+    """
+    kids = draws[:, pick] * gain
+    child = keys[:, None] + shift
+    born = kids > 0
+    child, kids = child[born], kids[born]
+    order = np.argsort(child)
+    child, kids = child[order], kids[order]
+    head = np.ones(child.size, dtype=bool)
+    head[1:] = child[1:] != child[:-1]
+    starts = np.flatnonzero(head)
+    mult = np.add.reduceat(kids, starts) if starts.size else kids
+    return child[starts], mult
 
 
 def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
@@ -186,20 +251,11 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
         trunc_at.setflags(write=False)
         return TreeCampaign(support, pops, trunc_at, None)
 
-    # A class is keyed by one int64: the chunk-local replica id as the most
-    # significant digit, then the histogram's free columns in radix n_max + 1.
-    # The atom-0 column is always 0 and the last positive column is fixed by
-    # the generation, so neither takes a digit.
+    # A class is keyed by its chunk-local replica id, then its histogram on
+    # the positive atoms; the atom-0 column is always 0.
     pos_cols = np.flatnonzero(support_arr > 0)
-    free = pos_cols[:-1]
-    radix = n_max + 1
-    replica_place = radix ** len(free)
-    if min(replicas, _CHUNK) * replica_place > np.iinfo(np.int64).max:
-        raise ContractViolationError(
-            f"class keys of {len(pos_cols)} positive atoms at depth {n_max} "
-            "overflow int64")
-    place = np.zeros(k, dtype=np.int64)
-    place[free] = radix ** np.arange(len(free), dtype=np.int64)
+    layout = _ClassKeys.layout(pos_cols, k, n_max, min(replicas, _CHUNK))
+    shift, gain = layout.place[pos_cols], support_arr[pos_cols]
 
     pop_parts, trunc_parts = [], []
     hist_acc: list[dict] | None = [dict() for _ in range(n_max + 1)] if keep_histograms else None
@@ -227,24 +283,9 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
                 p = q / g * hist + (1.0 - q) * nu.weights
             draws = g_rng.multinomial(mult, p)
             # a draw of atom j sends support[j] children to class hist + e_j
-            kids = draws[:, pos_cols] * support_arr[pos_cols]
-            keys = (rid * replica_place + hist @ place)[:, None] + place[pos_cols]
-            born = kids > 0
-            keys, kids = keys[born], kids[born]
-            # merging by sort and int64 reduceat keeps multiplicities exact,
-            # where bincount's float64 weights would round past 2^53
-            order = np.argsort(keys)
-            keys, kids = keys[order], kids[order]
-            head = np.ones(keys.size, dtype=bool)
-            head[1:] = keys[1:] != keys[:-1]
-            starts = np.flatnonzero(head)
-            mult = np.add.reduceat(kids, starts) if starts.size else kids
-            keys = keys[starts]
-            rid = keys // replica_place
-            hist = np.zeros((keys.size, k), dtype=np.int64)
-            hist[:, free] = keys[:, None] // place[free] % radix
-            if pos_cols.size:
-                hist[:, pos_cols[-1]] = g + 1 - hist[:, free].sum(axis=1)
+            keys, mult = _class_step(rid * layout.lead + hist @ layout.place,
+                                     draws, pos_cols, shift, gain)
+            rid, hist = layout.split(keys, g + 1)
             z = np.zeros(rc, dtype=np.int64)
             np.add.at(z, rid, mult)
             live = trunc_at < 0
@@ -356,28 +397,40 @@ def simulate_reinforced_urn(nu: OffspringLaw, q: float, n: int,
     return seq, EmpiricalMeasure(support, counts)
 
 
-def _urn_batch(nu: OffspringLaw, q: float, n: int, replicas: int,
-               g_rng: np.random.Generator, *, want_weights: bool):
-    """Vectorized reinforced sequences: counts per replica, and optionally the
-    running product of drawn values (0 once a 0 is drawn)."""
+def _urn_classes(nu: OffspringLaw, q: float, n: int, replicas: int,
+                 rng: RngStream, tag: str,
+                 cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Draw histograms of ``replicas`` reinforced sequences of length n, as
+    classes: the histograms and how many sequences hold each.
+
+    The batch starts as one class, the empty histogram of multiplicity
+    ``replicas``. At step i each class of histogram h and multiplicity m
+    takes one multinomial draw of m over q * h / i + (1 - q) * nu (nu alone
+    at i = 0), from ``rng.generator(tag, i)`` in ascending key order, and
+    the draws of atom j go on to the class h + e_j. Only the atoms in
+    ``cols`` continue a sequence; one that draws another atom leaves the
+    batch. Step i holds at most min(replicas, C(i+k-1, k-1)) classes over k
+    atoms.
+    """
     k = len(nu.support)
-    cum_nu = np.cumsum(nu.weights)
-    support_arr = np.asarray(nu.support, dtype=np.float64)
-    counts = np.zeros((replicas, k), dtype=np.int64)
-    weights = np.ones(replicas) if want_weights else None
-    rows = np.arange(replicas)
+    # the first of cols is fixed by the total, and the others are digits,
+    # most significant first: ascending keys order the classes by their
+    # histograms on cols[1:], lexicographically
+    layout = _ClassKeys.layout(cols[::-1], k, n, 1)
+    shift, gain = layout.place[cols], np.ones(cols.size, dtype=np.int64)
+    keys = np.zeros(1, dtype=np.int64)
+    hist = np.zeros((1, k), dtype=np.int64)
+    mult = np.array([replicas], dtype=np.int64)
     for i in range(n):
-        u_mode = g_rng.random(replicas)
-        u_val = g_rng.random(replicas)
-        j = _fresh_indices(cum_nu, u_val)
+        if mult.size == 0:
+            break
+        p = nu.weights
         if q > 0.0 and i > 0:
-            mem = u_mode < q
-            if mem.any():
-                j[mem] = _memory_indices(counts[mem], float(i), u_val[mem])
-        if weights is not None:
-            weights *= support_arr[j]
-        counts[rows, j] += 1
-    return counts, weights
+            p = q / i * hist + (1.0 - q) * nu.weights
+        draws = rng.generator(tag, i).multinomial(mult, p)
+        keys, mult = _class_step(keys, draws, cols, shift, gain)
+        _, hist = layout.split(keys, i + 1)
+    return hist, mult
 
 
 def many_to_one_estimate(nu: OffspringLaw, q: float, n: int, replicas: int,
@@ -390,25 +443,41 @@ def many_to_one_estimate(nu: OffspringLaw, q: float, n: int, replicas: int,
     empirical frequency vector lies in the target set. ``target`` is a
     predicate on ProbVectors, or None for the whole simplex. Returns the
     sample mean and its standard error.
+
+    Replicas are stepped as draw-histogram classes (``_urn_classes``): one
+    multinomial per class per step, at most min(replicas, C(i+k-1, k-1))
+    classes at step i over k atoms, and a sequence that draws 0 leaves the
+    batch with weight 0. The weight and ``target`` are evaluated once per
+    class, and the mean and the standard deviation (ddof 1) over the
+    replicas follow exactly from the multiplicities. Raises ``NumericError``
+    if a weight or the standard error overflows float64.
     """
     _check_q(q, allow_zero=True)
     if n < 1:
         raise ContractViolationError("n must be at least 1")
     if replicas < 2:
         raise ContractViolationError("need at least 2 replicas for a standard error")
-    counts, weights = _urn_batch(nu, q, n, replicas,
-                                 rng.generator("many-to-one"), want_weights=True)
+    values = np.asarray(nu.support, dtype=np.float64)
+    hist, mult = _urn_classes(nu, q, n, replicas, rng, "many-to-one",
+                              np.flatnonzero(values > 0.0))
+    keep = np.ones(mult.size, dtype=bool)
     if target is not None:
-        alive = np.flatnonzero(weights > 0.0)
-        if alive.size:
-            uniq, inv = np.unique(counts[alive], axis=0, return_inverse=True)
-            keep = np.fromiter(
-                (bool(target(ProbVector(nu.support, u / n))) for u in uniq),
-                dtype=bool, count=len(uniq))
-            drop = alive[~keep[inv]]
-            weights[drop] = 0.0
-    estimate = float(weights.mean())
-    stderr = float(weights.std(ddof=1) / math.sqrt(replicas))
+        keep = np.fromiter(
+            (bool(target(ProbVector(nu.support, h / n))) for h in hist),
+            dtype=bool, count=mult.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.where(keep, np.prod(values ** hist, axis=1), 0.0)
+        estimate = float(mult @ weights) / replicas
+        dev = weights - estimate
+        # the replicas that left the batch have weight 0
+        gone = replicas - int(mult.sum())
+        squares = float(mult @ (dev * dev)) + gone * (estimate * estimate)
+    stderr = math.sqrt(squares / (replicas - 1) / replicas)
+    if not (math.isfinite(estimate) and math.isfinite(stderr)):
+        worst = hist[np.argmax(weights)]
+        raise NumericError(
+            "expected count or its standard error overflows float64",
+            {"histogram": tuple(worst.tolist()), "depth": n})
     return estimate, stderr
 
 
@@ -623,6 +692,14 @@ def simulate_two_type(nu: OffspringLaw, nu_prime: OffspringLaw, n_max: int,
     one; type-2 individuals beget a nu_prime-distributed number of type-2
     children. Ancestral histograms live on the union of the shifted type-1
     degrees and the type-2 degrees.
+
+    A generation is stored as (type, histogram) classes, type-1 classes
+    first, each advanced by one multinomial draw of its multiplicity from
+    ``rng.generator("two-type", g)``: a type-1 draw of k children sends k
+    type-1 children and one type-2 child to histogram + e_(k+1), a type-2
+    draw of k sends k type-2 children to histogram + e_k. A generation
+    reaching ``pop_cap`` individuals is reported as truncated and ends the
+    run.
     """
     if n_max < 1 or pop_cap < 1:
         raise ContractViolationError("n_max and pop_cap must be >= 1")
@@ -630,57 +707,58 @@ def simulate_two_type(nu: OffspringLaw, nu_prime: OffspringLaw, n_max: int,
         warnings.warn("two-type regime expects mean(nu) > 1 > mean(nu_prime)",
                       RuntimeWarning, stacklevel=2)
     merged_support = tuple(sorted({kk + 1 for kk in nu.support} | set(nu_prime.support)))
-    m = len(merged_support)
     col_of = {kk: idx for idx, kk in enumerate(merged_support)}
     col1 = np.asarray([col_of[kk + 1] for kk in nu.support], dtype=np.int64)
     col2 = np.asarray([col_of[kk] for kk in nu_prime.support], dtype=np.int64)
-    kids1 = np.asarray(nu.support, dtype=np.int64)
-    kids2 = np.asarray(nu_prime.support, dtype=np.int64)
-    cum1 = np.cumsum(nu.weights)
-    cum2 = np.cumsum(nu_prime.weights)
+    k1, k2 = len(col1), len(col2)
+    # the leading key digit is the type: 0 for type 1, 1 for type 2
+    layout = _ClassKeys.layout(
+        np.flatnonzero(np.asarray(merged_support) > 0), len(merged_support),
+        n_max, 2)
+    place = layout.place
+    # outcome columns: type-1 draws (type-1 and type-2 children), then
+    # type-2 draws
+    pick = np.concatenate([np.arange(k1), np.arange(k1), k1 + np.arange(k2)])
+    shift = np.concatenate([place[col1], layout.lead + place[col1],
+                            place[col2]])
+    gain = np.concatenate([np.asarray(nu.support, dtype=np.int64),
+                           np.ones(k1, dtype=np.int64),
+                           np.asarray(nu_prime.support, dtype=np.int64)])
 
-    def census(gen, hist, typ, truncated):
-        rows1, rows2 = hist[typ], hist[~typ]
-        pop = hist.shape[0]
-        return TwoTypeGeneration(
-            gen,
-            GenerationReport(gen, rows1.shape[0], merged_support,
-                             _histogram_of(rows1), rows1.shape[0] > 0, truncated),
-            GenerationReport(gen, rows2.shape[0], merged_support,
-                             _histogram_of(rows2), rows2.shape[0] > 0, truncated),
-            GenerationReport(gen, pop, merged_support,
-                             _histogram_of(hist), pop > 0, truncated))
+    def census(gen, keys, mult, truncated):
+        typ2, hist = layout.split(keys, gen)
+        parts: tuple[dict, dict] = ({}, {})
+        merged: dict[tuple[int, ...], int] = {}
+        for t, h, c in zip(typ2.tolist(), map(tuple, hist.tolist()),
+                           mult.tolist()):
+            parts[t][h] = c
+            merged[h] = merged.get(h, 0) + c
 
-    hist = np.zeros((1, m), dtype=np.int32)
-    typ = np.ones(1, dtype=bool)
-    out = [census(0, hist, typ, 1 >= pop_cap)]
+        def report(hist_of):
+            pop = sum(hist_of.values())
+            return GenerationReport(gen, pop, merged_support, hist_of,
+                                    pop > 0, truncated)
+
+        return TwoTypeGeneration(gen, report(parts[0]), report(parts[1]),
+                                 report(merged))
+
+    keys = np.zeros(1, dtype=np.int64)
+    mult = np.ones(1, dtype=np.int64)
+    out = [census(0, keys, mult, 1 >= pop_cap)]
     if out[0].merged.truncated:
         return out
     for g in range(n_max):
-        n = hist.shape[0]
-        if n == 0:
+        if mult.size == 0:
             break
         g_rng = rng.generator("two-type", g)
-        u = g_rng.random(n)
-        j = np.empty(n, dtype=np.int64)
-        j[typ] = _fresh_indices(cum1, u[typ])
-        j[~typ] = _fresh_indices(cum2, u[~typ])
-        col = np.where(typ, col1[np.minimum(j, len(col1) - 1)],
-                       col2[np.minimum(j, len(col2) - 1)])
-        own_kids = np.where(typ, kids1[np.minimum(j, len(kids1) - 1)],
-                            kids2[np.minimum(j, len(kids2) - 1)])
-        reps = own_kids + typ.astype(np.int64)
-        child = hist.copy()
-        child[np.arange(n), col] += 1
-        hist = np.repeat(child, reps, axis=0)
-        new_typ = np.repeat(typ, reps)
-        ends = np.cumsum(reps)
-        last_of_type1 = ends[typ] - 1
-        new_typ[last_of_type1] = False
-        typ = new_typ
-        pop = hist.shape[0]
+        n1 = int(np.searchsorted(keys, layout.lead))
+        draws = np.zeros((keys.size, k1 + k2), dtype=np.int64)
+        draws[:n1, :k1] = g_rng.multinomial(mult[:n1], nu.weights)
+        draws[n1:, k1:] = g_rng.multinomial(mult[n1:], nu_prime.weights)
+        keys, mult = _class_step(keys, draws, pick, shift, gain)
+        pop = int(mult.sum())
         truncated = pop >= pop_cap
-        out.append(census(g + 1, hist, typ, truncated))
+        out.append(census(g + 1, keys, mult, truncated))
         if pop == 0 or truncated:
             break
     return out
@@ -694,24 +772,28 @@ def gibbs_conditional_estimate(nu: OffspringLaw, q: float, n: int, w, c: float,
     keep those whose empirical frequency vector rho satisfies <rho, w> >= c.
     Returns the conditional mean vector and the acceptance rate. Raises a
     statistical failure with diagnostics if nothing is accepted.
+
+    Replicas are stepped as draw-histogram classes (``_urn_classes``): one
+    multinomial per class per step, at most min(replicas, C(i+k-1, k-1))
+    classes at step i over k atoms. The constraint is tested once per
+    class, and a class counts as many replicas as it holds.
     """
     _check_q(q, allow_zero=True)
     if n < 1 or replicas < 1:
         raise ContractViolationError("n and replicas must be >= 1")
     w_arr = np.asarray(w, dtype=float)
-    if w_arr.shape != (len(nu.support),):
-        raise ContractViolationError(
-            f"constraint vector must have length {len(nu.support)}")
-    counts, _ = _urn_batch(nu, q, n, replicas, rng.generator("gibbs"),
-                           want_weights=False)
-    scores = counts @ w_arr / n
+    k = len(nu.support)
+    if w_arr.shape != (k,):
+        raise ContractViolationError(f"constraint vector must have length {k}")
+    hist, mult = _urn_classes(nu, q, n, replicas, rng, "gibbs", np.arange(k))
+    scores = hist @ w_arr / n
     accept = scores >= c
-    hits = int(accept.sum())
+    hits = int(mult[accept].sum())
     if hits == 0:
         raise StatisticalFailureError(
             "no replica satisfied the halfspace constraint",
             diagnostics={"replicas": replicas, "accepted": 0,
                          "threshold": float(c),
                          "best_score": float(scores.max())})
-    mean = counts[accept].mean(axis=0) / n
+    mean = mult[accept] @ hist[accept] / (n * hits)
     return ProbVector(nu.support, mean), hits / replicas

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rgw import cli
+from rgw import RngStream, cli, simulate_tree_campaign
 from rgw.cli import run
 
 REPO = Path(__file__).resolve().parent.parent
@@ -152,6 +152,31 @@ class TestRender:
         if fmt == "csv":
             assert len(chunks) == 1 + 3
         assert "".join(chunks) == old_render(MIXED_COLUMNS, rows, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_simulate_columns_follow_the_cell_rules(self, fmt, tmp_path):
+        # several blocks of rows, some replicas cut short by the cap
+        n_max, replicas = 8, 1500
+        code, text = invoke(["simulate", "--law", LAW, "--q", "1/3",
+                             "--n-max", str(n_max), "--replicas",
+                             str(replicas), "--seed", "3", "--pop-cap", "60",
+                             "--format", fmt], tmp_path)
+        assert code == 0
+        camp = simulate_tree_campaign(cli._parse_law(LAW), 1.0 / 3.0, n_max,
+                                      replicas, RngStream(3), pop_cap=60)
+        rows = []
+        for r in range(replicas):
+            pops = camp.populations[r].tolist()
+            cut = bool(camp.truncated_at[r] >= 0)
+            last = int(camp.truncated_at[r]) if cut else n_max
+            alive = cut or pops[n_max] > 0
+            rows.extend([r, g, pops[g], alive, cut, "", ""]
+                        for g in range(last + 1))
+        assert 0 < sum(camp.truncated_at >= 0) < replicas
+        assert len(rows) > 3 * cli._CSV_BLOCK
+        columns = ["replica", "generation", "population", "survived",
+                   "truncated", "hist_key", "hist_count"]
+        assert text == old_render(columns, rows, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empty_table(self, fmt):

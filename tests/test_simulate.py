@@ -447,3 +447,142 @@ class TestGibbs:
         with pytest.raises(StatisticalFailureError):
             gibbs_conditional_estimate(FLAGSHIP, Q, 5, [0.0, 1.0], 1.01,
                                        1000, RngStream(22))
+
+
+# The row-wise urn batch the class step replaced, kept as its oracle: every
+# replica draws once per step, a memory draw from its own counts. The
+# streams differ, so the two agree in law, not draw by draw.
+
+
+def row_urn_batch(nu: OffspringLaw, q: float, n: int, replicas: int,
+                  g_rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    k = len(nu.support)
+    cum_nu = np.cumsum(nu.weights)
+    values = np.asarray(nu.support, dtype=np.float64)
+    counts = np.zeros((replicas, k), dtype=np.int64)
+    weights = np.ones(replicas)
+    rows = np.arange(replicas)
+    for i in range(n):
+        u_mode = g_rng.random(replicas)
+        u_val = g_rng.random(replicas)
+        j = np.minimum(np.searchsorted(cum_nu, u_val, side="right"), k - 1)
+        if q > 0.0 and i > 0:
+            mem = u_mode < q
+            cs = np.cumsum(counts[mem], axis=1)
+            j[mem] = (cs <= (u_val[mem] * i)[:, None]).sum(axis=1)
+        weights *= values[j]
+        counts[rows, j] += 1
+    return counts, weights
+
+
+def row_estimate(nu: OffspringLaw, n: int, counts: np.ndarray,
+                 weights: np.ndarray, target) -> tuple[float, float]:
+    if target is not None:
+        # a line that drew 0 has weight 0 whatever its frequencies
+        weights = weights * [w > 0 and bool(target(ProbVector(nu.support,
+                                                               c / n)))
+                             for c, w in zip(counts, weights)]
+    return (float(weights.mean()),
+            float(weights.std(ddof=1) / math.sqrt(weights.size)))
+
+
+def mostly_top(rho: ProbVector) -> bool:
+    return rho.weights[-1] >= 0.4
+
+
+# a law with atom 0 and a target, and a strongly reinforced three-atom law
+ESTIMATE_CASES = [(FLAGSHIP, Q, 8, None),
+                  (OffspringLaw((0, 1, 3), (0.2, 0.5, 0.3)), 0.45, 6,
+                   mostly_top),
+                  (OffspringLaw((1, 2, 4), (0.5, 0.3, 0.2)), 0.8, 10, None)]
+
+
+@pytest.mark.parametrize("nu, q, n, target", ESTIMATE_CASES,
+                         ids=["flagship", "atom0_target", "3atoms_q0.8"])
+class TestUrnClassesMatchTheRows:
+    def test_estimates_agree_in_law(self, nu, q, n, target):
+        replicas = 40000
+        est, se = many_to_one_estimate(nu, q, n, replicas, target,
+                                       RngStream(30))
+        counts, weights = row_urn_batch(nu, q, n, replicas,
+                                        RngStream(31).generator("rows"))
+        row_est, row_se = row_estimate(nu, n, counts, weights, target)
+        assert abs(est - row_est) < 3.0 * math.hypot(se, row_se)
+
+    def test_class_moments_are_the_row_formula(self, nu, q, n, target):
+        replicas = 5000
+        est, se = many_to_one_estimate(nu, q, n, replicas, target,
+                                       RngStream(32))
+        live = np.flatnonzero(np.asarray(nu.support) > 0)
+        hist, mult = simulate._urn_classes(nu, q, n, replicas, RngStream(32),
+                                           "many-to-one", live)
+        assert mult.size < replicas
+        counts = np.repeat(hist, mult, axis=0)
+        weights = np.prod(np.asarray(nu.support, dtype=float) ** counts,
+                          axis=1)
+        # the replicas that drew 0 left the batch with weight 0
+        gone = replicas - counts.shape[0]
+        counts = np.vstack([counts, np.zeros((gone, len(nu.support)),
+                                             dtype=np.int64)])
+        weights = np.concatenate([weights, np.zeros(gone)])
+        row_est, row_se = row_estimate(nu, n, counts, weights, target)
+        assert est == pytest.approx(row_est, rel=1e-12)
+        assert se == pytest.approx(row_se, rel=1e-12)
+
+
+class TestUrnClasses:
+    def test_gibbs_agrees_with_the_rows_in_law(self):
+        nu = OffspringLaw((0, 1, 3), (0.2, 0.5, 0.3))
+        q, n, w, c, replicas = 0.45, 12, [0.0, 0.0, 1.0], 0.5, 40000
+        est, acc = gibbs_conditional_estimate(nu, q, n, w, c, replicas,
+                                              RngStream(33))
+        counts, _ = row_urn_batch(nu, q, n, replicas,
+                                  RngStream(34).generator("rows"))
+        accept = counts @ np.asarray(w) / n >= c
+        row_acc = float(accept.mean())
+        assert 0.05 < row_acc < 0.5
+        assert abs(acc - row_acc) < 3.0 * math.sqrt(
+            (acc * (1 - acc) + row_acc * (1 - row_acc)) / replicas)
+        kept = counts[accept] / n
+        se = kept.std(axis=0, ddof=1) / math.sqrt(kept.shape[0])
+        assert np.all(np.abs(est.weights - kept.mean(axis=0))
+                      <= 3.0 * math.sqrt(2.0) * se)
+
+    def test_billion_replicas_match_enumeration(self):
+        # row by row the batch would need 10^9 x 2 counts; as classes it
+        # holds at most 17
+        exact = sum(enumerate_expected_counts(FLAGSHIP, Q, 16).values())
+        est, se = many_to_one_estimate(FLAGSHIP, Q, 16, 10 ** 9, None,
+                                       RngStream(35))
+        assert 0.0 < se < 1e-3 * exact
+        assert abs(est - exact) < 3.0 * se
+
+    @pytest.mark.parametrize("huge", [10 ** 200, 10 ** 100],
+                             ids=["weight", "stderr"])
+    def test_overflowing_weights_are_a_numeric_error(self, huge):
+        nu = OffspringLaw((1, huge), (0.5, 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError) as info:
+                many_to_one_estimate(nu, Q, 2, 100, None, RngStream(0))
+        assert info.value.diagnostics == {"histogram": (0, 2), "depth": 2}
+
+    def test_two_type_means_follow_the_recursion(self):
+        nu = OffspringLaw((0, 1, 2), (0.2, 0.3, 0.5))
+        nu_prime = OffspringLaw((0, 1), (0.6, 0.4))
+        runs, depth = 1000, 4
+        pops = np.zeros((runs, 2))
+        for i in range(runs):
+            gens = simulate_two_type(nu, nu_prime, depth, RngStream(26, i))
+            for g in gens:
+                assert g.merged.population == (g.type1.population
+                                               + g.type2.population)
+            if len(gens) == depth + 1:
+                pops[i] = gens[depth].type1.population, gens[depth].type2.population
+        # type 1 grows by mean(nu); type 2 gains one child per type-1
+        # individual and keeps mean(nu_prime) per type-2 individual
+        e1, e2 = 1.0, 0.0
+        for _ in range(depth):
+            e1, e2 = e1 * nu.mean(), e1 + e2 * nu_prime.mean()
+        se = pops.std(axis=0, ddof=1) / math.sqrt(runs)
+        assert np.all(np.abs(pops.mean(axis=0) - (e1, e2)) < 3.0 * se)
