@@ -460,9 +460,7 @@ def _verify_control(args) -> int:
     nu = _parse_law(args.law) if args.law else OffspringLaw((1, 2), (0.5, 0.5))
     q = _parse_q(args.q, allow_zero=False) if args.q else 1.0 / 3.0
     rho = _parse_prob_vector(args.rho, "--rho")
-    value, path = rate_by_control(rho, nu, q, steps=args.m,
-                                  restarts=args.restarts,
-                                  rng=RngStream(args.seed))
+    value, path = rate_by_control(rho, nu, q, steps=args.m)
     dual = _rate_value(rho, nu, q)
     bound = mixed_entropy(rho, nu, q)
     steps = ([i, *row] for i, row in enumerate(path.rows))
@@ -595,7 +593,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--rho", default=None, help="control mode: target law")
     p.add_argument("--m", type=int, default=64,
                    help="control mode: discretization steps")
-    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--restarts", type=int, default=8,
+                   help="ignored; kept so existing command lines run")
     _add_common(p)
     p.set_defaults(fn=_cmd_verify)
 

@@ -10,17 +10,13 @@ rate function.
 
 Discretization uses m equal steps with the midpoint convention
 psi_{i-1/2} = (sum_{j<i} eta_j + eta_i/2) / (i - 1/2), which makes the first
-half-step reference equal eta_1 itself. The optimizer enforces the mean
-constraint by a quadratic penalty annealed over six stages, followed by an
-exact feasibility repair, and always keeps the constant path as a candidate,
-so the reported value never exceeds the constant-control bound.
-
-All restarts descend together as one (restarts, m, k) array: the helpers
-below take that leading restart axis, and each restart keeps its own step
-size, stage and value, so a batched run gives exactly the values and paths
-of running the restarts one after another. Cumulative sums and row means
-run along the step axis and each restart's cost is summed over its own
-m*k block, which keeps every float equal to the one-restart computation.
+half-step reference equal eta_1 itself. Relative entropy is jointly convex
+and psi is linear in eta, so the discretized cost is convex, and the
+constraints (rows on the simplex, time average rho) are linear. One
+equality-constrained Newton solve from the feasible constant path therefore
+reaches the optimum; every accepted step lowers the cost, so the value never
+exceeds the constant-control bound. Columns where rho vanishes are forced
+to zero and are not variables.
 """
 
 from __future__ import annotations
@@ -30,15 +26,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, InfeasibleError
+from .errors import ContractViolationError, InfeasibleError, NumericError
 from .measures import (OffspringLaw, ProbVector, _check_q, _check_same_support,
                        mixed_entropy)
-from .rng import RngStream
 
-_BETA_STAGES = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
 _LOG_FLOOR = 1e-300
-# largest |time average - rho| of a repaired path
-_REPAIR_TOL = 1e-13
+# Newton stops once half the squared decrement, which estimates the distance
+# to the optimal value near the optimum, falls to this
+_NEWTON_TOL = 1e-13
+_NEWTON_MAX_ITER = 50
+# fraction of the way to the nearest zero entry that one step may go
+_BOUNDARY_FRACTION = 0.99
+_ARMIJO = 0.25
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,61 +73,62 @@ class ControlPath:
         return ProbVector(self.support, self.rows.mean(axis=0))
 
 
-def _references(rows: np.ndarray, nu_w: np.ndarray, q: float) -> np.ndarray:
-    """Mixture references q psi_{i-1/2} + (1-q) nu for every restart and step."""
-    m = rows.shape[1]
+def _cesaro(m: int) -> np.ndarray:
+    """Lower-triangular midpoint map from a column of rows to its psi."""
     half = np.arange(1, m + 1) - 0.5
-    psi = (np.cumsum(rows, axis=1) - 0.5 * rows) / half[:, None]
+    return (np.tril(np.ones((m, m)), -1) + 0.5 * np.eye(m)) / half[:, None]
+
+
+def _references(rows: np.ndarray, nu_w: np.ndarray, q: float) -> np.ndarray:
+    """Mixture references q psi_{i-1/2} + (1-q) nu for every step."""
+    m = rows.shape[0]
+    half = np.arange(1, m + 1) - 0.5
+    psi = (np.cumsum(rows, axis=0) - 0.5 * rows) / half[:, None]
     return q * psi + (1.0 - q) * nu_w
 
 
-def _objective(rows: np.ndarray, nu_w: np.ndarray, q: float) -> np.ndarray:
-    """Running entropy cost of each restart's (m, k) block of rows."""
-    restarts, m, k = rows.shape
+def _objective(rows: np.ndarray, nu_w: np.ndarray, q: float) -> float:
+    """Running entropy cost of the (m, k) rows."""
     refs = _references(rows, nu_w, q)
     safe = np.where(rows > 0.0, rows, 1.0)
-    cost = (rows * np.log(safe / refs)).reshape(restarts, m * k)
-    return np.sum(cost, axis=1) / m
+    return float(np.sum(rows * np.log(safe / refs)) / rows.shape[0])
 
 
 def _gradient(rows: np.ndarray, nu_w: np.ndarray, q: float) -> np.ndarray:
-    m = rows.shape[1]
+    m = rows.shape[0]
     half = np.arange(1, m + 1) - 0.5
     refs = _references(rows, nu_w, q)
     ratio = rows / refs
     weighted = ratio / half[:, None]
-    suffix = np.flip(np.cumsum(np.flip(weighted, axis=1), axis=1), axis=1) - weighted
+    suffix = np.flip(np.cumsum(np.flip(weighted, axis=0), axis=0), axis=0) - weighted
     grad = (np.log(np.maximum(rows, _LOG_FLOOR) / refs) + 1.0
             - q * (0.5 * weighted + suffix))
     return grad / m
 
 
-def _project_rows(rows: np.ndarray) -> np.ndarray:
-    """Euclidean projection of every row onto the simplex."""
-    k = rows.shape[-1]
-    u = -np.sort(-rows, axis=-1)
-    css = np.cumsum(u, axis=-1) - 1.0
-    idx = np.arange(1, k + 1)
-    cond = u - css / idx > 0
-    last = k - 1 - np.argmax(cond[..., ::-1], axis=-1)
-    theta = np.take_along_axis(css, last[..., None], axis=-1)
-    return np.maximum(rows - theta / (last[..., None] + 1.0), 0.0)
+def _hessian_blocks(rows: np.ndarray, nu_w: np.ndarray, q: float,
+                    cesaro: np.ndarray) -> list[np.ndarray]:
+    """One (m, m) Hessian block per column; columns do not interact.
 
-
-def _penalized(rows: np.ndarray, rho_w: np.ndarray, nu_w: np.ndarray, q: float,
-               beta: np.ndarray) -> np.ndarray:
-    """Objective plus each restart's quadratic mean-constraint penalty."""
-    gap = rows.mean(axis=1) - rho_w
-    # one np.dot per restart, so each penalty is the float of that restart alone
-    squared = np.array([np.dot(g, g) for g in gap])
-    return _objective(rows, nu_w, q) + beta * squared
+    With x a column, L the Cesaro map and r = q L x + (1-q) nu_k the block is
+    (1/m) [diag(1/x) - q (L^T diag(1/r) + diag(1/r) L) + q^2 L^T diag(x/r^2) L].
+    """
+    m = rows.shape[0]
+    refs = _references(rows, nu_w, q)
+    blocks = []
+    for x, r in zip(rows.T, refs.T):
+        scaled = cesaro / r[:, None]
+        block = (np.diag(1.0 / x) - q * (scaled + scaled.T)
+                 + q * q * cesaro.T @ (cesaro * (x / (r * r))[:, None]))
+        blocks.append(block / m)
+    return blocks
 
 
 def control_objective(path: ControlPath, nu: OffspringLaw, q: float) -> float:
     """Average running entropy cost of a control path against nu with memory q."""
     _check_same_support(path, nu)
     _check_q(q, allow_zero=True)
-    return float(_objective(path.rows[None], nu.weights, q)[0])
+    return _objective(path.rows, nu.weights, q)
 
 
 def constant_control_value(rho: ProbVector, nu: OffspringLaw, q: float) -> float:
@@ -137,100 +137,76 @@ def constant_control_value(rho: ProbVector, nu: OffspringLaw, q: float) -> float
     return mixed_entropy(rho, nu, q)
 
 
-def _descend(rows: np.ndarray, rho_w: np.ndarray, nu_w: np.ndarray, q: float,
-             iters_per_stage: int) -> np.ndarray:
-    """Annealed projected-gradient descent of every restart at once.
+def _newton(rows: np.ndarray, nu_w: np.ndarray, q: float) -> np.ndarray:
+    """Equality-constrained Newton descent of the (m, k) rows, all positive.
 
-    Descends ``rows``, (restarts, m, k), in place. Each restart keeps its
-    own stage, step size, penalized value and iteration count; a round
-    tries one candidate for every restart still descending, which accepts
-    it (and grows its step) or halves its step. A stage ends after
-    ``iters_per_stage`` accepted steps or when the step falls to 1e-14, and
-    then the restart moves to the next penalty weight with its step reset
-    to 0.1.
+    The rows keep their row sums and column means: every step lies in the
+    null space of those constraints, found from one dense KKT system. The
+    last column mean is implied by the row sums and the other means, so it
+    is left out to keep the system nonsingular.
     """
-    restarts, m, _ = rows.shape
-    stage = np.zeros(restarts, dtype=int)
-    beta = np.full(restarts, _BETA_STAGES[0])
-    iters = np.zeros(restarts, dtype=int)
-    step = np.full(restarts, 0.1)
-    current = _penalized(rows, rho_w, nu_w, q, beta)
-    active = np.full(restarts, iters_per_stage > 0)
-    while active.any():
-        gap = rows.mean(axis=1) - rho_w
-        grad = (_gradient(rows, nu_w, q)
-                + 2.0 * beta[:, None, None] * gap[:, None, :] / m)
-        cand = _project_rows(rows - step[:, None, None] * grad)
-        val = _penalized(cand, rho_w, nu_w, q, beta)
-        accepted = active & (val < current - 1e-14)
-        rejected = active & ~accepted
-        rows[accepted] = cand[accepted]
-        current[accepted] = val[accepted]
-        step[accepted] = np.minimum(step[accepted] * 1.5, 1e3)
-        step[rejected] *= 0.5
-        iters += accepted
-        ended = ((accepted & (iters == iters_per_stage))
-                 | (rejected & (step <= 1e-14)))
-        if ended.any():
-            stage[ended] += 1
-            active &= stage < len(_BETA_STAGES)
-            ended &= active
-            beta[ended] = np.take(_BETA_STAGES, stage[ended])
-            iters[ended] = 0
-            step[ended] = 0.1
-            current[ended] = _penalized(rows, rho_w, nu_w, q, beta)[ended]
-    # exact feasibility repair: shift by the residual, reproject, repeat
-    repairing = np.full(restarts, True)
-    for _ in range(200):
-        resid = rho_w - rows.mean(axis=1)
-        repairing &= ~(np.max(np.abs(resid), axis=1) < _REPAIR_TOL)
-        if not repairing.any():
-            break
-        rows[repairing] = _project_rows(rows[repairing]
-                                        + resid[repairing][:, None, :])
-    return rows
+    m, k = rows.shape
+    cesaro = _cesaro(m)
+    n = m * k
+    # variables column by column: entry (i, j) of the rows sits at j*m + i
+    constraints = np.zeros((m + k - 1, n))
+    constraints[:m] = np.tile(np.eye(m), k)
+    for j in range(k - 1):
+        constraints[m + j, j * m:(j + 1) * m] = 1.0
+    kkt = np.zeros((n + m + k - 1, n + m + k - 1))
+    kkt[n:, :n] = constraints
+    kkt[:n, n:] = constraints.T
+    rhs = np.zeros(len(kkt))
+    value = _objective(rows, nu_w, q)
+    for iteration in range(1, _NEWTON_MAX_ITER + 1):
+        for j, block in enumerate(_hessian_blocks(rows, nu_w, q, cesaro)):
+            kkt[j * m:(j + 1) * m, j * m:(j + 1) * m] = block
+        grad = _gradient(rows, nu_w, q).T.ravel()
+        rhs[:n] = -grad
+        step = np.linalg.solve(kkt, rhs)[:n].reshape(k, m).T
+        # the squared Newton decrement, step' H step
+        decrement = -float(grad @ step.T.ravel())
+        if 0.5 * decrement <= _NEWTON_TOL:
+            return rows
+        shrinking = step < 0.0
+        t = min(1.0, _BOUNDARY_FRACTION
+                * float(np.min(-rows[shrinking] / step[shrinking],
+                               initial=math.inf)))
+        while True:
+            cand = rows + t * step
+            cand_value = _objective(cand, nu_w, q)
+            if cand_value <= value - _ARMIJO * t * decrement:
+                break
+            t *= 0.5
+            if t < 1e-12:
+                raise NumericError("control Newton step found no descent",
+                                   {"iterations": iteration,
+                                    "decrement": decrement})
+        rows, value = cand, cand_value
+    raise NumericError("control Newton solve did not converge",
+                       {"iterations": _NEWTON_MAX_ITER, "decrement": decrement})
 
 
 def rate_by_control(rho: ProbVector, nu: OffspringLaw, q: float, *,
-                    steps: int = 64, restarts: int = 8,
-                    iters_per_stage: int = 250,
-                    rng: RngStream = RngStream(42)) -> tuple[float, ControlPath]:
+                    steps: int = 64) -> tuple[float, ControlPath]:
     """Upper bound on the rate function by optimizing a discretized control.
 
-    Runs one descent from the constant path and ``restarts - 1`` from
-    Dirichlet-perturbed starts, all in one batched descent that anneals the
-    mean-constraint penalty, and returns the best repaired path. Values and
-    paths equal those of running the restarts one after another, ties going
-    to the earlier restart. The constant path itself stays in the candidate
-    set, so the value never exceeds the constant-control bound.
+    The discretized cost is convex under linear constraints, so one
+    feasible-start Newton solve from the constant path finds its minimum.
+    Columns where rho vanishes stay at zero, and with a single positive
+    column the path is forced. Every step lowers the cost, so the value
+    never exceeds the constant-control bound.
     """
     _check_same_support(rho, nu)
     _check_q(q, allow_zero=True)
     if steps < 2:
         raise ContractViolationError("need at least two control steps")
-    if restarts < 1:
-        raise ContractViolationError("need at least one restart")
-    if iters_per_stage < 0:
-        raise ContractViolationError("iters_per_stage must be non-negative")
     rho_w, nu_w = rho.weights, nu.weights
-    k = len(rho_w)
-
-    starts = [np.tile(rho_w, (steps, 1))]
-    for r in range(1, restarts):
-        gen = rng.child(r).generator("control-start")
-        noise = gen.dirichlet(np.ones(k), size=steps)
-        mix_w = 0.35
-        starts.append((1.0 - mix_w) * np.tile(rho_w, (steps, 1)) + mix_w * noise)
-
-    rows = _descend(np.stack(starts), rho_w, nu_w, q, iters_per_stage)
-    # a restart the repair left off rho bounds the rate of another target;
-    # the exactly feasible constant path stays and caps the answer from above
-    off = np.max(np.abs(rows.mean(axis=1) - rho_w), axis=1)
-    candidates = np.concatenate([rows[off <= _REPAIR_TOL], starts[0][None]])
-    values = _objective(candidates, nu_w, q)
-    best = min(range(len(values)), key=lambda i: (values[i], i))
-    value, rows = float(values[best]), candidates[best]
-    return value, ControlPath(rho.support, rows)
+    rows = np.tile(rho_w, (steps, 1))
+    live = rho_w > 0.0
+    if live.sum() > 1:
+        rows[:, live] = _newton(rows[:, live], nu_w[live], q)
+    return _objective(rows, nu_w, q), ControlPath(rho.support, rows)
 
 
 def two_phase_probe(rho: ProbVector, nu: OffspringLaw, q: float, eps: float,

@@ -33,10 +33,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 from scipy.special import roots_jacobi
 
-from .errors import ContractViolationError, NumericError
+from .errors import ContractViolationError, InfeasibleError, NumericError
 from .measures import (
     LogWeights,
     OffspringLaw,
@@ -450,84 +450,56 @@ def growth_exponent(nu: OffspringLaw, q: float) -> float:
 # constrained minimization over a halfspace
 # ---------------------------------------------------------------------------
 
-def _project_simplex(x: np.ndarray) -> np.ndarray:
-    u = np.sort(x)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(x) + 1)
-    cond = u - css / idx > 0
-    rho_i = idx[cond][-1]
-    theta = css[cond][-1] / rho_i
-    return np.maximum(x - theta, 0.0)
+# doublings of the tilt scale allowed while bracketing the halfspace root
+_BRACKET_DOUBLINGS = 64
 
 
-def _project_feasible(x: np.ndarray, w: np.ndarray, c: float,
-                      iters: int = 200) -> np.ndarray:
-    """Dykstra projection onto {simplex} intersect {<x,w> >= c}."""
-    p = np.zeros_like(x)
-    qcorr = np.zeros_like(x)
-    y = x.copy()
-    for _ in range(iters):
-        z = _project_simplex(y + p)
-        p = y + p - z
-        gap = c - float(np.dot(z + qcorr, w))
-        if gap > 0.0:
-            y = z + qcorr + gap * w / float(np.dot(w, w))
-        else:
-            y = z + qcorr
-        qcorr = z + qcorr - y
-        if abs(gap) < 1e-14 and float(np.abs(z - y).max()) < 1e-14:
-            break
-    out = np.maximum(y, 0.0)
-    return out / out.sum()
-
-
-def min_rate_over_halfspace(nu: OffspringLaw, q: float, w, c: float, *,
-                            max_iter: int = 300, tol: float = 1e-8):
+def min_rate_over_halfspace(nu: OffspringLaw, q: float, w, c: float):
     """Minimize the rate function over {rho : <rho, w> >= c}.
 
     Returns ``(minimizer, rate_value)``. The unconstrained minimum sits at
-    nu itself, so the answer is nu when nu is feasible and otherwise found by
-    projected gradient descent on the simplex-halfspace intersection, using
-    the dual tilt as the gradient of the rate function.
+    nu itself, so the answer is nu when nu is feasible. Otherwise, since
+    the rate is the Legendre transform of the log-mgf Lambda, the minimum is
+    the one-dimensional dual sup over theta >= 0 of theta c - Lambda(theta w),
+    attained where <grad Lambda(theta w), w> = c, which increases in theta;
+    the minimizer is grad Lambda(theta w) there. The tilt is shifted by
+    theta max(w), which leaves the gradient unchanged and keeps it <= 0.
+    At c = max w no finite theta attains the sup: the minimizer is nu
+    conditioned on the atoms maximizing w, the gradient at the limit tilt,
+    which is 0 there and -inf elsewhere.
     """
     _check_q(q)
     w = np.asarray(w, dtype=float)
     if w.shape != (len(nu.support),) or not np.isfinite(w).all():
         raise ContractViolationError("halfspace functional must be finite over the support")
-    if float(np.max(w)) < c:
-        from .errors import InfeasibleError
+    if math.isnan(c):
+        raise ContractViolationError("halfspace bound must be a number")
+    top = float(np.max(w))
+    if top < c:
         raise InfeasibleError("halfspace does not meet the simplex")
     nu_vec = nu.as_prob_vector()
     if float(np.dot(nu_vec.weights, w)) >= c:
         return nu_vec, 0.0
+    if c == top:
+        tilt = LogWeights(nu.support, np.where(w == top, 0.0, -np.inf))
+        return (reinforced_log_mgf_grad(tilt, nu, q),
+                -reinforced_log_mgf(tilt, nu, q))
 
-    floor = 1e-10
-    x = _project_feasible(nu_vec.weights.copy(), w, c)
-    x = np.maximum(x, floor)
-    x /= x.sum()
-    dual = reinforced_rate(ProbVector(nu.support, x), nu, q)
-    value = dual.value
-    step = 1.0
-    for _ in range(max_iter):
-        grad = dual.tilt.values.copy()
-        grad[~np.isfinite(grad)] = np.min(grad[np.isfinite(grad)]) - 10.0
-        grad -= grad.mean()
-        moved = False
-        while step > 1e-12:
-            cand = _project_feasible(x - step * grad, w, c)
-            cand = np.maximum(cand, floor)
-            cand /= cand.sum()
-            if float(np.abs(cand - x).max()) < 1e-14:
-                break
-            cand_dual = reinforced_rate(ProbVector(nu.support, cand), nu, q)
-            if cand_dual.value < value - 1e-14:
-                x, dual, value = cand, cand_dual, cand_dual.value
-                moved = True
-                step *= 1.5
-                break
-            step *= 0.5
-        if not moved:
+    def tilt(theta):
+        return LogWeights(nu.support, theta * (w - top))
+
+    def excess(theta):
+        return float(np.dot(reinforced_log_mgf_grad(tilt(theta), nu, q).weights,
+                            w)) - c
+
+    hi = 1.0
+    for _ in range(_BRACKET_DOUBLINGS):
+        if excess(hi) >= 0.0:
             break
-        if float(np.abs(grad).max()) * step < tol * 1e-2:
-            break
-    return ProbVector(nu.support, x), value
+        hi *= 2.0
+    else:
+        raise NumericError("halfspace dual root not bracketed",
+                           {"theta": hi, "excess": excess(hi)})
+    theta = optimize.brentq(excess, 0.0, hi, xtol=1e-14)
+    value = theta * (c - top) - reinforced_log_mgf(tilt(theta), nu, q)
+    return reinforced_log_mgf_grad(tilt(theta), nu, q), value

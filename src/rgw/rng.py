@@ -4,7 +4,7 @@ Built on numpy's Philox bit generator. A stream is identified by
 ``(seed, stream)``; deriving a generator for a purpose tag and a generation
 counter is a pure function of those integers, so any draw is reproducible
 independently of traversal order. Child streams are obtained by mixing the
-parent id, which keeps control restarts and campaign chunks on provably
+parent id, which keeps campaign chunks and verification checks on provably
 disjoint keys.
 """
 

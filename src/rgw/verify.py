@@ -116,20 +116,16 @@ def _check_duality(rng: RngStream) -> tuple[float, float]:
     return 1e-6, worst
 
 
-def _check_control(rng: RngStream, *, steps: int,
-                   restarts: int) -> tuple[float, float]:
+def _check_control(*, steps: int) -> tuple[float, float]:
     rho = ProbVector((1, 2), (0.2, 0.8))
-    value, _ = rate_by_control(rho, _FLAGSHIP, _Q_FLAGSHIP, steps=steps,
-                               restarts=restarts, rng=rng.child(1))
+    value, _ = rate_by_control(rho, _FLAGSHIP, _Q_FLAGSHIP, steps=steps)
     exact = closed_form_rate(0.2)
     return 0.02, abs(value - exact) / exact
 
 
-def _check_control_margin(rng: RngStream, *, steps: int,
-                          restarts: int) -> tuple[float, float]:
+def _check_control_margin(*, steps: int) -> tuple[float, float]:
     rho = ProbVector((1, 2), (0.2, 0.8))
-    value, _ = rate_by_control(rho, _FLAGSHIP, _Q_FLAGSHIP, steps=steps,
-                               restarts=restarts, rng=rng.child(2))
+    value, _ = rate_by_control(rho, _FLAGSHIP, _Q_FLAGSHIP, steps=steps)
     bound = constant_control_value(rho, _FLAGSHIP, _Q_FLAGSHIP)
     return 0.0, max(0.0, value - (bound - 1e-3))
 
@@ -387,10 +383,10 @@ def verify_suite(level: str = "quick", seed: int = 42) -> dict:
         ("closed_form_rate", lambda: _check_closed_form_rate()),
         ("concentration_target", lambda: _check_concentration_target()),
         ("duality_identity", lambda: _check_duality(rng)),
-        ("control_upper_bound", lambda: _check_control(
-            rng, steps=64 if full else 32, restarts=8 if full else 2)),
-        ("control_strict_margin", lambda: _check_control_margin(
-            rng, steps=64 if full else 32, restarts=8 if full else 2)),
+        ("control_upper_bound",
+         lambda: _check_control(steps=64 if full else 32)),
+        ("control_strict_margin",
+         lambda: _check_control_margin(steps=64 if full else 32)),
         ("triangulation", lambda: _check_triangulation(
             rng, qs=(0.0, _Q_FLAGSHIP) if full else (_Q_FLAGSHIP,),
             n_values=(3, 4, 5, 6) if full else (3,),

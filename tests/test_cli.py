@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +184,29 @@ class TestRender:
     def test_empty_table(self, fmt):
         text = "".join(cli._render(MIXED_COLUMNS, [], fmt))
         assert text == old_render(MIXED_COLUMNS, [], fmt)
+
+
+def readme_command_lines() -> list[list[str]]:
+    """The argument lists of the sh block under the README's Command line."""
+    readme = (REPO / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.strip()]
+    assert all(words[0] == "rgw" for words in commands)
+    return [words[1:] for words in commands]
+
+
+class TestReadmeCommandLines:
+    def test_every_readme_command_parses(self):
+        # parsed, not run: a dropped flag that a README line still passes
+        # makes argparse exit with a usage error
+        commands = readme_command_lines()
+        assert len(commands) == 10
+        parser = cli._build_parser()
+        for words in commands:
+            args = parser.parse_args(words)
+            assert args.command == words[0]
 
 
 class TestDeterminism:

@@ -44,7 +44,7 @@ CALLS = [
     ("constant_control_value",
      lambda q: constant_control_value(TARGET, FLAGSHIP, q), True),
     ("rate_by_control",
-     lambda q: rate_by_control(TARGET, FLAGSHIP, q, steps=2, restarts=1), True),
+     lambda q: rate_by_control(TARGET, FLAGSHIP, q, steps=2), True),
     ("two_phase_probe", lambda q: two_phase_probe(TARGET, FLAGSHIP, q, 0.1), True),
     ("simulate_tree_campaign",
      lambda q: simulate_tree_campaign(FLAGSHIP, q, 2, 2, RngStream(0)), True),

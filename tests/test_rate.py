@@ -9,11 +9,12 @@ import time
 import numpy as np
 import pytest
 
-from rgw import (NumericError, OffspringLaw, ProbVector, RngStream,
-                 concentration_target, growth_exponent, log_degree_weights,
-                 min_rate_over_halfspace, pair, reinforced_log_mgf,
-                 reinforced_log_mgf_grad, reinforced_log_mgf_polynomial,
-                 reinforced_rate, relative_entropy, sanov_rate)
+from rgw import (ContractViolationError, NumericError, OffspringLaw,
+                 ProbVector, RngStream, concentration_target, growth_exponent,
+                 log_degree_weights, min_rate_over_halfspace, pair,
+                 reinforced_log_mgf, reinforced_log_mgf_grad,
+                 reinforced_log_mgf_polynomial, reinforced_rate,
+                 relative_entropy, sanov_rate)
 from rgw.measures import LogWeights, align, mix
 
 FLAGSHIP = OffspringLaw((1, 2), (0.5, 0.5))
@@ -291,3 +292,163 @@ class TestGrowthAndHalfspace:
     def test_halfspace_containing_the_base_law_costs_nothing(self):
         _, value = min_rate_over_halfspace(FLAGSHIP, Q, [0.0, 1.0], 0.5)
         assert value == pytest.approx(0.0, abs=1e-9)
+
+
+# The projected descent that the one-dimensional dual replaced, copied
+# verbatim with its defaults max_iter = 300 and tol = 1e-8: Dykstra
+# projections onto the simplex-halfspace intersection and backtracking
+# steps along the dual tilt. It is the oracle the dual must never lose to.
+
+def _project_simplex(x: np.ndarray) -> np.ndarray:
+    u = np.sort(x)[::-1]
+    css = np.cumsum(u) - 1.0
+    idx = np.arange(1, len(x) + 1)
+    cond = u - css / idx > 0
+    rho_i = idx[cond][-1]
+    theta = css[cond][-1] / rho_i
+    return np.maximum(x - theta, 0.0)
+
+
+def _project_feasible(x: np.ndarray, w: np.ndarray, c: float,
+                      iters: int = 200) -> np.ndarray:
+    """Dykstra projection onto {simplex} intersect {<x,w> >= c}."""
+    p = np.zeros_like(x)
+    qcorr = np.zeros_like(x)
+    y = x.copy()
+    for _ in range(iters):
+        z = _project_simplex(y + p)
+        p = y + p - z
+        gap = c - float(np.dot(z + qcorr, w))
+        if gap > 0.0:
+            y = z + qcorr + gap * w / float(np.dot(w, w))
+        else:
+            y = z + qcorr
+        qcorr = z + qcorr - y
+        if abs(gap) < 1e-14 and float(np.abs(z - y).max()) < 1e-14:
+            break
+    out = np.maximum(y, 0.0)
+    return out / out.sum()
+
+
+def descent_min_rate_over_halfspace(nu, q, w, c, *, max_iter=300, tol=1e-8):
+    w = np.asarray(w, dtype=float)
+    nu_vec = nu.as_prob_vector()
+    floor = 1e-10
+    x = _project_feasible(nu_vec.weights.copy(), w, c)
+    x = np.maximum(x, floor)
+    x /= x.sum()
+    dual = reinforced_rate(ProbVector(nu.support, x), nu, q)
+    value = dual.value
+    step = 1.0
+    for _ in range(max_iter):
+        grad = dual.tilt.values.copy()
+        grad[~np.isfinite(grad)] = np.min(grad[np.isfinite(grad)]) - 10.0
+        grad -= grad.mean()
+        moved = False
+        while step > 1e-12:
+            cand = _project_feasible(x - step * grad, w, c)
+            cand = np.maximum(cand, floor)
+            cand /= cand.sum()
+            if float(np.abs(cand - x).max()) < 1e-14:
+                break
+            cand_dual = reinforced_rate(ProbVector(nu.support, cand), nu, q)
+            if cand_dual.value < value - 1e-14:
+                x, dual, value = cand, cand_dual, cand_dual.value
+                moved = True
+                step *= 1.5
+                break
+            step *= 0.5
+        if not moved:
+            break
+        if float(np.abs(grad).max()) * step < tol * 1e-2:
+            break
+    return ProbVector(nu.support, x), value
+
+
+THREE_ATOMS = OffspringLaw((0, 1, 3), (0.2, 0.5, 0.3))
+
+# (law, memory, w, c) with c strictly between <nu, w> and max w: the
+# flagship, atom 0 forced up, and a functional of mixed signs
+HALFSPACES = [
+    (FLAGSHIP, Q, (0.0, 1.0), 0.8),
+    (FLAGSHIP, Q, (0.0, 1.0), 0.9),
+    (THREE_ATOMS, Q, (1.0, 0.0, 0.0), 0.6),
+    (THREE_ATOMS, 0.1, (-1.0, 0.5, -0.25), 0.2),
+]
+
+
+def scan_boundary(nu, q, w, c, free, count=41):
+    """Least rate over count points of the segment <rho, w> = c, rho in
+    the simplex of three atoms, parametrized by rho[free]."""
+    w = np.asarray(w, dtype=float)
+    others = [i for i in range(3) if i != free]
+    best = math.inf
+    for s in np.linspace(0.0, 1.0, count):
+        # solve the two remaining weights from the sum and <rho, w> = c
+        a = np.array([[1.0, 1.0], [w[others[0]], w[others[1]]]])
+        rest = np.linalg.solve(a, [1.0 - s, c - s * w[free]])
+        if (rest < 0.0).any():
+            continue
+        rho = np.empty(3)
+        rho[free], rho[others] = s, rest
+        best = min(best, reinforced_rate(ProbVector(nu.support, rho), nu,
+                                         q).value)
+    return best
+
+
+class TestHalfspaceDual:
+    @pytest.mark.parametrize("case", range(len(HALFSPACES)))
+    def test_never_loses_to_the_projected_descent(self, case):
+        nu, q, w, c = HALFSPACES[case]
+        argmin, value = min_rate_over_halfspace(nu, q, w, c)
+        ref_argmin, ref_value = descent_min_rate_over_halfspace(nu, q, w, c)
+        assert float(np.dot(ref_argmin.weights, w)) >= c - 1e-9
+        assert value <= ref_value + 1e-12
+        # the argmin is feasible and the rate there is the dual value
+        assert abs(float(np.dot(argmin.weights, w)) - c) <= 1e-14
+        assert reinforced_rate(argmin, nu, q).value == pytest.approx(
+            value, abs=1e-12)
+
+    @pytest.mark.parametrize("case", (2, 3))
+    def test_no_point_of_the_boundary_costs_less(self, case):
+        nu, q, w, c = HALFSPACES[case]
+        _, value = min_rate_over_halfspace(nu, q, w, c)
+        assert scan_boundary(nu, q, w, c, free=1) >= value - 1e-12
+
+    def test_tied_functional_where_the_descent_left_the_halfspace(self):
+        # the projected descent returned a point with <rho, w> = 0.47 < 0.9
+        # and a value 300 times too small; the dual stays on the boundary
+        w, c = (1.0, 0.0, 1.0), 0.9
+        argmin, value = min_rate_over_halfspace(THREE_ATOMS, 0.7, w, c)
+        assert abs(float(np.dot(argmin.weights, w)) - c) <= 1e-14
+        assert reinforced_rate(argmin, THREE_ATOMS, 0.7).value == pytest.approx(
+            value, abs=1e-12)
+        assert scan_boundary(THREE_ATOMS, 0.7, w, c, free=0) >= value - 1e-12
+        ref_argmin, ref_value = descent_min_rate_over_halfspace(
+            THREE_ATOMS, 0.7, w, c)
+        assert float(np.dot(ref_argmin.weights, w)) < c - 0.4
+        assert ref_value < value / 100.0
+
+    def test_nan_bound_is_rejected(self):
+        # the projected descent returned nu and a rate for it
+        with pytest.raises(ContractViolationError):
+            min_rate_over_halfspace(FLAGSHIP, Q, (0.0, 1.0), math.nan)
+
+    def test_boundary_at_max_w_is_the_law_restricted_to_the_argmax(self):
+        argmin, value = min_rate_over_halfspace(FLAGSHIP, Q, (0.0, 1.0), 1.0)
+        assert np.array_equal(argmin.weights, (0.0, 1.0))
+        assert value == pytest.approx(math.log(1.5), abs=1e-12)
+
+    def test_boundary_at_max_w_with_tied_entries(self):
+        argmin, value = min_rate_over_halfspace(THREE_ATOMS, Q,
+                                                (1.0, 0.0, 1.0), 1.0)
+        assert np.max(np.abs(argmin.weights - (0.4, 0.0, 0.6))) <= 1e-12
+        assert reinforced_rate(argmin, THREE_ATOMS, Q).value == pytest.approx(
+            value, abs=1e-12)
+
+    def test_boundary_at_max_w_on_atom_zero(self):
+        argmin, value = min_rate_over_halfspace(THREE_ATOMS, Q,
+                                                (1.0, 0.0, 0.0), 1.0)
+        assert np.array_equal(argmin.weights, (1.0, 0.0, 0.0))
+        assert reinforced_rate(argmin, THREE_ATOMS, Q).value == pytest.approx(
+            value, abs=1e-12)
