@@ -592,7 +592,8 @@ def _build_parser() -> _Parser:
                    help="control mode: memory parameter (default 1/3)")
     p.add_argument("--rho", default=None, help="control mode: target law")
     p.add_argument("--m", type=int, default=64,
-                   help="control mode: discretization steps")
+                   help="control mode: discretization steps; the cost "
+                        "grows as the cube of steps times the support size")
     p.add_argument("--restarts", type=int, default=8,
                    help="ignored; kept so existing command lines run")
     _add_common(p)

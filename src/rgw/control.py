@@ -195,7 +195,9 @@ def rate_by_control(rho: ProbVector, nu: OffspringLaw, q: float, *,
     feasible-start Newton solve from the constant path finds its minimum.
     Columns where rho vanishes stay at zero, and with a single positive
     column the path is forced. Every step lowers the cost, so the value
-    never exceeds the constant-control bound.
+    never exceeds the constant-control bound. Each iteration solves one
+    dense system of side about steps times the support size, so memory grows
+    with the square and time with the cube of that product.
     """
     _check_same_support(rho, nu)
     _check_q(q, allow_zero=True)

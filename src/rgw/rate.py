@@ -281,10 +281,9 @@ def _graded_edges(a: float, b: float, width0: float) -> list:
     return left + [mid] + right[::-1] + [b]
 
 
-def _boundary_nodes(m: np.ndarray, c_total: float):
-    """Quadrature nodes, weights, and per-coordinate logs for a given m."""
-    delta = np.exp(m)
-    lg1m = np.log1p(-delta)
+def _boundary_nodes(m: np.ndarray, lg1m: np.ndarray, c_total: float):
+    """Quadrature nodes and weights for coordinates m = log(delta) and
+    lg1m = log(1 - delta)."""
     knots = np.clip(lg1m - m, 0.0, None)
     x_end = float(np.max(knots, initial=0.0)) + _BOUNDARY_TAIL
     width0 = min(6.0, 18.0 / (2.0 + c_total))
@@ -298,19 +297,20 @@ def _boundary_nodes(m: np.ndarray, c_total: float):
     mid = pts[:-1] + half
     x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
     w = (half[:, None] * wts[None, :]).ravel()
-    return x, w, lg1m, x_end
+    return x, w, x_end
 
 
-def _boundary_eval(m: np.ndarray, c: np.ndarray, c_top: float):
+def _boundary_eval(m: np.ndarray, lg1m: np.ndarray, c: np.ndarray,
+                   c_top: float):
     """Integral, gradient, and the Jacobian dg/dm at coordinate m.
 
-    ``m`` and ``c`` cover the coordinates below the tilt maximum; the
-    coordinates at the maximum (delta = 0) contribute the factor
-    e^{-c_top x}. All integrands are assembled in log space from
-    log f_k = logaddexp(m_k, log(1-delta_k) - x), so coordinates whose
-    delta underflows float64 are still exact.
+    ``m``, ``lg1m`` (the tilt, log(1 - delta)) and ``c`` cover the
+    coordinates below the tilt maximum; the coordinates at the maximum
+    (delta = 0) contribute the factor e^{-c_top x}. All integrands are
+    assembled in log space from log f_k = logaddexp(m_k, lg1m_k - x), so
+    coordinates whose delta or 1 - delta underflows float64 are still exact.
     """
-    x, w, lg1m, x_end = _boundary_nodes(m, float(c.sum()) + c_top)
+    x, w, x_end = _boundary_nodes(m, lg1m, float(c.sum()) + c_top)
     n = len(m)
     lgf = np.logaddexp(m[:, None], lg1m[:, None] - x[None, :])
     big_l = -(1.0 + c_top) * x + c @ lgf
@@ -371,7 +371,7 @@ def reinforced_rate(rho: ProbVector, nu: OffspringLaw, q: float) -> RateDual:
     share = c_work[top] / c_top
 
     def evaluate(m):
-        ival, g, jac = _boundary_eval(m, c_low, c_top)
+        ival, g, jac = _boundary_eval(m, np.log1p(-np.exp(m)), c_low, c_top)
         resid = np.concatenate([g - rho_low,
                                 (1.0 - g.sum()) * share - rho_work[top]])
         return ival, resid, np.vstack([jac, -np.outer(share, jac.sum(axis=0))])
@@ -450,7 +450,7 @@ def growth_exponent(nu: OffspringLaw, q: float) -> float:
 # constrained minimization over a halfspace
 # ---------------------------------------------------------------------------
 
-# doublings of the tilt scale allowed while bracketing the halfspace root
+# doublings of the log tilt scale allowed while bracketing the halfspace root
 _BRACKET_DOUBLINGS = 64
 
 
@@ -463,10 +463,13 @@ def min_rate_over_halfspace(nu: OffspringLaw, q: float, w, c: float):
     the one-dimensional dual sup over theta >= 0 of theta c - Lambda(theta w),
     attained where <grad Lambda(theta w), w> = c, which increases in theta;
     the minimizer is grad Lambda(theta w) there. The tilt is shifted by
-    theta max(w), which leaves the gradient unchanged and keeps it <= 0.
-    At c = max w no finite theta attains the sup: the minimizer is nu
-    conditioned on the atoms maximizing w, the gradient at the limit tilt,
-    which is 0 there and -inf elsewhere.
+    theta max(w), so the atoms maximizing w sit at 0 and the others at
+    -theta (max w - w). For memory near 1 the optimal theta is
+    exp(-O(q/(1-q))), below float resolution next to 1, so the root is
+    found in log theta and the integrals are taken in the boundary-layer
+    coordinates of reinforced_rate. At c = max w no finite theta attains
+    the sup: the minimizer is nu conditioned on the atoms maximizing w, the
+    gradient at the limit tilt, which is 0 there and -inf elsewhere.
     """
     _check_q(q)
     w = np.asarray(w, dtype=float)
@@ -485,21 +488,42 @@ def min_rate_over_halfspace(nu: OffspringLaw, q: float, w, c: float):
         return (reinforced_log_mgf_grad(tilt, nu, q),
                 -reinforced_log_mgf(tilt, nu, q))
 
-    def tilt(theta):
-        return LogWeights(nu.support, theta * (w - top))
+    low = w < top
+    log_gap = np.log(top - w[low])
+    exponents = nu.weights * (1.0 - q) / q
+    c_low, c_top = exponents[low], float(exponents[~low].sum())
 
-    def excess(theta):
-        return float(np.dot(reinforced_log_mgf_grad(tilt(theta), nu, q).weights,
-                            w)) - c
+    def evaluate(log_theta):
+        # y = theta (max w - w) is minus the tilt; m = log(1 - e^{-y}) keeps
+        # its leading term log y when y underflows
+        y = np.exp(log_theta + log_gap)
+        small = y < 1e-4
+        m = np.where(small, log_theta + log_gap - 0.5 * y + y * y / 24.0,
+                     np.log(-np.expm1(-np.where(small, 1.0, y))))
+        ival, g, _ = _boundary_eval(m, -y, c_low, c_top)
+        return ival, g
 
-    hi = 1.0
-    for _ in range(_BRACKET_DOUBLINGS):
-        if excess(hi) >= 0.0:
+    def excess(log_theta):
+        # <grad, w> - c, with the atoms at the maximum holding 1 - sum(g)
+        _, g = evaluate(log_theta)
+        return (top - c) - float(np.dot(g, top - w[low]))
+
+    # excess increases in log theta: double away from 0 until it changes sign
+    rising = excess(0.0) < 0.0
+    inner = 0.0
+    for doubling in range(_BRACKET_DOUBLINGS):
+        outer = 2.0 ** doubling if rising else -(2.0 ** doubling)
+        if (excess(outer) >= 0.0) == rising:
             break
-        hi *= 2.0
+        inner = outer
     else:
         raise NumericError("halfspace dual root not bracketed",
-                           {"theta": hi, "excess": excess(hi)})
-    theta = optimize.brentq(excess, 0.0, hi, xtol=1e-14)
-    value = theta * (c - top) - reinforced_log_mgf(tilt(theta), nu, q)
-    return reinforced_log_mgf_grad(tilt(theta), nu, q), value
+                           {"log_theta": outer})
+    lo, hi = sorted((inner, outer))
+    log_theta = optimize.brentq(excess, lo, hi, xtol=1e-14)
+    ival, g = evaluate(log_theta)
+    weights = np.empty(len(w))
+    weights[low] = g
+    weights[~low] = (1.0 - float(g.sum())) * nu.weights[~low] / nu.weights[~low].sum()
+    value = math.exp(log_theta) * (c - top) - math.log(q) + math.log(ival)
+    return ProbVector(nu.support, weights), value

@@ -68,15 +68,15 @@ class TestOptimization:
         assert drift > 0.01
 
     def test_returned_path_averages_to_the_target(self):
-        # a target missing one atom, where the old repair loop could stop
-        # 2e-11 off rho
+        # a target missing one atom: the time average is rho to rounding
         nu, rho = LAWS["k7_rho_zero"]
         _, path = rate_by_control(rho, nu, 0.9, steps=64)
         off = np.max(np.abs(path.rows.mean(axis=0) - rho.weights))
         assert off <= 1e-13
 
     def test_a_target_missing_an_atom_still_gets_a_moving_path(self):
-        # the annealed descent returned the constant path here, at every q
+        # the zero column stays fixed and the others still move the path,
+        # well below the constant bound and never below the dual rate
         nu, rho = LAWS["k7_rho_zero"]
         value, path = rate_by_control(rho, nu, Q, steps=64)
         assert value <= constant_control_value(rho, nu, Q) - 1e-2
@@ -113,17 +113,16 @@ class TestTwoPhaseProbe:
         assert best < const - 1e-3
 
     def test_rejects_fewer_than_one_step(self):
-        # zero steps used to return nan with a warning, negative ones -0.0
+        # zero and negative step counts are refused, not evaluated
         for steps in (0, -3):
             with pytest.raises(ContractViolationError):
                 two_phase_probe(TARGET, FLAGSHIP, Q, 0.1, steps=steps)
 
 
-# The serial annealed descent that the Newton solve replaced, copied
-# verbatim: one restart at a time on (m, k) rows, six penalty stages, a
-# repair loop back onto rho and a candidate filter. It is the oracle for the
-# Newton solve, which must never end above it. Its choice of the best
-# candidate also drops the restarts whose repair stopped off rho.
+# A serial annealed descent, independent of the Newton solve: one restart
+# at a time on (m, k) rows, six penalty stages, a repair loop back onto rho
+# and a candidate filter that drops the restarts whose repair stopped off
+# rho. It is the oracle: the Newton solve must never end above it.
 
 _BETA_STAGES = (1e1, 1e2, 1e3, 1e4, 1e5, 1e6)
 
@@ -216,7 +215,7 @@ def serial_rate_by_control(rho, nu, q, *, steps, restarts, iters_per_stage,
     results = []
     for idx, rows0 in enumerate(starts):
         rows = _optimize_one(rows0, rho_w, nu_w, q, iters_per_stage)
-        # rate_by_control keeps only the restarts repaired onto rho
+        # keep only the restarts repaired onto rho
         if float(np.max(np.abs(rows.mean(axis=0) - rho_w))) <= 1e-13:
             results.append((_objective(rows, nu_w, q), idx, rows))
 
@@ -266,11 +265,10 @@ def assert_newton_beats_the_serial_descent(law, memory, steps, restarts,
 
 
 class TestBatchedDescentMatchesTheSerialLoop:
-    """The Newton solve against the serial descent it replaced.
+    """Newton never ends above the serial annealed-descent oracle.
 
     The oracle runs at every (steps, restarts, iterations, seed) below, and
-    Newton at the same number of steps. The class keeps the name it had
-    when it checked the batched descent, so the test ids stay stable.
+    Newton at the same number of steps.
     """
 
     @pytest.mark.parametrize("law", sorted(LAWS))

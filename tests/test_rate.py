@@ -294,10 +294,10 @@ class TestGrowthAndHalfspace:
         assert value == pytest.approx(0.0, abs=1e-9)
 
 
-# The projected descent that the one-dimensional dual replaced, copied
-# verbatim with its defaults max_iter = 300 and tol = 1e-8: Dykstra
-# projections onto the simplex-halfspace intersection and backtracking
-# steps along the dual tilt. It is the oracle the dual must never lose to.
+# A projected descent independent of the one-dimensional dual, with
+# max_iter = 300 and tol = 1e-8: Dykstra projections onto the
+# simplex-halfspace intersection and backtracking steps along the dual
+# tilt. It is the oracle the dual must never lose to.
 
 def _project_simplex(x: np.ndarray) -> np.ndarray:
     u = np.sort(x)[::-1]
@@ -368,12 +368,15 @@ def descent_min_rate_over_halfspace(nu, q, w, c, *, max_iter=300, tol=1e-8):
 THREE_ATOMS = OffspringLaw((0, 1, 3), (0.2, 0.5, 0.3))
 
 # (law, memory, w, c) with c strictly between <nu, w> and max w: the
-# flagship, atom 0 forced up, and a functional of mixed signs
+# flagship, atom 0 forced up, and a functional of mixed signs; the last two
+# have memory near 1, where the optimal tilt gaps are below float resolution
 HALFSPACES = [
     (FLAGSHIP, Q, (0.0, 1.0), 0.8),
     (FLAGSHIP, Q, (0.0, 1.0), 0.9),
     (THREE_ATOMS, Q, (1.0, 0.0, 0.0), 0.6),
     (THREE_ATOMS, 0.1, (-1.0, 0.5, -0.25), 0.2),
+    (FLAGSHIP, 0.9, (0.0, 1.0), 0.8),
+    (THREE_ATOMS, 0.99, (-1.0, 0.5, -0.25), 0.2),
 ]
 
 
@@ -416,8 +419,9 @@ class TestHalfspaceDual:
         assert scan_boundary(nu, q, w, c, free=1) >= value - 1e-12
 
     def test_tied_functional_where_the_descent_left_the_halfspace(self):
-        # the projected descent returned a point with <rho, w> = 0.47 < 0.9
-        # and a value 300 times too small; the dual stays on the boundary
+        # the projected descent leaves the halfspace here, at <rho, w> = 0.47
+        # < 0.9 with a value 300 times too small; the dual stays on the
+        # boundary
         w, c = (1.0, 0.0, 1.0), 0.9
         argmin, value = min_rate_over_halfspace(THREE_ATOMS, 0.7, w, c)
         assert abs(float(np.dot(argmin.weights, w)) - c) <= 1e-14
@@ -430,7 +434,7 @@ class TestHalfspaceDual:
         assert ref_value < value / 100.0
 
     def test_nan_bound_is_rejected(self):
-        # the projected descent returned nu and a rate for it
+        # no comparison with NaN holds, so the bound is refused up front
         with pytest.raises(ContractViolationError):
             min_rate_over_halfspace(FLAGSHIP, Q, (0.0, 1.0), math.nan)
 
