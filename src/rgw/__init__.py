@@ -44,7 +44,6 @@ from .rate import (
     min_rate_over_halfspace,
     reinforced_log_mgf,
     reinforced_log_mgf_grad,
-    reinforced_log_mgf_polynomial,
     reinforced_rate,
     sanov_rate,
 )

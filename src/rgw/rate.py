@@ -7,20 +7,18 @@ function of lineage empirical measures,
     reinforced_log_mgf(lam) = log q - log I(lam),
     I(lam) = integral_0^inf prod_k (1 - t e^{lam(k)})_+^{nu(k)(1-q)/q} dt.
 
-The integrand vanishes for t >= exp(-max lam), carries an algebraic zero of
-exponent c* (the summed exponents of the maximal entries) at that endpoint,
-and is smooth inside. Quadrature follows that structure: adaptive
-Gauss-Kronrod panels over the first 90% of the interval and a Gauss-Jacobi
-panel with weight (1-s)^{c*} over the last 10%. When every exponent is a
-non-negative integer the integrand is a polynomial, which a Gauss-Legendre
-rule of matching degree integrates exactly; that path doubles as an
-independent oracle.
+The integrand vanishes for t >= exp(-max lam) and carries an algebraic zero
+at that endpoint, of exponent the summed exponents of the maximal entries.
+One quadrature rule serves the log-mgf, its gradient, the rate and the
+halfspace minimum: in boundary-layer coordinates m_k = log(1 -
+e^{lam_k - max lam}), the integrals are taken in log space through x =
+-log(1 - t e^{max lam}) by a graded Gauss-Legendre rule. The independent
+oracles (adaptive QUADPACK panels with a Gauss-Jacobi endpoint rule, the
+exact polynomial path for integer exponents, and tanh-sinh quadrature at
+30 digits) live in the tests.
 
 The Fenchel-Legendre transform is one Levenberg-Marquardt solve of the
-gradient-match equation in boundary-layer coordinates m_k = log(1 -
-e^{tilt_k}), with the integrals taken in log space through x = -log t by a
-graded Gauss-Legendre rule. The log-mgf and its gradient above stay on their
-own quadrature, so they check the solver independently.
+gradient-match equation in the coordinates m.
 
 Conventions: entries lam(k) = -inf contribute factor 1 to the integrand and
 get gradient component 0; the all -inf tilt yields -inf.
@@ -33,8 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, optimize
-from scipy.special import roots_jacobi
+from scipy import optimize
 
 from .errors import ContractViolationError, InfeasibleError, NumericError
 from .measures import (
@@ -48,12 +45,6 @@ from .measures import (
     relative_entropy,
     size_biased,
 )
-
-_JACOBI_ORDERS = (12, 20, 32, 52, 84, 136)
-_PANEL_SPLIT = 0.9
-# relative target and QUADPACK subdivision limit of every log-mgf integral
-_REL_TOL = 1e-10
-_MAX_SUBDIVISIONS = 200
 
 
 @dataclass(frozen=True)
@@ -71,106 +62,6 @@ class RateDual:
     iterations: int
 
 
-@lru_cache(maxsize=256)
-def _jacobi_rule(order: int, gamma: float):
-    nodes, weights = roots_jacobi(order, 0.0, gamma)
-    return nodes, weights
-
-
-def _endpoint_integral(g, gamma: float) -> float:
-    """integral_0^1 (1-s)^gamma g(s) ds with g smooth on [0, 1]."""
-    smooth, err, *rest = integrate.quad(
-        lambda s: (1.0 - s) ** gamma * g(s),
-        0.0, _PANEL_SPLIT, epsabs=0.0, epsrel=_REL_TOL,
-        limit=_MAX_SUBDIVISIONS, full_output=1)
-    if err > 1e3 * _REL_TOL * max(abs(smooth), 1e-300):
-        raise NumericError("adaptive panel did not converge",
-                           {"value": smooth, "abserr": err})
-
-    # last 10%: s = 1 - (1 - split) v pulls the weight onto v^gamma at v = 0
-    width = 1.0 - _PANEL_SPLIT
-    scale = width ** (gamma + 1.0)
-    if scale == 0.0:
-        return smooth
-    panel_prev = None
-    panel = 0.0
-    for order in _JACOBI_ORDERS:
-        nodes, weights = _jacobi_rule(order, gamma)
-        v = 0.5 * (nodes + 1.0)
-        s = 1.0 - width * v
-        vals = np.array([g(si) for si in s])
-        panel = scale * 0.5 ** (gamma + 1.0) * float(np.dot(weights, vals))
-        if panel_prev is not None:
-            tol = _REL_TOL * max(abs(smooth + panel), 1e-300)
-            if abs(panel - panel_prev) <= tol:
-                return smooth + panel
-        panel_prev = panel
-
-    # a boundary layer thinner than the top Jacobi order resolves (nearly
-    # tied tilt coordinates); hand the whole weight to adaptive QUADPACK
-    val, err, *rest = integrate.quad(
-        g, 0.0, 1.0, weight="alg", wvar=(0.0, gamma),
-        epsabs=0.0, epsrel=_REL_TOL, limit=_MAX_SUBDIVISIONS,
-        full_output=1)
-    if err > 1e3 * _REL_TOL * max(abs(val), 1e-300):
-        raise NumericError("endpoint panel did not converge",
-                           {"smooth": smooth, "panel": panel, "gamma": gamma,
-                            "adaptive": val, "abserr": err})
-    return val
-
-
-class _Integrand:
-    """Shared geometry for the mgf integrals at a fixed tilt."""
-
-    def __init__(self, lam: LogWeights, nu: OffspringLaw, q: float):
-        vals = lam.values
-        finite = np.isfinite(vals)
-        self.finite = finite
-        self.lam_bar = float(np.max(vals[finite]))
-        self.exponents = nu.weights * (1.0 - q) / q
-        rel = np.array([math.exp(v - self.lam_bar) for v in vals])
-        # an entry so close to the maximum that exp(gap) rounds to 1 is tied
-        # with it; kept apart it would put a zero of (1 - e s) at s = 1
-        top = finite & (rel == 1.0)
-        self.top = top
-        self.c_star = float(self.exponents[top].sum())
-        lower = finite & ~top
-        self.lower_idx = np.nonzero(lower)[0]
-        self.lower_e = rel[lower].tolist()
-        self.lower_c = [float(c) for c in self.exponents[lower]]
-
-    def smooth_factor(self, s: float) -> float:
-        """G(s) = prod over non-maximal entries of (1 - e_k s)^{c_k}."""
-        acc = 0.0
-        for e, c in zip(self.lower_e, self.lower_c):
-            acc += c * math.log1p(-e * s)
-        return math.exp(acc)
-
-
-def _mgf_parts(lam: LogWeights, nu: OffspringLaw, q: float, want_grad: bool):
-    """Log of the rescaled integral and, optionally, raw gradient parts."""
-    geom = _Integrand(lam, nu, q)
-    denom = _endpoint_integral(geom.smooth_factor, geom.c_star)
-    if not (denom > 0.0) or not math.isfinite(denom):
-        raise NumericError("mgf integral collapsed", {"denominator": denom})
-    log_integral = -geom.lam_bar + math.log(denom)
-    if not want_grad:
-        return log_integral, None
-
-    grad = np.zeros(len(lam.support))
-    for pos, e, c in zip(geom.lower_idx, geom.lower_e, geom.lower_c):
-        def ratio(s: float, e=e) -> float:
-            u = e * s
-            return u / (1.0 - u) * geom.smooth_factor(s)
-        grad[pos] = c * _endpoint_integral(ratio, geom.c_star) / denom
-    if geom.top.any():
-        def top_ratio(s: float) -> float:
-            return s * geom.smooth_factor(s)
-        shared = _endpoint_integral(top_ratio, geom.c_star - 1.0) / denom
-        grad[geom.top] = geom.exponents[geom.top] * shared
-    return log_integral, grad
-
-
 def sanov_rate(rho: ProbVector, nu: OffspringLaw) -> float:
     """Rate function of iid empirical measures: relative entropy to nu."""
     _check_same_support(rho, nu)
@@ -183,54 +74,21 @@ def reinforced_log_mgf(lam: LogWeights, nu: OffspringLaw, q: float) -> float:
     _check_q(q)
     if lam.all_neg_inf:
         return -math.inf
-    log_integral, _ = _mgf_parts(lam, nu, q, want_grad=False)
-    return math.log(q) - log_integral
-
-
-def reinforced_log_mgf_polynomial(lam: LogWeights, nu: OffspringLaw, q: float) -> float:
-    """Closed-form value when every exponent nu(k)(1-q)/q is an integer.
-
-    The integrand is then a polynomial of degree d, the summed exponents, and
-    Gauss-Legendre on floor(d/2) + 1 nodes integrates it exactly; the product
-    is evaluated in log space at the nodes, never expanded into
-    coefficients. Independent of the quadrature path.
-    """
-    _check_same_support(lam, nu)
-    _check_q(q)
-    if lam.all_neg_inf:
-        return -math.inf
-    exponents = nu.weights * (1.0 - q) / q
-    rounded = np.round(exponents)
-    if np.max(np.abs(exponents - rounded)) > 1e-9 * max(1.0, float(np.max(exponents))):
-        raise ContractViolationError("exponents are not integers; no polynomial form")
-    finite = lam.finite_mask()
-    lam_bar = float(np.max(lam.values[finite]))
-    e = np.exp(lam.values[finite] - lam_bar)
-    degree = int(rounded[finite].sum())
-    nodes, weights = np.polynomial.legendre.leggauss(degree // 2 + 1)
-    t = 0.5 * (nodes + 1.0)
-    log_terms = rounded[finite] @ np.log1p(-np.outer(e, t))
-    integral = 0.5 * float(weights @ np.exp(log_terms))
-    return math.log(q) + lam_bar - math.log(integral)
+    return _tilt_eval(lam, nu, q)[0]
 
 
 def reinforced_log_mgf_grad(lam: LogWeights, nu: OffspringLaw, q: float) -> ProbVector:
     """Gradient of the reinforced log-mgf: a probability vector.
 
-    Components are ratios of endpoint-weighted integrals; they vanish exactly
-    where lam is -inf and sum to 1 (checked against quadrature drift before
-    renormalizing).
+    Components vanish exactly where lam is -inf. The entries at the tilt
+    maximum share what the others leave of the unit mass, by their exponents,
+    so the components sum to 1 by construction.
     """
     _check_same_support(lam, nu)
     _check_q(q)
     if lam.all_neg_inf:
         raise ContractViolationError("gradient undefined at the all -inf sentinel")
-    _, grad = _mgf_parts(lam, nu, q, want_grad=True)
-    drift = abs(float(grad.sum()) - 1.0)
-    if drift > 1e2 * _REL_TOL:
-        raise NumericError("gradient components sum to 1 beyond tolerance",
-                           {"drift": drift, "gradient": grad.tolist()})
-    return ProbVector(lam.support, grad / grad.sum())
+    return ProbVector(lam.support, _tilt_eval(lam, nu, q)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +98,10 @@ def reinforced_log_mgf_grad(lam: LogWeights, nu: OffspringLaw, q: float) -> Prob
 # tilt coordinates tie within exp(-O(q/(1-q))), far below float resolution,
 # so no iteration in tilt space can separate them. The solver works in
 # m_k = log(1 - exp(tilt_k)) instead, where the optimum is O(1), and pushes
-# the integrals through x = -log(t), where each factor delta + (1-delta)e^{-x}
-# crosses over smoothly at x = log((1-delta)/delta) with unit width whatever
-# the size of delta. The same coordinates serve every q in (0, 1).
+# the integrals through x = -log(1 - t), where each factor delta +
+# (1-delta)e^{-x} crosses over smoothly at x = log((1-delta)/delta) with unit
+# width whatever the size of delta. The same coordinates serve every q in
+# (0, 1), and the log-mgf and its gradient above.
 # ---------------------------------------------------------------------------
 
 _BOUNDARY_ORDER = 40
@@ -301,8 +160,9 @@ def _boundary_nodes(m: np.ndarray, lg1m: np.ndarray, c_total: float):
 
 
 def _boundary_eval(m: np.ndarray, lg1m: np.ndarray, c: np.ndarray,
-                   c_top: float):
-    """Integral, gradient, and the Jacobian dg/dm at coordinate m.
+                   c_top: float, jacobian: bool = True):
+    """Integral, gradient, and (unless ``jacobian`` is false, when it is
+    None) the Jacobian dg/dm at coordinate m.
 
     ``m``, ``lg1m`` (the tilt, log(1 - delta)) and ``c`` cover the
     coordinates below the tilt maximum; the coordinates at the maximum
@@ -311,7 +171,6 @@ def _boundary_eval(m: np.ndarray, lg1m: np.ndarray, c: np.ndarray,
     coordinates whose delta or 1 - delta underflows float64 are still exact.
     """
     x, w, x_end = _boundary_nodes(m, lg1m, float(c.sum()) + c_top)
-    n = len(m)
     lgf = np.logaddexp(m[:, None], lg1m[:, None] - x[None, :])
     big_l = -(1.0 + c_top) * x + c @ lgf
     lg_om = np.log(-np.expm1(-x))
@@ -321,26 +180,42 @@ def _boundary_eval(m: np.ndarray, lg1m: np.ndarray, c: np.ndarray,
 
     ival = float(w @ np.exp(big_l)) + math.exp(log_tail)
     lgr = lg1m[:, None] + lg_om[None, :] - lgf
-    grad_i = np.empty(n)
-    for k in range(n):
-        tail = math.exp(lg1m[k] - m[k] + log_tail)
-        grad_i[k] = c[k] * (float(w @ np.exp(big_l + lgr[k])) + tail)
-    g = grad_i / ival
+    tail_r = np.exp(lg1m - m + log_tail)
+    g = c * (np.exp(big_l + lgr) @ w + tail_r) / ival
+    if not jacobian:
+        return ival, g, None
 
     lgh = m[:, None] + lg_om[None, :] - lgf
-    div = np.empty(n)
-    for j in range(n):
-        div[j] = c[j] * (float(w @ np.exp(big_l + lgh[j])) + math.exp(log_tail))
-    cross = np.empty((n, n))
-    for k in range(n):
-        tail_r = math.exp(lg1m[k] - m[k] + log_tail)
-        for j in range(n):
-            cross[k, j] = c[k] * c[j] * (
-                float(w @ np.exp(big_l + lgr[k] + lgh[j])) + tail_r)
-        own = float(w @ np.exp(big_l + m[k] + lg_om - 2.0 * lgf[k]))
-        cross[k, k] -= c[k] * (own + math.exp(-m[k] + log_tail))
+    div = c * (np.exp(big_l + lgh) @ w + math.exp(log_tail))
+    cross = np.outer(c, c) * (
+        np.exp(big_l + lgr[:, None, :] + lgh[None, :, :]) @ w + tail_r[:, None])
+    own = np.exp(big_l + m[:, None] + lg_om - 2.0 * lgf) @ w
+    cross[np.diag_indices_from(cross)] -= c * (own + np.exp(log_tail - m))
     jac = (cross - np.outer(g, div)) / ival
     return ival, g, jac
+
+
+def _tilt_eval(lam: LogWeights, nu: OffspringLaw, q: float):
+    """Log-mgf and its gradient at a tilt with a finite entry, by the
+    boundary-layer rule.
+
+    With gap_k = lam_k - max lam, the entries at gap 0 are pinned and the
+    others enter with m_k = log(1 - e^{gap_k}) and log(1 - delta_k) = gap_k.
+    """
+    vals = lam.values
+    finite = lam.finite_mask()
+    lam_bar = float(np.max(vals[finite]))
+    gap = vals - lam_bar
+    exponents = nu.weights * (1.0 - q) / q
+    top = gap == 0.0
+    low = finite & ~top
+    c_top = float(exponents[top].sum())
+    ival, g, _ = _boundary_eval(np.log(-np.expm1(gap[low])), gap[low],
+                                exponents[low], c_top, jacobian=False)
+    grad = np.zeros(len(vals))
+    grad[low] = g
+    grad[top] = (1.0 - float(g.sum())) * exponents[top] / c_top
+    return math.log(q) + lam_bar - math.log(ival), grad
 
 
 def reinforced_rate(rho: ProbVector, nu: OffspringLaw, q: float) -> RateDual:
@@ -485,8 +360,8 @@ def min_rate_over_halfspace(nu: OffspringLaw, q: float, w, c: float):
         return nu_vec, 0.0
     if c == top:
         tilt = LogWeights(nu.support, np.where(w == top, 0.0, -np.inf))
-        return (reinforced_log_mgf_grad(tilt, nu, q),
-                -reinforced_log_mgf(tilt, nu, q))
+        log_mgf, grad = _tilt_eval(tilt, nu, q)
+        return ProbVector(nu.support, grad), -log_mgf
 
     low = w < top
     log_gap = np.log(top - w[low])
@@ -500,7 +375,7 @@ def min_rate_over_halfspace(nu: OffspringLaw, q: float, w, c: float):
         small = y < 1e-4
         m = np.where(small, log_theta + log_gap - 0.5 * y + y * y / 24.0,
                      np.log(-np.expm1(-np.where(small, 1.0, y))))
-        ival, g, _ = _boundary_eval(m, -y, c_low, c_top)
+        ival, g, _ = _boundary_eval(m, -y, c_low, c_top, jacobian=False)
         return ival, g
 
     def excess(log_theta):

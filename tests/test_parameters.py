@@ -14,8 +14,7 @@ from rgw import (ContractViolationError, ControlPath, LogWeights, OffspringLaw,
                  growth_exponent, law_from_activity, many_to_one_estimate,
                  min_rate_over_halfspace, mixed_entropy, proportional_baseline,
                  rate_by_control, reinforced_log_mgf, reinforced_log_mgf_grad,
-                 reinforced_log_mgf_polynomial, reinforced_rate,
-                 replacement_matrix, simulate_reinforced_urn,
+                 reinforced_rate, replacement_matrix, simulate_reinforced_urn,
                  simulate_spine_urn, simulate_tree_campaign,
                  solve_survival_minimizer, stationarity_ratios,
                  survival_functional, two_phase_probe, validate_activities)
@@ -29,8 +28,6 @@ ACTIVITIES = (0.5, 4.0 / 3.0)
 CALLS = [
     ("mixed_entropy", lambda q: mixed_entropy(TARGET, FLAGSHIP, q), True),
     ("reinforced_log_mgf", lambda q: reinforced_log_mgf(TILT, FLAGSHIP, q), False),
-    ("reinforced_log_mgf_polynomial",
-     lambda q: reinforced_log_mgf_polynomial(TILT, FLAGSHIP, q), False),
     ("reinforced_log_mgf_grad",
      lambda q: reinforced_log_mgf_grad(TILT, FLAGSHIP, q), False),
     ("reinforced_rate", lambda q: reinforced_rate(TARGET, FLAGSHIP, q), False),

@@ -5,17 +5,21 @@ from __future__ import annotations
 
 import math
 import time
+from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
+from scipy import integrate
+from scipy.special import roots_jacobi
 
 from rgw import (ContractViolationError, NumericError, OffspringLaw,
                  ProbVector, RngStream, concentration_target, growth_exponent,
-                 log_degree_weights, min_rate_over_halfspace, pair,
-                 reinforced_log_mgf, reinforced_log_mgf_grad,
-                 reinforced_log_mgf_polynomial, reinforced_rate,
-                 relative_entropy, sanov_rate)
+                 min_rate_over_halfspace, pair, reinforced_log_mgf,
+                 reinforced_log_mgf_grad, reinforced_rate, relative_entropy,
+                 sanov_rate)
 from rgw.measures import LogWeights, align, mix
+from rgw.rate import _boundary_eval, _boundary_nodes
 
 FLAGSHIP = OffspringLaw((1, 2), (0.5, 0.5))
 Q = 1.0 / 3.0
@@ -51,6 +55,230 @@ def random_target(gen: np.random.Generator,
     return ProbVector(nu.support, w / w.sum())
 
 
+# ---------------------------------------------------------------------------
+# Oracles for the log-mgf and its gradient, independent of the boundary-layer
+# rule of rgw.rate.
+#
+# QUADPACK: adaptive Gauss-Kronrod panels over the first 90% of the rescaled
+# interval and a Gauss-Jacobi panel with weight (1-s)^{c*} over the last 10%,
+# c* the summed exponents of the maximal entries. It cannot resolve a tilt
+# whose entries differ by 1e-16 to 1e-11: the endpoint panel does not
+# converge, or the components do not sum to 1.
+# ---------------------------------------------------------------------------
+
+_JACOBI_ORDERS = (12, 20, 32, 52, 84, 136)
+_PANEL_SPLIT = 0.9
+# relative target and QUADPACK subdivision limit of every log-mgf integral
+_REL_TOL = 1e-10
+_MAX_SUBDIVISIONS = 200
+
+
+@lru_cache(maxsize=256)
+def _jacobi_rule(order: int, gamma: float):
+    nodes, weights = roots_jacobi(order, 0.0, gamma)
+    return nodes, weights
+
+
+def _endpoint_integral(g, gamma: float) -> float:
+    """integral_0^1 (1-s)^gamma g(s) ds with g smooth on [0, 1]."""
+    smooth, err, *rest = integrate.quad(
+        lambda s: (1.0 - s) ** gamma * g(s),
+        0.0, _PANEL_SPLIT, epsabs=0.0, epsrel=_REL_TOL,
+        limit=_MAX_SUBDIVISIONS, full_output=1)
+    if err > 1e3 * _REL_TOL * max(abs(smooth), 1e-300):
+        raise NumericError("adaptive panel did not converge",
+                           {"value": smooth, "abserr": err})
+
+    # last 10%: s = 1 - (1 - split) v pulls the weight onto v^gamma at v = 0
+    width = 1.0 - _PANEL_SPLIT
+    scale = width ** (gamma + 1.0)
+    if scale == 0.0:
+        return smooth
+    panel_prev = None
+    panel = 0.0
+    for order in _JACOBI_ORDERS:
+        nodes, weights = _jacobi_rule(order, gamma)
+        v = 0.5 * (nodes + 1.0)
+        s = 1.0 - width * v
+        vals = np.array([g(si) for si in s])
+        panel = scale * 0.5 ** (gamma + 1.0) * float(np.dot(weights, vals))
+        if panel_prev is not None:
+            tol = _REL_TOL * max(abs(smooth + panel), 1e-300)
+            if abs(panel - panel_prev) <= tol:
+                return smooth + panel
+        panel_prev = panel
+
+    # a boundary layer thinner than the top Jacobi order resolves (nearly
+    # tied tilt coordinates); hand the whole weight to adaptive QUADPACK
+    val, err, *rest = integrate.quad(
+        g, 0.0, 1.0, weight="alg", wvar=(0.0, gamma),
+        epsabs=0.0, epsrel=_REL_TOL, limit=_MAX_SUBDIVISIONS,
+        full_output=1)
+    if err > 1e3 * _REL_TOL * max(abs(val), 1e-300):
+        raise NumericError("endpoint panel did not converge",
+                           {"smooth": smooth, "panel": panel, "gamma": gamma,
+                            "adaptive": val, "abserr": err})
+    return val
+
+
+class _Integrand:
+    """Shared geometry for the mgf integrals at a fixed tilt."""
+
+    def __init__(self, lam: LogWeights, nu: OffspringLaw, q: float):
+        vals = lam.values
+        finite = np.isfinite(vals)
+        self.finite = finite
+        self.lam_bar = float(np.max(vals[finite]))
+        self.exponents = nu.weights * (1.0 - q) / q
+        rel = np.array([math.exp(v - self.lam_bar) for v in vals])
+        # an entry so close to the maximum that exp(gap) rounds to 1 is tied
+        # with it; kept apart it would put a zero of (1 - e s) at s = 1
+        top = finite & (rel == 1.0)
+        self.top = top
+        self.c_star = float(self.exponents[top].sum())
+        lower = finite & ~top
+        self.lower_idx = np.nonzero(lower)[0]
+        self.lower_e = rel[lower].tolist()
+        self.lower_c = [float(c) for c in self.exponents[lower]]
+
+    def smooth_factor(self, s: float) -> float:
+        """G(s) = prod over non-maximal entries of (1 - e_k s)^{c_k}."""
+        acc = 0.0
+        for e, c in zip(self.lower_e, self.lower_c):
+            acc += c * math.log1p(-e * s)
+        return math.exp(acc)
+
+
+def _mgf_parts(lam: LogWeights, nu: OffspringLaw, q: float, want_grad: bool):
+    """Log of the rescaled integral and, optionally, raw gradient parts."""
+    geom = _Integrand(lam, nu, q)
+    denom = _endpoint_integral(geom.smooth_factor, geom.c_star)
+    if not (denom > 0.0) or not math.isfinite(denom):
+        raise NumericError("mgf integral collapsed", {"denominator": denom})
+    log_integral = -geom.lam_bar + math.log(denom)
+    if not want_grad:
+        return log_integral, None
+
+    grad = np.zeros(len(lam.support))
+    for pos, e, c in zip(geom.lower_idx, geom.lower_e, geom.lower_c):
+        def ratio(s: float, e=e) -> float:
+            u = e * s
+            return u / (1.0 - u) * geom.smooth_factor(s)
+        grad[pos] = c * _endpoint_integral(ratio, geom.c_star) / denom
+    if geom.top.any():
+        def top_ratio(s: float) -> float:
+            return s * geom.smooth_factor(s)
+        shared = _endpoint_integral(top_ratio, geom.c_star - 1.0) / denom
+        grad[geom.top] = geom.exponents[geom.top] * shared
+    return log_integral, grad
+
+
+def quadpack_log_mgf(lam: LogWeights, nu: OffspringLaw, q: float):
+    """Log-mgf and its gradient by the QUADPACK oracle; the gradient is
+    checked to sum to 1 against quadrature drift, then renormalized."""
+    log_integral, grad = _mgf_parts(lam, nu, q, want_grad=True)
+    drift = abs(float(grad.sum()) - 1.0)
+    if drift > 1e2 * _REL_TOL:
+        raise NumericError("gradient components sum to 1 beyond tolerance",
+                           {"drift": drift, "gradient": grad.tolist()})
+    return math.log(q) - log_integral, grad / grad.sum()
+
+
+def polynomial_log_mgf(lam: LogWeights, nu: OffspringLaw, q: float):
+    """Log-mgf and its gradient when every exponent nu(k)(1-q)/q is an
+    integer.
+
+    The integrand is then a polynomial of degree d, the summed exponents, and
+    so is each gradient numerator c_k t e_k (1 - t e_k)^{c_k - 1} times the
+    other factors; Gauss-Legendre on floor(d/2) + 1 nodes integrates them
+    exactly. The products are evaluated in log space at the nodes, never
+    expanded into coefficients.
+    """
+    exponents = nu.weights * (1.0 - q) / q
+    rounded = np.round(exponents)
+    assert np.max(np.abs(exponents - rounded)) <= 1e-9 * max(
+        1.0, float(np.max(exponents))), "exponents are not integers"
+    finite = lam.finite_mask()
+    lam_bar = float(np.max(lam.values[finite]))
+    e = np.exp(lam.values[finite] - lam_bar)
+    degree = int(rounded[finite].sum())
+    nodes, weights = np.polynomial.legendre.leggauss(degree // 2 + 1)
+    t = 0.5 * (nodes + 1.0)
+    u = np.outer(e, t)
+    log1m = np.log1p(-u)
+    log_terms = rounded[finite] @ log1m
+    integral = 0.5 * float(weights @ np.exp(log_terms))
+    numer = 0.5 * (u * np.exp(log_terms - log1m)) @ weights
+    grad = np.zeros(len(lam.values))
+    grad[finite] = rounded[finite] * numer / integral
+    return math.log(q) + lam_bar - math.log(integral), grad
+
+
+def tanh_sinh_log_mgf(gap: float, q: float):
+    """Log-mgf and gradient of FLAGSHIP at the tilt (0, -gap), by tanh-sinh
+    quadrature at 30 digits.
+
+    In u = 1 - t the integrand is u^c l(u)^c with l(u) = u + (1 - u) delta,
+    c = (1 - q) / (2 q) and delta = 1 - e^{-gap}; each integral is split at
+    the boundary layer u = delta. The component at the maximum carries
+    u^{c-1}, which v = u^c turns into a bounded integrand.
+    """
+    with mpmath.workdps(30):
+        q_mp = mpmath.mpf(q)
+        c = (1 - q_mp) / (2 * q_mp)
+        delta = -mpmath.expm1(-mpmath.mpf(gap))
+
+        def layer(u):
+            return u + (1 - u) * delta
+
+        integral = mpmath.quad(lambda u: u ** c * layer(u) ** c, [0, delta, 1])
+        top = mpmath.quad(
+            lambda v: (1 - v ** (1 / c)) * layer(v ** (1 / c)) ** c,
+            [0, delta ** c, 1])
+        low = c * mpmath.quad(
+            lambda u: (1 - u) * (1 - delta) * u ** c * layer(u) ** (c - 1),
+            [0, delta, 1])
+        return (float(mpmath.log(q_mp) - mpmath.log(integral)),
+                np.array([float(top / integral), float(low / integral)]))
+
+
+def boundary_eval_loops(m: np.ndarray, lg1m: np.ndarray, c: np.ndarray,
+                        c_top: float):
+    """_boundary_eval with one weighted sum per gradient component and per
+    Jacobian entry: the loops its array expressions replaced."""
+    x, w, x_end = _boundary_nodes(m, lg1m, float(c.sum()) + c_top)
+    n = len(m)
+    lgf = np.logaddexp(m[:, None], lg1m[:, None] - x[None, :])
+    big_l = -(1.0 + c_top) * x + c @ lgf
+    lg_om = np.log(-np.expm1(-x))
+    # past x_end every f_k has settled at delta_k: the tail integrates
+    # e^{-(1 + c_top) x} prod delta^c in closed form
+    log_tail = float(np.dot(c, m)) - (1.0 + c_top) * x_end - math.log1p(c_top)
+
+    ival = float(w @ np.exp(big_l)) + math.exp(log_tail)
+    lgr = lg1m[:, None] + lg_om[None, :] - lgf
+    grad_i = np.empty(n)
+    for k in range(n):
+        tail = math.exp(lg1m[k] - m[k] + log_tail)
+        grad_i[k] = c[k] * (float(w @ np.exp(big_l + lgr[k])) + tail)
+    g = grad_i / ival
+
+    lgh = m[:, None] + lg_om[None, :] - lgf
+    div = np.empty(n)
+    for j in range(n):
+        div[j] = c[j] * (float(w @ np.exp(big_l + lgh[j])) + math.exp(log_tail))
+    cross = np.empty((n, n))
+    for k in range(n):
+        tail_r = math.exp(lg1m[k] - m[k] + log_tail)
+        for j in range(n):
+            cross[k, j] = c[k] * c[j] * (
+                float(w @ np.exp(big_l + lgr[k] + lgh[j])) + tail_r)
+        own = float(w @ np.exp(big_l + m[k] + lg_om - 2.0 * lgf[k]))
+        cross[k, k] -= c[k] * (own + math.exp(-m[k] + log_tail))
+    jac = (cross - np.outer(g, div)) / ival
+    return ival, g, jac
+
+
 class TestLogMgf:
     def test_matches_closed_form_on_grid(self):
         for x in np.linspace(-2.0, 2.0, 11):
@@ -74,8 +302,59 @@ class TestLogMgf:
                                               replace=False).tolist()))
             nu = OffspringLaw(support, exps / exps.sum())
             lam = LogWeights(support, tuple(gen.uniform(-2, 2, size)))
-            assert reinforced_log_mgf_polynomial(lam, nu, q) == pytest.approx(
-                reinforced_log_mgf(lam, nu, q), abs=1e-10)
+            value, grad = polynomial_log_mgf(lam, nu, q)
+            assert value == pytest.approx(reinforced_log_mgf(lam, nu, q),
+                                          abs=1e-10)
+            got = reinforced_log_mgf_grad(lam, nu, q).weights
+            assert np.max(np.abs(got - grad)) <= 1e-12
+
+    @pytest.mark.parametrize("q", (1e-3, 0.01, 1.0 / 3.0, 0.7, 0.99, 0.999))
+    def test_agrees_with_the_quadpack_oracle(self, q):
+        # random tilts on 2-8 atoms, some with -inf entries and some with
+        # entries exactly tied at the maximum
+        gen = RngStream(25).generator("rate-tests")
+        for case in range(12):
+            size = int(gen.integers(2, 9))
+            support = tuple(sorted(gen.choice(np.arange(0, 9), size=size,
+                                              replace=False).tolist()))
+            nu = edge_law(support, np.maximum(gen.dirichlet(np.ones(size)),
+                                              1e-3))
+            vals = gen.uniform(-2.0, 2.0, size)
+            if case % 3 == 1:
+                vals[gen.choice(size, size=int(gen.integers(1, size)),
+                                replace=False)] = -np.inf
+            elif case % 3 == 2:
+                vals[gen.choice(size, size=2, replace=False)] = vals.max()
+            lam = LogWeights(support, tuple(vals))
+            value, grad = quadpack_log_mgf(lam, nu, q)
+            got = reinforced_log_mgf(lam, nu, q)
+            assert abs(got - value) <= 1e-12 * max(1.0, abs(value))
+            got_grad = reinforced_log_mgf_grad(lam, nu, q).weights
+            assert np.max(np.abs(got_grad - grad)) <= 1e-12
+
+    def test_array_form_matches_the_loops(self):
+        # a single coordinate below the maximum, as on the two-atom laws of
+        # the golden files, takes the same sums in the same order; more
+        # coordinates are summed in another order
+        gen = RngStream(26).generator("rate-tests")
+        for _ in range(200):
+            n = int(gen.integers(0, 9))
+            q = float(gen.uniform(1e-3, 0.999))
+            c = gen.dirichlet(np.ones(n + 1))[:n] * (1.0 - q) / q
+            c_top = float(gen.uniform(0.0, 1.0)) * (1.0 - q) / q
+            m = -np.exp(gen.uniform(-30.0, 6.0, n))
+            lg1m = np.log1p(-np.exp(m))
+            ival, g, jac = _boundary_eval(m, lg1m, c, c_top)
+            ref_ival, ref_g, ref_jac = boundary_eval_loops(m, lg1m, c, c_top)
+            assert ival == ref_ival
+            if n <= 1:
+                assert np.array_equal(g, ref_g) and np.array_equal(jac, ref_jac)
+            else:
+                assert np.max(np.abs(g - ref_g)) <= 1e-13 * np.max(ref_g)
+                assert (np.max(np.abs(jac - ref_jac))
+                        <= 1e-13 * np.max(np.abs(ref_jac)))
+            assert np.array_equal(_boundary_eval(m, lg1m, c, c_top,
+                                                 jacobian=False)[1], g)
 
     def test_gauge_shift_adds_constant(self):
         gen = RngStream(18).generator("rate-tests")
@@ -99,17 +378,6 @@ class TestLogMgf:
             grad = reinforced_log_mgf_grad(lam, nu, q)
             assert float(np.sum(grad.weights)) == pytest.approx(1.0, abs=1e-9)
             assert np.all(grad.weights >= 0.0)
-
-    def test_near_tied_tilt_counts_as_tied(self):
-        # exp(-1e-17) rounds to 1, so this tilt is (0, 0) to the integrand
-        near = LogWeights((1, 2), (0.0, -1e-17))
-        tied = LogWeights((1, 2), (0.0, 0.0))
-        for q in (0.7, 0.9):
-            assert (reinforced_log_mgf(near, FLAGSHIP, q)
-                    == reinforced_log_mgf(tied, FLAGSHIP, q))
-            grad = reinforced_log_mgf_grad(near, FLAGSHIP, q)
-            assert grad.weights.tolist() == pytest.approx([0.5, 0.5],
-                                                          abs=1e-12)
 
 
 class TestRate:
@@ -242,17 +510,18 @@ class TestEdges:
             pair(rho, dual.tilt) - reinforced_log_mgf(dual.tilt, nu, q),
             abs=1e-8)
 
-    @pytest.mark.xfail(raises=NumericError, strict=True,
-                       reason="the gradient quadrature cannot resolve a tilt "
-                              "whose entries differ by 1e-16 to 1e-11: the "
-                              "endpoint panel does not converge, or the "
-                              "components do not sum to 1")
     @pytest.mark.parametrize("q,gap", [
-        *((0.9, 10.0 ** -e) for e in range(16, 10, -1)), (0.7, 1e-16)])
+        *((0.9, 10.0 ** -e) for e in range(16, 10, -1)), (0.7, 1e-16),
+        (0.7, 1e-17), (0.9, 1e-17), (0.99, 1e-16), (0.99, 1e-12)])
     def test_gradient_at_a_near_tied_tilt(self, q, gap):
+        # a boundary layer of width gap at the endpoint, which the QUADPACK
+        # oracle cannot resolve; at gap 1e-17, e^{-gap} rounds to 1
         lam = LogWeights((1, 2), (0.0, -gap))
-        grad = reinforced_log_mgf_grad(lam, FLAGSHIP, q)
-        assert float(np.sum(grad.weights)) == pytest.approx(1.0, abs=1e-9)
+        value, grad = tanh_sinh_log_mgf(gap, q)
+        assert abs(reinforced_log_mgf(lam, FLAGSHIP, q) - value) <= 1e-12
+        got = reinforced_log_mgf_grad(lam, FLAGSHIP, q).weights
+        assert np.max(np.abs(got - grad)) <= 1e-12
+        assert abs(float(np.sum(got)) - 1.0) <= 1e-15
 
 
 class TestSanov:
