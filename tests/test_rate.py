@@ -19,7 +19,7 @@ from rgw import (ContractViolationError, NumericError, OffspringLaw,
                  reinforced_log_mgf_grad, reinforced_rate, relative_entropy,
                  sanov_rate)
 from rgw.measures import LogWeights, align, mix
-from rgw.rate import _boundary_eval, _boundary_nodes
+from rgw.rate import _BOUNDARY_TAIL, _boundary_eval, _boundary_nodes
 
 FLAGSHIP = OffspringLaw((1, 2), (0.5, 0.5))
 Q = 1.0 / 3.0
@@ -243,17 +243,21 @@ def tanh_sinh_log_mgf(gap: float, q: float):
 
 
 def boundary_eval_loops(m: np.ndarray, lg1m: np.ndarray, c: np.ndarray,
-                        c_top: float):
+                        c_top: float, tail: bool = False):
     """_boundary_eval with one weighted sum per gradient component and per
-    Jacobian entry: the loops its array expressions replaced."""
-    x, w, x_end = _boundary_nodes(m, lg1m, float(c.sum()) + c_top)
+    Jacobian entry: the loops its array expressions replaced. With ``tail``
+    each sum also gets its part past the rule's end x_end in closed form."""
+    x, w = _boundary_nodes(m, lg1m, float(c.sum()) + c_top)
     n = len(m)
     lgf = np.logaddexp(m[:, None], lg1m[:, None] - x[None, :])
     big_l = -(1.0 + c_top) * x + c @ lgf
     lg_om = np.log(-np.expm1(-x))
     # past x_end every f_k has settled at delta_k: the tail integrates
-    # e^{-(1 + c_top) x} prod delta^c in closed form
-    log_tail = float(np.dot(c, m)) - (1.0 + c_top) * x_end - math.log1p(c_top)
+    # e^{-(1 + c_top) x} prod delta^c; without ``tail`` its terms are 0
+    x_end = (float(np.max(np.clip(lg1m - m, 0.0, None), initial=0.0))
+             + _BOUNDARY_TAIL)
+    log_tail = (float(np.dot(c, m)) - (1.0 + c_top) * x_end
+                - math.log1p(c_top)) if tail else -math.inf
 
     ival = float(w @ np.exp(big_l)) + math.exp(log_tail)
     lgr = lg1m[:, None] + lg_om[None, :] - lgf
@@ -355,6 +359,25 @@ class TestLogMgf:
                         <= 1e-13 * np.max(np.abs(ref_jac)))
             assert np.array_equal(_boundary_eval(m, lg1m, c, c_top,
                                                  jacobian=False)[1], g)
+
+    def test_tail_past_the_rule_is_below_resolution(self):
+        # the closed-form part past x_end, which _boundary_eval leaves out,
+        # changes no float of the integral, the gradient or the Jacobian,
+        # from deep boundary layers (delta near 0 or 1) to exponents near
+        # 1000 (q = 1e-3)
+        gen = RngStream(27).generator("rate-tests")
+        for case in range(200):
+            n = int(gen.integers(0, 9))
+            q = float(10.0 ** gen.uniform(-3.0, math.log10(0.999)))
+            c = gen.dirichlet(np.ones(n + 1))[:n] * (1.0 - q) / q
+            c_top = float(gen.uniform(0.0, 1.0)) * (1.0 - q) / q
+            m = -np.exp(gen.uniform(-30.0, 6.0, n))
+            lg1m = np.log1p(-np.exp(m))
+            got = boundary_eval_loops(m, lg1m, c, c_top)
+            full = boundary_eval_loops(m, lg1m, c, c_top, tail=True)
+            assert got[0] == full[0]
+            assert np.array_equal(got[1], full[1])
+            assert np.array_equal(got[2], full[2])
 
     def test_gauge_shift_adds_constant(self):
         gen = RngStream(18).generator("rate-tests")

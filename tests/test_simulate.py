@@ -54,6 +54,7 @@ class TestTreeCampaign:
         camp = simulate_tree_campaign(FLAGSHIP, q, 4, 5, RngStream(3))
         assert camp.populations.flags.writeable is False
         assert camp.truncated_at.flags.writeable is False
+        assert camp.classes.flags.writeable is False
 
     def test_mean_population_matches_enumeration(self):
         replicas = 20000
@@ -107,6 +108,215 @@ class TestTreeCampaign:
         nu = OffspringLaw(tuple(range(1, 8)), (1.0 / 7.0,) * 7)
         with pytest.raises(ContractViolationError, match="overflow"):
             simulate_tree_campaign(nu, Q, 10_000, 4, RngStream(25))
+
+
+# The per-chunk class loop that passes of chunks replaced, kept as their
+# oracle with its plain-argsort class step and a count of the draws it
+# takes: each chunk of _CHUNK replicas is keyed and stepped alone, and draws
+# from its own child stream in ascending key order, as every pass must too.
+
+
+def argsort_class_step(keys, draws, pick, shift, gain):
+    kids = draws[:, pick] * gain
+    child = keys[:, None] + shift
+    born = kids > 0
+    child, kids = child[born], kids[born]
+    order = np.argsort(child)
+    child, kids = child[order], kids[order]
+    head = np.ones(child.size, dtype=bool)
+    head[1:] = child[1:] != child[:-1]
+    starts = np.flatnonzero(head)
+    mult = np.add.reduceat(kids, starts) if starts.size else kids
+    return child[starts], mult
+
+
+def chunk_loop_campaign(nu, q, n_max, replicas, rng, *,
+                        pop_cap=simulate.DEFAULT_POP_CAP,
+                        keep_histograms=False):
+    support = nu.support
+    k = len(support)
+    support_arr = np.asarray(support, dtype=np.int64)
+    pos_cols = np.flatnonzero(support_arr > 0)
+    layout = simulate._ClassKeys.layout(pos_cols, k, n_max,
+                                        min(replicas, simulate._CHUNK))
+    shift, gain = layout.place[pos_cols], support_arr[pos_cols]
+    pop_parts, trunc_parts = [], []
+    classes = np.zeros(n_max, dtype=np.int64)
+    hist_acc = ([dict() for _ in range(n_max + 1)] if keep_histograms
+                else None)
+    for chunk_idx, start in enumerate(range(0, replicas, simulate._CHUNK)):
+        rc = min(simulate._CHUNK, replicas - start)
+        stream = rng.child(chunk_idx)
+        rid = np.arange(rc, dtype=np.int64)
+        hist = np.zeros((rc, k), dtype=np.int64)
+        mult = np.ones(rc, dtype=np.int64)
+        pops = np.zeros((rc, n_max + 1), dtype=np.int64)
+        pops[:, 0] = 1
+        trunc_at = np.full(rc, -1, dtype=np.int64)
+        if hist_acc is not None:
+            for r in range(rc):
+                hist_acc[0][(start + r, (0,) * k)] = 1
+        if pop_cap <= 1:
+            trunc_at[:] = 0
+            rid, hist, mult = rid[:0], hist[:0], mult[:0]
+        for g in range(n_max):
+            if mult.size == 0:
+                break
+            classes[g] += mult.size
+            g_rng = stream.generator("tree", g)
+            p = nu.weights
+            if q > 0.0 and g > 0:
+                p = q / g * hist + (1.0 - q) * nu.weights
+            draws = g_rng.multinomial(mult, p)
+            keys, mult = argsort_class_step(
+                rid * layout.lead + hist @ layout.place, draws, pos_cols,
+                shift, gain)
+            rid, hist = layout.split(keys, g + 1)
+            z = np.zeros(rc, dtype=np.int64)
+            np.add.at(z, rid, mult)
+            live = trunc_at < 0
+            pops[live, g + 1] = z[live]
+            if hist_acc is not None:
+                layer = hist_acc[g + 1]
+                for r, h, m in zip((rid + start).tolist(), hist.tolist(),
+                                   mult.tolist()):
+                    layer[(r, tuple(h))] = m
+            over = live & (z >= pop_cap)
+            if over.any():
+                trunc_at[over] = g + 1
+                keep = ~over[rid]
+                rid, hist, mult = rid[keep], hist[keep], mult[keep]
+        pop_parts.append(pops)
+        trunc_parts.append(trunc_at)
+    return (np.vstack(pop_parts), np.concatenate(trunc_parts),
+            tuple(hist_acc) if hist_acc is not None else None, classes)
+
+
+def assert_matches_chunk_loop(nu, q, n_max, replicas, seed, **options):
+    camp = simulate_tree_campaign(nu, q, n_max, replicas, RngStream(seed),
+                                  **options)
+    pops, trunc_at, hists, classes = chunk_loop_campaign(
+        nu, q, n_max, replicas, RngStream(seed), **options)
+    assert np.array_equal(camp.populations, pops)
+    assert np.array_equal(camp.truncated_at, trunc_at)
+    assert camp.histograms == hists
+    assert np.array_equal(camp.classes, classes)
+    return camp
+
+
+# (law, q, n_max, replicas, options): atom 0 in the support, a cap hit in
+# the middle of passes, censuses, and q = 0 on the class path
+PASS_CASES = [(FLAGSHIP, Q, 8, 5000, {}),
+              (OffspringLaw((0, 1, 3), (0.2, 0.5, 0.3)), 0.45, 7, 4500, {}),
+              (OffspringLaw((1, 2, 3, 5), (0.3, 0.3, 0.2, 0.2)), 0.6, 7, 4200,
+               {"pop_cap": 200}),
+              (OffspringLaw((0, 1, 2), (0.1, 0.3, 0.6)), 0.3, 8, 4400,
+               {"pop_cap": 30, "keep_histograms": True}),
+              (OffspringLaw((0, 1, 2), (0.1, 0.3, 0.6)), 0.0, 8, 4400,
+               {"pop_cap": 30, "keep_histograms": True})]
+
+
+class TestPassesMatchTheChunkLoop:
+    @pytest.mark.parametrize("nu, q, n_max, replicas, options", PASS_CASES,
+                             ids=["flagship", "atom0", "cap", "census",
+                                  "census_q0"])
+    def test_passes_of_two_chunks(self, nu, q, n_max, replicas, options,
+                                  monkeypatch):
+        # replicas not a multiple of the chunk, in three passes or more
+        monkeypatch.setattr(simulate, "_PASS_CHUNKS", 2)
+        assert replicas > 4 * simulate._CHUNK and replicas % simulate._CHUNK
+        camp = assert_matches_chunk_loop(nu, q, n_max, replicas, 40, **options)
+        if "pop_cap" in options:
+            cut = camp.truncated_at[camp.truncated_at > 0]
+            assert cut.size and np.unique(cut).size > 1
+
+    def test_full_passes(self):
+        # one whole pass of _PASS_CHUNKS chunks and a short one
+        replicas = simulate._PASS_CHUNKS * simulate._CHUNK + 700
+        assert_matches_chunk_loop(FLAGSHIP, Q, 5, replicas, 41)
+
+    def test_no_replica_steps_under_a_cap_of_one(self):
+        camp = assert_matches_chunk_loop(FLAGSHIP, Q, 4, 1500, 42, pop_cap=1,
+                                         keep_histograms=True)
+        assert np.all(camp.truncated_at == 0) and not camp.classes.any()
+
+    @pytest.mark.parametrize("n_max, replicas, too_many",
+                             [(400, 2500, 3072), (450, 2500, 2048),
+                              (1000, 4, 1024)],
+                             ids=["two_chunks_per_pass", "one_chunk_per_pass",
+                                  "under_one_chunk"])
+    def test_keys_that_fit_one_chunk_but_not_a_pass(self, n_max, replicas,
+                                                    too_many):
+        # 7 positive atoms: keys of depth 400 fit two chunks but not three,
+        # keys of depth 450 fit one chunk but not two, and keys of depth 1000
+        # fit 4 replicas but not a chunk; the cap ends every replica within
+        # a few generations
+        nu = OffspringLaw(tuple(range(1, 8)), (1.0 / 7.0,) * 7)
+        lead = (n_max + 1) ** 6
+        limit = np.iinfo(np.int64).max
+        assert min(replicas, simulate._CHUNK) * lead <= limit < too_many * lead
+        camp = assert_matches_chunk_loop(nu, Q, n_max, replicas, 43,
+                                         pop_cap=20)
+        assert np.all(camp.truncated_at > 0)
+
+
+class TestClassStep:
+    def test_matches_a_plain_argsort(self):
+        gen = RngStream(44).generator("class-step")
+        for case in range(300):
+            n = int(gen.integers(0, 40)) if case % 10 else 0
+            cols = int(gen.integers(1, 5))
+            # keys and shifts from a narrow range, so children of different
+            # parents often share a key
+            keys = np.unique(gen.integers(0, 60, n)).astype(np.int64)
+            draws = gen.integers(0, 4, (keys.size, cols + 1))
+            draws[gen.random(keys.size) < 0.2] = 0
+            pick = gen.choice(cols + 1, size=cols, replace=False)
+            shift = gen.integers(0, 12, cols).astype(np.int64)
+            gain = gen.integers(1, 4, cols).astype(np.int64)
+            got = simulate._class_step(keys, draws, pick, shift, gain)
+            want = argsort_class_step(keys, draws, pick, shift, gain)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            assert got[0].dtype == got[1].dtype == np.int64
+
+    def test_no_children(self):
+        pick, shift, gain = np.arange(2), np.array([1, 5]), np.array([1, 2])
+        for keys in (np.zeros(0, dtype=np.int64), np.array([3, 7])):
+            draws = np.zeros((keys.size, 2), dtype=np.int64)
+            child, mult = simulate._class_step(keys, draws, pick, shift, gain)
+            assert child.size == 0 and mult.size == 0
+
+
+class TestCampaignClasses:
+    @pytest.mark.parametrize("nu, q, options", [
+        (OffspringLaw((0, 1, 3), (0.2, 0.5, 0.3)), 0.45, {"pop_cap": 40}),
+        (FLAGSHIP, Q, {}),
+        (OffspringLaw((0, 1, 2), (0.1, 0.3, 0.6)), 0.0, {"pop_cap": 30})],
+        ids=["atom0_cap", "flagship", "q0"])
+    def test_classes_are_the_census_keys_still_stepping(self, nu, q, options):
+        n_max, replicas = 6, 1500
+        camp = simulate_tree_campaign(nu, q, n_max, replicas, RngStream(45),
+                                      keep_histograms=True, **options)
+        assert camp.classes.shape == (n_max,)
+        trunc = camp.truncated_at
+        for g in range(n_max):
+            stepping = sum(1 for r, _ in camp.histograms[g]
+                           if not 0 <= trunc[r] <= g)
+            assert camp.classes[g] == stepping
+        if "pop_cap" not in options:
+            assert np.array_equal(camp.classes,
+                                  [len(layer) for layer in camp.histograms[:-1]])
+
+    def test_iid_classes_are_the_active_replicas(self):
+        nu = OffspringLaw((0, 1, 2), (0.3, 0.3, 0.4))
+        camp = simulate_tree_campaign(nu, 0.0, 8, 3000, RngStream(46),
+                                      pop_cap=25)
+        assert camp.histograms is None
+        pops, trunc = camp.populations, camp.truncated_at
+        for g in range(8):
+            active = (pops[:, g] > 0) & ~((trunc >= 0) & (trunc <= g))
+            assert camp.classes[g] == active.sum()
 
 
 class TestEnumeration:
