@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 invalid input, 2 numeric or statistical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -338,6 +339,9 @@ def _cmd_simulate(args) -> int:
     # replica at a time
     census = [sorted(layer.items()) for layer in campaign.histograms]
     cursor = [0] * (args.n_max + 1)
+    # a layer's classes share few distinct histograms, each formatted once
+    hist_key = functools.lru_cache(maxsize=None)(
+        functools.partial(_hist_key, campaign.support))
     last, alive, cut = last.tolist(), alive.tolist(), cut.tolist()
 
     def replica_rows(r):
@@ -350,7 +354,7 @@ def _cmd_simulate(args) -> int:
                 end += 1
             cursor[g] = end
             rows.extend([r, g, pops[g], alive[r], cut[r],
-                         _hist_key(campaign.support, counts), cnt]
+                         hist_key(counts), cnt]
                         for (_, counts), cnt in layer[start:end])
             if start == end:
                 rows.append([r, g, pops[g], alive[r], cut[r], "", ""])

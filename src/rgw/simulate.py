@@ -112,6 +112,9 @@ class TreeCampaign:
     ``classes[g]`` is the number of multinomial draws taken at generation g,
     summed over replicas: the classes of the replicas still stepping, or
     those replicas themselves at q = 0 without a census.
+    ``histograms[g]``, kept on request, is generation g's census
+    ``{(replica, counts): individuals}`` with one entry per class; entries
+    with equal counts share one tuple.
     """
 
     support: tuple[int, ...]
@@ -266,7 +269,9 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
 
     A replica whose population reaches ``pop_cap`` stops there and is
     recorded in ``truncated_at``. ``keep_histograms`` records, for every
-    generation, the census ``{(replica, counts): individuals}``.
+    generation, the census ``{(replica, counts): individuals}``: one dict
+    entry per class, where the classes of a layer that share a histogram
+    share one immutable ``counts`` tuple.
     """
     _check_q(q, allow_zero=True)
     if n_max < 1 or replicas < 1 or pop_cap < 1:
@@ -310,7 +315,8 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
     hist_acc: list[dict] | None = None
     if keep_histograms:
         hist_acc = [dict() for _ in range(n_max + 1)]
-        hist_acc[0] = {(r, (0,) * k): 1 for r in range(replicas)}
+        zero = (0,) * k
+        hist_acc[0] = {(r, zero): 1 for r in range(replicas)}
     for start in range(0, replicas, per_pass) if pop_cap > 1 else ():
         rc = min(per_pass, replicas - start)
         streams = [rng.child(c) for c in range(start // _CHUNK,
@@ -343,8 +349,15 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
             ends, z = _run_sums(rid, mult)
             pops[rid[ends], g + 1] = z
             if hist_acc is not None:
+                # equal histogram digits mean equal histograms, so each
+                # distinct one becomes a tuple once and its classes share it
+                _, first, inverse = np.unique(keys - rid * layout.lead,
+                                              return_index=True,
+                                              return_inverse=True)
+                shared = np.fromiter(map(tuple, hist[first].tolist()),
+                                     dtype=object, count=first.size)
                 hist_acc[g + 1].update(zip(
-                    zip((rid + start).tolist(), map(tuple, hist.tolist())),
+                    zip((rid + start).tolist(), shared[inverse].tolist()),
                     mult.tolist()))
             over = pops[:, g + 1] >= pop_cap
             if over.any():

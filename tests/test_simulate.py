@@ -200,12 +200,22 @@ def assert_matches_chunk_loop(nu, q, n_max, replicas, seed, **options):
     assert np.array_equal(camp.populations, pops)
     assert np.array_equal(camp.truncated_at, trunc_at)
     assert camp.histograms == hists
+    if hists is not None:
+        # in the same order, and of plain ints: dict == takes NumPy ints too
+        assert [list(layer) for layer in camp.histograms] == \
+            [list(layer) for layer in hists]
+        assert all(type(rid) is int and type(cnt) is int
+                   and type(counts) is tuple
+                   and all(type(c) is int for c in counts)
+                   for layer in camp.histograms
+                   for (rid, counts), cnt in layer.items())
     assert np.array_equal(camp.classes, classes)
     return camp
 
 
 # (law, q, n_max, replicas, options): atom 0 in the support, a cap hit in
-# the middle of passes, censuses, and q = 0 on the class path
+# the middle of passes, censuses (one over three histogram digits), and q = 0
+# on the class path
 PASS_CASES = [(FLAGSHIP, Q, 8, 5000, {}),
               (OffspringLaw((0, 1, 3), (0.2, 0.5, 0.3)), 0.45, 7, 4500, {}),
               (OffspringLaw((1, 2, 3, 5), (0.3, 0.3, 0.2, 0.2)), 0.6, 7, 4200,
@@ -213,13 +223,15 @@ PASS_CASES = [(FLAGSHIP, Q, 8, 5000, {}),
               (OffspringLaw((0, 1, 2), (0.1, 0.3, 0.6)), 0.3, 8, 4400,
                {"pop_cap": 30, "keep_histograms": True}),
               (OffspringLaw((0, 1, 2), (0.1, 0.3, 0.6)), 0.0, 8, 4400,
-               {"pop_cap": 30, "keep_histograms": True})]
+               {"pop_cap": 30, "keep_histograms": True}),
+              (OffspringLaw((0, 1, 2, 4), (0.1, 0.3, 0.3, 0.3)), 0.5, 7, 4700,
+               {"pop_cap": 60, "keep_histograms": True})]
 
 
 class TestPassesMatchTheChunkLoop:
     @pytest.mark.parametrize("nu, q, n_max, replicas, options", PASS_CASES,
                              ids=["flagship", "atom0", "cap", "census",
-                                  "census_q0"])
+                                  "census_q0", "census_digits"])
     def test_passes_of_two_chunks(self, nu, q, n_max, replicas, options,
                                   monkeypatch):
         # replicas not a multiple of the chunk, in three passes or more
