@@ -24,11 +24,14 @@ law = OffspringLaw((1, 2), (0.5, 0.5))
 q = 1.0 / 3.0
 rng = RngStream(2024)
 
+# a campaign cut to depth n is the depth-n campaign of its stream, so one
+# depth-6 campaign gives every depth
+camp = simulate_tree_campaign(law, q, 6, 40_000, rng.child(6))
+
 print("depth  exact        campaign mean (z)   single-line est (z)")
 for n in (2, 4, 6):
     exact = sum(enumerate_expected_counts(law, q, n).values())
 
-    camp = simulate_tree_campaign(law, q, n, 40_000, rng.child(n))
     sizes = camp.populations[:, n].astype(float)
     se_camp = sizes.std(ddof=1) / math.sqrt(len(sizes))
     z_camp = (sizes.mean() - exact) / se_camp

@@ -14,12 +14,11 @@ Exit codes: 0 success, 1 invalid input, 2 numeric or statistical failure,
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -315,6 +314,48 @@ def _population_blocks(populations: np.ndarray, last: np.ndarray,
                _column([""], fmt) * row_of.size]
 
 
+def _census_blocks(campaign, last: np.ndarray, alive: np.ndarray,
+                   cut: np.ndarray, fmt: str):
+    """The converted census rows of ``simulate``: for generations 0..last[r]
+    of each replica r, one row per census entry in counts order, or one row
+    with blank census cells if there is none; in blocks of ``_CSV_BLOCK``
+    rows taken a column at a time. Each distinct histogram's key is
+    formatted once."""
+    rid, gen, hists, mult = [], [], [], []
+    for g, layer in enumerate(campaign.histograms):
+        if layer:
+            r, counts = zip(*layer)
+            rid.extend(r)
+            gen.append(np.full(len(layer), g, dtype=np.int64))
+            hists.extend(counts)
+            mult.extend(layer.values())
+    # a histogram's rank orders the rows of one replica and generation and
+    # indexes its key; the rank past the last marks a row without an entry
+    uniq = sorted(set(hists))
+    rank = dict(zip(uniq, range(len(uniq))))
+    key_text = [_hist_key(campaign.support, h) for h in uniq] + [""]
+    rid, gen = np.array(rid, dtype=np.int64), np.concatenate(gen)
+    # the shown generations of each replica without a census entry
+    bare = np.arange(campaign.populations.shape[1]) <= last[:, None]
+    bare[rid, gen] = False
+    bare_rid, bare_gen = np.nonzero(bare)
+    rid = np.concatenate([rid, bare_rid])
+    gen = np.concatenate([gen, bare_gen])
+    kid = np.concatenate([np.fromiter(map(rank.__getitem__, hists), np.int64,
+                                      len(hists)),
+                          np.full(bare_rid.size, len(uniq))])
+    mult = np.array(mult + [""] * bare_rid.size, dtype=object)
+    order = np.lexsort((kid, gen, rid))
+    for start in range(0, order.size, _CSV_BLOCK):
+        part = order[start:start + _CSV_BLOCK]
+        r, g = rid[part], gen[part]
+        yield [_column(r.tolist(), fmt), _column(g.tolist(), fmt),
+               _column(campaign.populations[r, g].tolist(), fmt),
+               _column(alive[r].tolist(), fmt), _column(cut[r].tolist(), fmt),
+               _expand(key_text, kid[part], fmt),
+               _column(mult[part].tolist(), fmt)]
+
+
 def _cmd_simulate(args) -> int:
     nu = _parse_law(args.law)
     q = _parse_q(args.q, allow_zero=True)
@@ -333,35 +374,9 @@ def _cmd_simulate(args) -> int:
     if campaign.histograms is None:
         blocks = _population_blocks(campaign.populations, last, alive, cut,
                                     args.format)
-        _write(_render_blocks(columns, blocks, args.format), args.out)
-        return 0
-    # each generation's census in (replica, counts) order, consumed a
-    # replica at a time
-    census = [sorted(layer.items()) for layer in campaign.histograms]
-    cursor = [0] * (args.n_max + 1)
-    # a layer's classes share few distinct histograms, each formatted once
-    hist_key = functools.lru_cache(maxsize=None)(
-        functools.partial(_hist_key, campaign.support))
-    last, alive, cut = last.tolist(), alive.tolist(), cut.tolist()
-
-    def replica_rows(r):
-        pops = campaign.populations[r].tolist()
-        rows = []
-        for g in range(last[r] + 1):
-            layer, start = census[g], cursor[g]
-            end = start
-            while end < len(layer) and layer[end][0][0] == r:
-                end += 1
-            cursor[g] = end
-            rows.extend([r, g, pops[g], alive[r], cut[r],
-                         hist_key(counts), cnt]
-                        for (_, counts), cnt in layer[start:end])
-            if start == end:
-                rows.append([r, g, pops[g], alive[r], cut[r], "", ""])
-        return rows
-
-    rows = chain.from_iterable(map(replica_rows, range(args.replicas)))
-    _write(_render(columns, rows, args.format), args.out)
+    else:
+        blocks = _census_blocks(campaign, last, alive, cut, args.format)
+    _write(_render_blocks(columns, blocks, args.format), args.out)
     return 0
 
 

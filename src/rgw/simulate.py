@@ -272,6 +272,15 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
     generation, the census ``{(replica, counts): individuals}``: one dict
     entry per class, where the classes of a layer that share a histogram
     share one immutable ``counts`` tuple.
+
+    A campaign to depth N cut to generations <= n is the campaign to depth
+    n from the same stream, bit for bit: ``populations[:, :n+1]``,
+    ``classes[:n]``, ``histograms[:n+1]`` with each layer in its order, and
+    ``truncated_at`` with the entries above n read as -1. It holds because
+    generation g draws from ``rng.child(c).generator("tree", g)``, or
+    ``rng.generator("tree-iid", g)`` on the replica path, whatever the
+    depth, and ascending keys order the classes by replica, then histogram,
+    lexicographically whatever the key radix.
     """
     _check_q(q, allow_zero=True)
     if n_max < 1 or replicas < 1 or pop_cap < 1:
@@ -621,7 +630,9 @@ def simulate_spine_urn(nu: OffspringLaw, q: float, a, n: int,
     one-step-at-a-time loop does; ``_speculate`` steps the urn a chunk at a
     time with sequential cumulative sums that add the same floats in the
     same order, so the stream, every comparison and the result are those of
-    that loop.
+    that loop. A chunk's end state is the last column of the path that its
+    last ``decide`` pass built from its guess, when the chunk is kept whole
+    and so equals that guess; a chunk cut short has its path rebuilt.
     """
     _check_q(q)
     if n < 1:
@@ -657,8 +668,16 @@ def simulate_spine_urn(nu: OffspringLaw, q: float, a, n: int,
         inc[k, 1:] = act[added] + act[k]
         return np.cumsum(inc, axis=1)
 
+    # the last guess stepped through and its path, for the chunk's end state
+    last = None
+
     def decide(state, i, m, guess):
-        w = state[:, None] if guess is None else path(state, guess)[:, :-1]
+        nonlocal last
+        if guess is None:
+            w = state[:, None]
+        else:
+            last = guess, path(state, guess)
+            w = last[1][:, :-1]
         t = u_pick[i:i + m] * w[k]
         # the loop's running sum over the colors, in its order
         acc = w[0]
@@ -668,11 +687,18 @@ def simulate_spine_urn(nu: OffspringLaw, q: float, a, n: int,
             picked += acc <= t
         return np.where(picked < k, picked, star[i:i + m])
 
+    def advance(state, added):
+        # a chunk kept whole repeats the last guess of its last decide pass,
+        # whose path is built; only a chunk cut short is stepped again
+        guess, steps = last
+        if not np.array_equal(guess, added):
+            steps = path(state, added)
+        return steps[:, -1]
+
     # state: the k color weights, then the total weight, accumulated apart
     weights = counts * act
     state = np.append(weights[:k], sum(weights.tolist()))
-    added, _ = _speculate(n, k + 1, state, decide,
-                          lambda state, added: path(state, added)[:, -1])
+    added, _ = _speculate(n, k + 1, state, decide, advance)
     tally = np.bincount(added, minlength=k)
     counts[:k] += tally
     counts[k] += n

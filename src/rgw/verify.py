@@ -133,11 +133,14 @@ def _check_control_margin(*, steps: int) -> tuple[float, float]:
 def _check_triangulation(rng: RngStream, *, qs, n_values,
                          replicas: int) -> tuple[float, float]:
     worst = 0.0
+    n_max = max(n_values)
     for qi, q in enumerate(qs):
+        # a campaign cut to depth n is the depth-n campaign of its stream
+        # (see simulate_tree_campaign), so one to n_max gives every depth
+        camp = simulate_tree_campaign(
+            _FLAGSHIP, q, n_max, replicas, rng.child(100 + 10 * qi + n_max))
         for n in n_values:
             exact = sum(enumerate_expected_counts(_FLAGSHIP, q, n).values())
-            camp = simulate_tree_campaign(
-                _FLAGSHIP, q, n, replicas, rng.child(100 + 10 * qi + n))
             sizes = camp.populations[:, n].astype(float)
             z_sim = abs(sizes.mean() - exact) / (sizes.std(ddof=1)
                                                  / math.sqrt(replicas))

@@ -272,6 +272,38 @@ class TestPassesMatchTheChunkLoop:
         assert np.all(camp.truncated_at > 0)
 
 
+class TestDepthPrefix:
+    @pytest.mark.parametrize("census", [False, True], ids=["as_given",
+                                                           "census_flipped"])
+    @pytest.mark.parametrize("nu, q, n_max, replicas, options", PASS_CASES,
+                             ids=["flagship", "atom0", "cap", "census",
+                                  "census_q0", "census_digits"])
+    def test_deep_campaign_cut_to_depth_n_is_the_depth_n_campaign(
+            self, nu, q, n_max, replicas, options, census):
+        # flipping the census moves the q = 0 case onto the replica path
+        if census:
+            options = dict(options,
+                           keep_histograms=not options.get("keep_histograms"))
+        deep = simulate_tree_campaign(nu, q, n_max, replicas, RngStream(47),
+                                      **options)
+        for n in (1, n_max // 2, n_max - 1):
+            camp = simulate_tree_campaign(nu, q, n, replicas, RngStream(47),
+                                          **options)
+            assert np.array_equal(deep.populations[:, :n + 1],
+                                  camp.populations)
+            assert np.array_equal(deep.classes[:n], camp.classes)
+            assert np.array_equal(
+                np.where(deep.truncated_at > n, -1, deep.truncated_at),
+                camp.truncated_at)
+            if camp.histograms is None:
+                assert deep.histograms is None
+            else:
+                # equal layers, each in the same order
+                assert deep.histograms[:n + 1] == camp.histograms
+                assert [list(layer) for layer in deep.histograms[:n + 1]] == \
+                    [list(layer) for layer in camp.histograms]
+
+
 class TestClassStep:
     def test_matches_a_plain_argsort(self):
         gen = RngStream(44).generator("class-step")
