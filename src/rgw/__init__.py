@@ -28,11 +28,9 @@ from .measures import (
     linf_distance,
     load_offspring_law,
     log_degree_weights,
-    mean,
     mix,
     mixed_entropy,
     offspring_law_from_json,
-    offspring_law_to_json,
     pair,
     relative_entropy,
     size_biased,
@@ -51,16 +49,12 @@ from .rng import RngStream
 from .control import (
     ControlPath,
     constant_control_value,
-    control_objective,
     rate_by_control,
-    two_phase_probe,
 )
 from .simulate import (
-    GenerationReport,
     ReplacementSpectrum,
     SpineUrnState,
     TreeCampaign,
-    TwoTypeGeneration,
     enumerate_expected_counts,
     gibbs_conditional_estimate,
     many_to_one_estimate,
@@ -68,7 +62,6 @@ from .simulate import (
     simulate_reinforced_urn,
     simulate_spine_urn,
     simulate_tree_campaign,
-    simulate_two_type,
 )
 from .classify import (
     DECISION_TOL,

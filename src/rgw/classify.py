@@ -40,6 +40,8 @@ from .measures import (
 from .rate import reinforced_rate
 
 DECISION_TOL = 1e-6
+# largest grid of shared-atom splits that the decomposition search scans
+_MAX_COMBINATIONS = 100_000
 
 
 class VerdictKind(str, enum.Enum):
@@ -68,15 +70,7 @@ class Verdict:
             raise ContractViolationError("margins must not be NaN")
 
 
-def _zero_mass(rho: ProbVector) -> float:
-    try:
-        return rho.prob(0)
-    except Exception:
-        return 0.0
-
-
-def classify_memoryless(rho: ProbVector, nu: OffspringLaw, *,
-                        tol: float = DECISION_TOL) -> Verdict:
+def classify_memoryless(rho: ProbVector, nu: OffspringLaw) -> Verdict:
     """Verdict for the memoryless tree, where both thresholds coincide.
 
     The deviation rate of iid draws is the relative entropy against nu, so
@@ -92,17 +86,16 @@ def classify_memoryless(rho: ProbVector, nu: OffspringLaw, *,
         return Verdict(VerdictKind.EVANESCENT, math.inf, -math.inf, subcritical)
     margin_ev = ent - gain
     margin_pe = gain - ent
-    if margin_ev > tol:
+    if margin_ev > DECISION_TOL:
         kind = VerdictKind.EVANESCENT
-    elif margin_pe > tol:
+    elif margin_pe > DECISION_TOL:
         kind = VerdictKind.STRONGLY_PERSISTENT
     else:
         kind = VerdictKind.INDETERMINATE
     return Verdict(kind, margin_ev, margin_pe, subcritical)
 
 
-def classify_reinforced(rho: ProbVector, nu: OffspringLaw, q: float, *,
-                        tol: float = DECISION_TOL) -> Verdict:
+def classify_reinforced(rho: ProbVector, nu: OffspringLaw, q: float) -> Verdict:
     """Verdict for the reinforced tree with memory q in (0, 1).
 
     Branch order: a target charging atom 0 can never be an ancestral
@@ -133,9 +126,9 @@ def classify_reinforced(rho: ProbVector, nu: OffspringLaw, q: float, *,
 
     if subcritical:
         kind = VerdictKind.NOT_STRONGLY_PERSISTENT
-    elif margin_ev > tol:
+    elif margin_ev > DECISION_TOL:
         kind = VerdictKind.EVANESCENT
-    elif margin_pe > tol:
+    elif margin_pe > DECISION_TOL:
         kind = VerdictKind.STRONGLY_PERSISTENT
     else:
         kind = VerdictKind.INDETERMINATE
@@ -150,7 +143,7 @@ def min_memory_for_persistence(rho: ProbVector, nu: OffspringLaw) -> float | Non
     1 - pairing / entropy. Returns that threshold clipped at 0, or None when
     rho charges atoms outside the base support (entropy infinite).
     """
-    if _zero_mass(rho) > 0.0:
+    if rho.prob(0) > 0.0:
         raise ContractViolationError("the target must not charge atom 0")
     rho_a, nu_a = align(rho, nu.as_prob_vector())
     ent = relative_entropy(rho_a, nu_a)
@@ -172,16 +165,23 @@ def activity_constraint_residual(a, nu: OffspringLaw, q: float) -> float:
     return float(np.sum(nu.weights / (1.0 - q * a)) - 1.0 / (1.0 - q))
 
 
-def validate_activities(a, nu: OffspringLaw, q: float, *,
-                        tol: float = 1e-8) -> np.ndarray:
-    """Check an activity vector against its box and admissibility constraints."""
-    _check_q(q)
+def _check_activity_box(a, nu: OffspringLaw, q: float) -> np.ndarray:
+    """An activity vector as an array, checked for length and the box
+    [0, 1/q); q must already be valid."""
     a = np.asarray(a, dtype=float)
     if a.shape != (len(nu.support),):
         raise ContractViolationError(
             f"activity vector must have length {len(nu.support)}")
     if np.isnan(a).any() or (a < 0.0).any() or (a >= 1.0 / q).any():
         raise ContractViolationError("activities must lie in [0, 1/q)")
+    return a
+
+
+def validate_activities(a, nu: OffspringLaw, q: float, *,
+                        tol: float = 1e-8) -> np.ndarray:
+    """Check an activity vector against its box and admissibility constraints."""
+    _check_q(q)
+    a = _check_activity_box(a, nu, q)
     for idx, k in enumerate(nu.support):
         if k == 0 and a[idx] != 0.0:
             raise ContractViolationError("the activity at atom 0 must be 0")
@@ -201,7 +201,7 @@ def activity_from_law(rho: ProbVector, nu: OffspringLaw, q: float) -> np.ndarray
     """
     _check_q(q)
     _check_same_support(rho, nu)
-    if _zero_mass(rho) > 0.0:
+    if rho.prob(0) > 0.0:
         raise ContractViolationError("the target must not charge atom 0")
     a = rho.weights / (q * rho.weights + (1.0 - q) * nu.weights)
     resid = activity_constraint_residual(a, nu, q)
@@ -317,8 +317,7 @@ def two_type_weak_persistence(rho: ProbVector, nu: OffspringLaw,
 
 def search_two_type_decomposition(rho: ProbVector, nu: OffspringLaw,
                                   nu_prime: OffspringLaw, *,
-                                  mesh: int = 20,
-                                  max_combinations: int = 100_000):
+                                  mesh: int = 20):
     """Grid search for a certifying decomposition of the target.
 
     Atoms belonging to one type only force their component masses, pinning
@@ -343,7 +342,7 @@ def search_two_type_decomposition(rho: ProbVector, nu: OffspringLaw,
     shared = [(k, w) for k, w in atoms if k in shifted and k in sup2]
     shared_mass = sum(w for _, w in shared)
     free = max(len(shared) - 1, 0)
-    if mesh * (mesh + 1) ** free > max_combinations:
+    if mesh * (mesh + 1) ** free > _MAX_COMBINATIONS:
         raise ContractViolationError("shared-atom grid exceeds the search guard")
 
     # s must place mass only1..only1+shared on type 1

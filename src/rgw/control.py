@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, InfeasibleError, NumericError
+from .errors import ContractViolationError, NumericError
 from .measures import (OffspringLaw, ProbVector, _check_q, _check_same_support,
                        mixed_entropy)
 
@@ -124,13 +124,6 @@ def _hessian_blocks(rows: np.ndarray, nu_w: np.ndarray, q: float,
     return blocks
 
 
-def control_objective(path: ControlPath, nu: OffspringLaw, q: float) -> float:
-    """Average running entropy cost of a control path against nu with memory q."""
-    _check_same_support(path, nu)
-    _check_q(q, allow_zero=True)
-    return _objective(path.rows, nu.weights, q)
-
-
 def constant_control_value(rho: ProbVector, nu: OffspringLaw, q: float) -> float:
     """Cost of the constant path eta == rho: the mixed relative entropy."""
     _check_same_support(rho, nu)
@@ -209,38 +202,3 @@ def rate_by_control(rho: ProbVector, nu: OffspringLaw, q: float, *,
     if live.sum() > 1:
         rows[:, live] = _newton(rows[:, live], nu_w[live], q)
     return _objective(rows, nu_w, q), ControlPath(rho.support, rows)
-
-
-def two_phase_probe(rho: ProbVector, nu: OffspringLaw, q: float, eps: float,
-                    *, steps: int = 1024) -> float:
-    """Cost of the explicit two-phase control: overshoot then compensate.
-
-    The path holds rho + eps (rho - nu) on the first half and the mirrored
-    rho - eps (rho - nu) on the second half, so its running average drifts
-    back to rho along rho + eps (1/t - 1)(rho - nu). Evaluated in closed form
-    on a midpoint grid. At eps = 0 this is exactly the constant-control cost.
-    """
-    _check_same_support(rho, nu)
-    _check_q(q, allow_zero=True)
-    if steps < 1:
-        raise ContractViolationError("the probe needs at least one step")
-    if math.isnan(eps) or eps < 0.0:
-        raise ContractViolationError("eps must be non-negative")
-    if (rho.weights <= 0.0).any():
-        raise ContractViolationError("probe needs rho strictly positive on the support")
-    if float(np.max(np.abs(rho.weights - nu.weights))) == 0.0:
-        raise ContractViolationError("probe needs rho distinct from nu")
-    direction = rho.weights - nu.weights
-    hi = rho.weights + eps * direction
-    lo = rho.weights - eps * direction
-    if (hi < 0.0).any() or (lo < 0.0).any():
-        raise InfeasibleError("eps pushes the probe off the simplex")
-
-    t = (np.arange(1, steps + 1) - 0.5) / steps
-    first = t <= 0.5
-    eta = np.where(first[:, None], hi[None, :], lo[None, :])
-    drift = np.where(first, eps, eps * (1.0 / t - 1.0))
-    psi = rho.weights[None, :] + drift[:, None] * direction[None, :]
-    refs = q * psi + (1.0 - q) * nu.weights[None, :]
-    safe = np.where(eta > 0.0, eta, 1.0)
-    return float(np.sum(eta * np.log(safe / refs)) / steps)

@@ -189,9 +189,6 @@ class LogWeights:
     def finite_mask(self) -> np.ndarray:
         return np.isfinite(self.values)
 
-    def shifted(self, c: float) -> "LogWeights":
-        return LogWeights(self.support, self.values + c)
-
     def __repr__(self):
         body = ", ".join(f"{k}: {x:.6g}" for k, x in zip(self.support, self.values))
         return f"LogWeights({{{body}}})"
@@ -292,11 +289,6 @@ def size_biased(nu: OffspringLaw) -> ProbVector:
     return ProbVector(nu.support, np.asarray(nu.support, dtype=float) * nu.weights / m)
 
 
-def mean(measure) -> float:
-    """Mean offspring number of a law or probability vector."""
-    return measure.mean()
-
-
 def mix(t: float, rho: ProbVector, sigma: ProbVector) -> ProbVector:
     """Convex combination t*rho + (1-t)*sigma; t must lie in [0, 1]."""
     if math.isnan(t) or not (0.0 <= t <= 1.0):
@@ -342,7 +334,3 @@ def load_offspring_law(path) -> OffspringLaw:
         except json.JSONDecodeError as exc:
             raise ContractViolationError(f"invalid JSON in {path}: {exc}") from exc
     return offspring_law_from_json(obj)
-
-
-def offspring_law_to_json(nu: OffspringLaw) -> dict:
-    return {"support": list(nu.support), "probs": [float(p) for p in nu.weights]}

@@ -41,7 +41,6 @@ from .measures import (
     _check_q,
     _check_same_support,
     log_degree_weights,
-    mean,
     relative_entropy,
     size_biased,
 )
@@ -320,7 +319,7 @@ def growth_exponent(nu: OffspringLaw, q: float) -> float:
     """Exponential growth rate of expected generation sizes."""
     _check_q(q, allow_zero=True)
     if q == 0.0:
-        m = mean(nu)
+        m = nu.mean()
         return -math.inf if m == 0.0 else math.log(m)
     return reinforced_log_mgf(log_degree_weights(nu.support), nu, q)
 

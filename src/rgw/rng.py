@@ -65,6 +65,3 @@ class RngStream:
 
     def child(self, index: int) -> "RngStream":
         return RngStream(self.seed, _mix(self.stream, "child", index))
-
-    def split(self, n: int) -> tuple["RngStream", ...]:
-        return tuple(self.child(i) for i in range(n))

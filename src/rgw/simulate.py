@@ -32,15 +32,12 @@ expectations come from a dynamic program over draw histograms, giving an
 independent oracle with no randomness.
 
 A separate two-color urn with an auxiliary ball type tracks the spine
-construction used in persistence proofs, and a two-type branching benchmark,
-stored as (type, histogram) classes, provides the weak-persistence
-comparison model.
+construction used in persistence proofs.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,41 +62,10 @@ _PASS_CHUNKS = 8
 _SPECULATE_CELLS = 1 << 16
 _SPECULATE_PASSES = 4
 
-
-@dataclass(frozen=True)
-class GenerationReport:
-    """Population and ancestral-histogram census of one generation."""
-
-    generation: int
-    population: int
-    support: tuple[int, ...]
-    histogram: dict[tuple[int, ...], int]
-    survived: bool
-    truncated: bool
-
-    def __post_init__(self):
-        mass = sum(self.histogram.values())
-        if mass != self.population:
-            raise ContractViolationError(
-                f"histogram mass {mass} != population {self.population}")
-        zero_col = self.support.index(0) if 0 in self.support else None
-        for key in self.histogram:
-            if len(key) != len(self.support):
-                raise ContractViolationError("histogram key width mismatch")
-            if sum(key) != self.generation:
-                raise ContractViolationError("histogram key mass != generation")
-            if zero_col is not None and key[zero_col] > 0:
-                raise ContractViolationError("ancestral histogram has mass on atom 0")
-
-
-@dataclass(frozen=True)
-class TwoTypeGeneration:
-    """Per-type and merged census of one two-type generation."""
-
-    generation: int
-    type1: GenerationReport
-    type2: GenerationReport
-    merged: GenerationReport
+# replacement_matrix's power iteration stops once no entry of the normalized
+# vector moves by this much, or fails after this many iterations
+_POWER_TOL = 1e-13
+_POWER_MAX_ITER = 200_000
 
 
 @dataclass(frozen=True)
@@ -156,8 +122,8 @@ def _fresh_indices(cum_nu: np.ndarray, u: np.ndarray) -> np.ndarray:
 class _ClassKeys:
     """Layout of int64 class keys.
 
-    A key is a leading digit (a replica or a type) at place ``lead``, above
-    the histogram's columns ``cols[:-1]`` in radix ``radix``. The last of
+    A key is a leading digit (a replica) at place ``lead``, above the
+    histogram's columns ``cols[:-1]`` in radix ``radix``. The last of
     ``cols`` is fixed by the histogram's total and takes no digit; the other
     columns stay 0 in every class, so they take none either.
     """
@@ -720,9 +686,7 @@ class ReplacementSpectrum:
     iterations: int
 
 
-def replacement_matrix(nu: OffspringLaw, q: float, a, *,
-                       tol: float = 1e-13,
-                       max_iter: int = 200_000) -> ReplacementSpectrum:
+def replacement_matrix(nu: OffspringLaw, q: float, a) -> ReplacementSpectrum:
     """Replacement matrix of the spine urn and its leading left eigenvector.
 
     Entry (i, j) is the activity of color i times the expected number of j
@@ -745,20 +709,20 @@ def replacement_matrix(nu: OffspringLaw, q: float, a, *,
 
     v = np.full(m, 1.0 / m)
     lam = 0.0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _POWER_MAX_ITER + 1):
         w = v @ mat
         lam = float(w.sum())
         if lam <= 0.0:
             raise NumericError("power iteration collapsed",
                                diagnostics={"iteration": it})
         w /= lam
-        if float(np.max(np.abs(w - v))) < tol:
+        if float(np.max(np.abs(w - v))) < _POWER_TOL:
             v = w
             break
         v = w
     else:
         raise NumericError("power iteration did not converge",
-                           diagnostics={"iterations": max_iter,
+                           diagnostics={"iterations": _POWER_MAX_ITER,
                                         "last_delta": float(np.max(np.abs(w - v)))})
     on_sup = v[:-1]
     dist = ProbVector(sup, on_sup / on_sup.sum())
@@ -766,88 +730,6 @@ def replacement_matrix(nu: OffspringLaw, q: float, a, *,
     vv = v.copy()
     vv.setflags(write=False)
     return ReplacementSpectrum(sup, mat, lam, vv, dist, it)
-
-
-def simulate_two_type(nu: OffspringLaw, nu_prime: OffspringLaw, n_max: int,
-                      rng: RngStream, *,
-                      pop_cap: int = DEFAULT_POP_CAP) -> list[TwoTypeGeneration]:
-    """Two-type benchmark tree, reported per type and merged.
-
-    Type-1 individuals beget a nu-distributed number of type-1 children plus
-    exactly one type-2 child, so their recorded out-degree is the draw plus
-    one; type-2 individuals beget a nu_prime-distributed number of type-2
-    children. Ancestral histograms live on the union of the shifted type-1
-    degrees and the type-2 degrees.
-
-    A generation is stored as (type, histogram) classes, type-1 classes
-    first, each advanced by one multinomial draw of its multiplicity from
-    ``rng.generator("two-type", g)``: a type-1 draw of k children sends k
-    type-1 children and one type-2 child to histogram + e_(k+1), a type-2
-    draw of k sends k type-2 children to histogram + e_k. A generation
-    reaching ``pop_cap`` individuals is reported as truncated and ends the
-    run.
-    """
-    if n_max < 1 or pop_cap < 1:
-        raise ContractViolationError("n_max and pop_cap must be >= 1")
-    if not (nu.mean() > 1.0 > nu_prime.mean()):
-        warnings.warn("two-type regime expects mean(nu) > 1 > mean(nu_prime)",
-                      RuntimeWarning, stacklevel=2)
-    merged_support = tuple(sorted({kk + 1 for kk in nu.support} | set(nu_prime.support)))
-    col_of = {kk: idx for idx, kk in enumerate(merged_support)}
-    col1 = np.asarray([col_of[kk + 1] for kk in nu.support], dtype=np.int64)
-    col2 = np.asarray([col_of[kk] for kk in nu_prime.support], dtype=np.int64)
-    k1, k2 = len(col1), len(col2)
-    # the leading key digit is the type: 0 for type 1, 1 for type 2
-    layout = _ClassKeys.layout(
-        np.flatnonzero(np.asarray(merged_support) > 0), len(merged_support),
-        n_max, 2)
-    place = layout.place
-    # outcome columns: type-1 draws (type-1 and type-2 children), then
-    # type-2 draws
-    pick = np.concatenate([np.arange(k1), np.arange(k1), k1 + np.arange(k2)])
-    shift = np.concatenate([place[col1], layout.lead + place[col1],
-                            place[col2]])
-    gain = np.concatenate([np.asarray(nu.support, dtype=np.int64),
-                           np.ones(k1, dtype=np.int64),
-                           np.asarray(nu_prime.support, dtype=np.int64)])
-
-    def census(gen, keys, mult, truncated):
-        typ2, hist = layout.split(keys, gen)
-        parts: tuple[dict, dict] = ({}, {})
-        merged: dict[tuple[int, ...], int] = {}
-        for t, h, c in zip(typ2.tolist(), map(tuple, hist.tolist()),
-                           mult.tolist()):
-            parts[t][h] = c
-            merged[h] = merged.get(h, 0) + c
-
-        def report(hist_of):
-            pop = sum(hist_of.values())
-            return GenerationReport(gen, pop, merged_support, hist_of,
-                                    pop > 0, truncated)
-
-        return TwoTypeGeneration(gen, report(parts[0]), report(parts[1]),
-                                 report(merged))
-
-    keys = np.zeros(1, dtype=np.int64)
-    mult = np.ones(1, dtype=np.int64)
-    out = [census(0, keys, mult, 1 >= pop_cap)]
-    if out[0].merged.truncated:
-        return out
-    for g in range(n_max):
-        if mult.size == 0:
-            break
-        g_rng = rng.generator("two-type", g)
-        n1 = int(np.searchsorted(keys, layout.lead))
-        draws = np.zeros((keys.size, k1 + k2), dtype=np.int64)
-        draws[:n1, :k1] = g_rng.multinomial(mult[:n1], nu.weights)
-        draws[n1:, k1:] = g_rng.multinomial(mult[n1:], nu_prime.weights)
-        keys, mult = _class_step(keys, draws, pick, shift, gain)
-        pop = int(mult.sum())
-        truncated = pop >= pop_cap
-        out.append(census(g + 1, keys, mult, truncated))
-        if pop == 0 or truncated:
-            break
-    return out
 
 
 def gibbs_conditional_estimate(nu: OffspringLaw, q: float, n: int, w, c: float,

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classify import _check_activity_box, activity_constraint_residual
 from .errors import ContractViolationError, NumericError
 from .measures import OffspringLaw, _check_q
 
@@ -81,16 +82,6 @@ def lambert_w0(x: float) -> float:
     return w
 
 
-def _box_check(a, nu: OffspringLaw, q: float) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.shape != (len(nu.support),):
-        raise ContractViolationError(
-            f"activity vector must have length {len(nu.support)}")
-    if np.isnan(a).any() or (a < 0.0).any() or (a >= 1.0 / q).any():
-        raise ContractViolationError("activities must lie in [0, 1/q)")
-    return a
-
-
 def survival_functional(a, nu: OffspringLaw, q: float) -> float:
     """Certificate functional: stationary frequency weighted log activity-
     to-degree ratio, summed over the support.
@@ -100,7 +91,7 @@ def survival_functional(a, nu: OffspringLaw, q: float) -> float:
     vanishes). No admissibility is assumed, only the box constraints.
     """
     _check_q(q)
-    a = _box_check(a, nu, q)
+    a = _check_activity_box(a, nu, q)
     total = 0.0
     for idx, k in enumerate(nu.support):
         ak = float(a[idx])
@@ -124,7 +115,7 @@ def stationarity_ratios(a, nu: OffspringLaw, q: float):
     the atoms and their ratios; every listed activity must be positive.
     """
     _check_q(q)
-    a = _box_check(a, nu, q)
+    a = _check_activity_box(a, nu, q)
     atoms = []
     ratios = []
     for idx, k in enumerate(nu.support):
@@ -158,10 +149,6 @@ class SurvivalReport:
     constraint_residual: float
 
 
-def _constraint_sum(nu: OffspringLaw, q: float, activities: np.ndarray) -> float:
-    return float(np.sum(nu.weights / (1.0 - q * activities)))
-
-
 def _activities_from_constant(nu: OffspringLaw, q: float, c: float) -> np.ndarray:
     a = np.zeros(len(nu.support))
     for idx, k in enumerate(nu.support):
@@ -193,17 +180,21 @@ def solve_survival_minimizer(nu: OffspringLaw, q: float) -> SurvivalReport:
     target = 1.0 / (1.0 - q)
     ceiling = 1.0 / (math.e * top)
 
+    def excess(c: float) -> float:
+        return activity_constraint_residual(
+            _activities_from_constant(nu, q, c), nu, q)
+
     lo = 1e-14 * ceiling
     hi = (1.0 - 1e-14) * ceiling
     for _ in range(60):
-        if _constraint_sum(nu, q, _activities_from_constant(nu, q, hi)) > target:
+        if excess(hi) > 0.0:
             break
         gap = ceiling - hi
         hi = ceiling - gap / 1e4
         if gap <= 0.0:
             raise NumericError("constraint target never bracketed",
                                diagnostics={"target": target, "hi": hi})
-    if _constraint_sum(nu, q, _activities_from_constant(nu, q, lo)) > target:
+    if excess(lo) > 0.0:
         raise NumericError("constraint exceeds target at the lower bracket",
                            diagnostics={"target": target, "lo": lo})
 
@@ -211,7 +202,7 @@ def solve_survival_minimizer(nu: OffspringLaw, q: float) -> SurvivalReport:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if _constraint_sum(nu, q, _activities_from_constant(nu, q, mid)) > target:
+        if excess(mid) > 0.0:
             hi = mid
         else:
             lo = mid
@@ -231,7 +222,7 @@ def solve_survival_minimizer(nu: OffspringLaw, q: float) -> SurvivalReport:
             activities = activities.copy()
             activities[anchor] = polished
             activities.setflags(write=False)
-    residual = abs(_constraint_sum(nu, q, activities) - target)
+    residual = abs(activity_constraint_residual(activities, nu, q))
     if residual > 1e-10:
         raise NumericError("minimizer misses the admissibility constraint",
                            diagnostics={"residual": residual, "C": c_star})
@@ -277,17 +268,17 @@ def proportional_baseline(nu: OffspringLaw, q: float) -> tuple[float, float]:
 
     lo = 1e-14 * ceiling
     hi = (1.0 - 1e-14) * ceiling
-    if _constraint_sum(nu, q, prop_activities(lo)) > target:
+    if activity_constraint_residual(prop_activities(lo), nu, q) > 0.0:
         raise NumericError("baseline constraint exceeds target at the lower "
                            "bracket", diagnostics={"target": target})
-    if _constraint_sum(nu, q, prop_activities(hi)) < target:
+    if activity_constraint_residual(prop_activities(hi), nu, q) < 0.0:
         raise NumericError("baseline constraint never reaches the target",
                            diagnostics={"target": target})
     for _ in range(_BISECTION_ITERS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if _constraint_sum(nu, q, prop_activities(mid)) > target:
+        if activity_constraint_residual(prop_activities(mid), nu, q) > 0.0:
             hi = mid
         else:
             lo = mid

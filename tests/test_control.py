@@ -3,17 +3,15 @@
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 import pytest
 
-from rgw import (ContractViolationError, ControlPath, OffspringLaw,
-                 ProbVector, RngStream, constant_control_value,
-                 control_objective, rate_by_control, reinforced_rate,
-                 relative_entropy, two_phase_probe)
-from rgw.control import _LOG_FLOOR
-from rgw.measures import align, mix
+from rgw import (ContractViolationError, ControlPath, InfeasibleError,
+                 OffspringLaw, ProbVector, RngStream, constant_control_value,
+                 rate_by_control, reinforced_rate, relative_entropy)
+from rgw.control import _LOG_FLOOR, _objective
+from rgw.measures import _check_q, _check_same_support, align, mix
 
 FLAGSHIP = OffspringLaw((1, 2), (0.5, 0.5))
 Q = 1.0 / 3.0
@@ -21,6 +19,41 @@ TARGET = ProbVector((1, 2), (0.2, 0.8))
 
 # hand-computed objective of the two-step path (all mass on 2, then on 1)
 TWO_STEP_VALUE = 0.6081976621622466
+
+
+def control_objective(path, nu, q):
+    """Average running entropy cost of a control path against nu."""
+    _check_same_support(path, nu)
+    _check_q(q, allow_zero=True)
+    return _objective(path.rows, nu.weights, q)
+
+
+def two_phase_probe(rho, nu, q, eps, *, steps=1024):
+    """Cost of the explicit two-phase control: overshoot then compensate.
+
+    The path holds rho + eps (rho - nu) on the first half and the mirrored
+    rho - eps (rho - nu) on the second half, so its running average drifts
+    back to rho along rho + eps (1/t - 1)(rho - nu). Evaluated in closed form
+    on a midpoint grid. At eps = 0 this is exactly the constant-control cost;
+    an optimal control can only cost less.
+    """
+    _check_same_support(rho, nu)
+    _check_q(q, allow_zero=True)
+    if steps < 1:
+        raise ContractViolationError("the probe needs at least one step")
+    direction = rho.weights - nu.weights
+    hi = rho.weights + eps * direction
+    lo = rho.weights - eps * direction
+    if (hi < 0.0).any() or (lo < 0.0).any():
+        raise InfeasibleError("eps pushes the probe off the simplex")
+    t = (np.arange(1, steps + 1) - 0.5) / steps
+    first = t <= 0.5
+    eta = np.where(first[:, None], hi[None, :], lo[None, :])
+    drift = np.where(first, eps, eps * (1.0 / t - 1.0))
+    psi = rho.weights[None, :] + drift[:, None] * direction[None, :]
+    refs = q * psi + (1.0 - q) * nu.weights[None, :]
+    safe = np.where(eta > 0.0, eta, 1.0)
+    return float(np.sum(eta * np.log(safe / refs)) / steps)
 
 
 class TestObjective:
@@ -117,6 +150,11 @@ class TestTwoPhaseProbe:
         for steps in (0, -3):
             with pytest.raises(ContractViolationError):
                 two_phase_probe(TARGET, FLAGSHIP, Q, 0.1, steps=steps)
+
+    def test_the_newton_value_beats_every_probe(self):
+        value, _ = rate_by_control(TARGET, FLAGSHIP, Q, steps=64)
+        assert value < min(two_phase_probe(TARGET, FLAGSHIP, Q, eps)
+                           for eps in (0.0, 0.05, 0.1, 0.2)) - 1e-3
 
 
 # A serial annealed descent, independent of the Newton solve: one restart

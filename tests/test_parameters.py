@@ -1,23 +1,28 @@
-"""Every public function that takes the memory parameter q rejects it alike."""
+"""Every public function that takes the memory parameter q, 25 of them,
+rejects it alike, and so do the control oracles of the tests."""
 
 from __future__ import annotations
 
+import inspect
 import re
 
 import pytest
 
-from rgw import (ContractViolationError, ControlPath, LogWeights, OffspringLaw,
-                 ProbVector, RngStream, activity_constraint_residual,
-                 activity_from_law, classify_reinforced, concentration_target,
-                 constant_control_value, control_objective,
-                 enumerate_expected_counts, gibbs_conditional_estimate,
-                 growth_exponent, law_from_activity, many_to_one_estimate,
+import rgw
+from rgw import (ContractViolationError, ControlPath, LogWeights,
+                 OffspringLaw, ProbVector, RngStream,
+                 activity_constraint_residual, activity_from_law,
+                 classify_reinforced, concentration_target,
+                 constant_control_value, enumerate_expected_counts,
+                 gibbs_conditional_estimate, growth_exponent,
+                 law_from_activity, many_to_one_estimate,
                  min_rate_over_halfspace, mixed_entropy, proportional_baseline,
                  rate_by_control, reinforced_log_mgf, reinforced_log_mgf_grad,
                  reinforced_rate, replacement_matrix, simulate_reinforced_urn,
                  simulate_spine_urn, simulate_tree_campaign,
                  solve_survival_minimizer, stationarity_ratios,
-                 survival_functional, two_phase_probe, validate_activities)
+                 survival_functional, validate_activities)
+from test_control import control_objective, two_phase_probe
 
 FLAGSHIP = OffspringLaw((1, 2), (0.5, 0.5))
 TARGET = ProbVector((1, 2), (0.2, 0.8))
@@ -35,14 +40,10 @@ CALLS = [
     ("growth_exponent", lambda q: growth_exponent(FLAGSHIP, q), True),
     ("min_rate_over_halfspace",
      lambda q: min_rate_over_halfspace(FLAGSHIP, q, (0.0, 1.0), 0.8), False),
-    ("control_objective",
-     lambda q: control_objective(ControlPath((1, 2), [[0.2, 0.8]]), FLAGSHIP, q),
-     True),
     ("constant_control_value",
      lambda q: constant_control_value(TARGET, FLAGSHIP, q), True),
     ("rate_by_control",
      lambda q: rate_by_control(TARGET, FLAGSHIP, q, steps=2), True),
-    ("two_phase_probe", lambda q: two_phase_probe(TARGET, FLAGSHIP, q, 0.1), True),
     ("simulate_tree_campaign",
      lambda q: simulate_tree_campaign(FLAGSHIP, q, 2, 2, RngStream(0)), True),
     ("simulate_reinforced_urn",
@@ -77,9 +78,17 @@ CALLS = [
     ("proportional_baseline", lambda q: proportional_baseline(FLAGSHIP, q), False),
 ]
 
+# the test-local control oracles check q as the public functions do
+ORACLES = [
+    ("control_objective",
+     lambda q: control_objective(ControlPath((1, 2), [[0.2, 0.8]]), FLAGSHIP, q),
+     True),
+    ("two_phase_probe", lambda q: two_phase_probe(TARGET, FLAGSHIP, q, 0.1), True),
+]
 
-@pytest.mark.parametrize("call,allow_zero", [c[1:] for c in CALLS],
-                         ids=[c[0] for c in CALLS])
+
+@pytest.mark.parametrize("call,allow_zero", [c[1:] for c in CALLS + ORACLES],
+                         ids=[c[0] for c in CALLS + ORACLES])
 def test_memory_parameter_outside_its_domain_is_rejected(call, allow_zero):
     domain = "[0, 1)" if allow_zero else "(0, 1)"
     bad = [float("nan"), 1.0] + ([] if allow_zero else [0.0])
@@ -87,3 +96,11 @@ def test_memory_parameter_outside_its_domain_is_rejected(call, allow_zero):
         with pytest.raises(ContractViolationError,
                            match=rf"memory parameter .* outside {re.escape(domain)}"):
             call(q)
+
+
+def test_every_public_function_of_q_is_listed():
+    takes_q = {name for name in rgw.__all__
+               if inspect.isfunction(getattr(rgw, name))
+               and "q" in inspect.signature(getattr(rgw, name)).parameters}
+    assert takes_q == {c[0] for c in CALLS}
+    assert len(CALLS) == 25

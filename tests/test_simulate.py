@@ -12,9 +12,8 @@ from rgw import (ContractViolationError, NumericError, OffspringLaw,
                  ProbVector, RngStream, activity_from_law,
                  enumerate_expected_counts, gibbs_conditional_estimate,
                  law_from_activity, linf_distance, many_to_one_estimate,
-                 mean, replacement_matrix, simulate_reinforced_urn,
-                 simulate_spine_urn, simulate_tree_campaign,
-                 simulate_two_type)
+                 replacement_matrix, simulate_reinforced_urn,
+                 simulate_spine_urn, simulate_tree_campaign)
 from rgw import simulate
 from rgw.classify import validate_activities
 from rgw.measures import EmpiricalMeasure, _check_q
@@ -403,7 +402,7 @@ class TestManyToOne:
     def test_single_step_estimates_the_mean(self):
         est, se = many_to_one_estimate(FLAGSHIP, Q, 1, 4000, None,
                                        RngStream(10))
-        assert abs(est - mean(FLAGSHIP)) < 3.0 * se
+        assert abs(est - FLAGSHIP.mean()) < 3.0 * se
 
     def test_matches_enumeration_at_moderate_depth(self):
         exact = sum(enumerate_expected_counts(FLAGSHIP, Q, 6).values())
@@ -654,28 +653,6 @@ class TestReplacementMatrix:
         assert abs(lead - 1.0) > 1e-3
 
 
-class TestTwoType:
-    def test_degenerate_chain_keeps_two_individuals(self):
-        with pytest.warns(RuntimeWarning):
-            gens = simulate_two_type(OffspringLaw((1,), (1.0,)),
-                                     OffspringLaw((0,), (1.0,)), 5,
-                                     RngStream(17))
-        assert gens[0].merged.population == 1
-        for g in gens[1:]:
-            assert g.type1.population == 1
-            assert g.type2.population == 1
-            assert g.merged.population == 2
-
-    def test_growing_type_degrees_are_shifted(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            gens = simulate_two_type(FLAGSHIP, OffspringLaw((0,), (1.0,)), 4,
-                                     RngStream(18))
-        assert gens[2].type1.support == (0, 2, 3)
-        for counts in gens[2].type1.histogram:
-            assert counts[0] == 0
-
-
 class TestGibbs:
     def test_single_step_conditioning_is_exact(self):
         est, acc = gibbs_conditional_estimate(FLAGSHIP, Q, 1, [0.0, 1.0],
@@ -820,23 +797,3 @@ class TestUrnClasses:
             with pytest.raises(NumericError) as info:
                 many_to_one_estimate(nu, Q, 2, 100, None, RngStream(0))
         assert info.value.diagnostics == {"histogram": (0, 2), "depth": 2}
-
-    def test_two_type_means_follow_the_recursion(self):
-        nu = OffspringLaw((0, 1, 2), (0.2, 0.3, 0.5))
-        nu_prime = OffspringLaw((0, 1), (0.6, 0.4))
-        runs, depth = 1000, 4
-        pops = np.zeros((runs, 2))
-        for i in range(runs):
-            gens = simulate_two_type(nu, nu_prime, depth, RngStream(26, i))
-            for g in gens:
-                assert g.merged.population == (g.type1.population
-                                               + g.type2.population)
-            if len(gens) == depth + 1:
-                pops[i] = gens[depth].type1.population, gens[depth].type2.population
-        # type 1 grows by mean(nu); type 2 gains one child per type-1
-        # individual and keeps mean(nu_prime) per type-2 individual
-        e1, e2 = 1.0, 0.0
-        for _ in range(depth):
-            e1, e2 = e1 * nu.mean(), e1 + e2 * nu_prime.mean()
-        se = pops.std(axis=0, ddof=1) / math.sqrt(runs)
-        assert np.all(np.abs(pops.mean(axis=0) - (e1, e2)) < 3.0 * se)
