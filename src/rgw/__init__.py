@@ -28,7 +28,6 @@ from .measures import (
     linf_distance,
     load_offspring_law,
     log_degree_weights,
-    mix,
     mixed_entropy,
     offspring_law_from_json,
     pair,

@@ -27,7 +27,8 @@ from .classify import (classify_memoryless, classify_reinforced,
                        two_type_weak_persistence)
 from .control import rate_by_control
 from .errors import NumericError, StatisticalFailureError
-from .measures import OffspringLaw, ProbVector, load_offspring_law, mixed_entropy
+from .measures import (OffspringLaw, ProbVector, _check_q, load_offspring_law,
+                       mixed_entropy)
 from .rate import reinforced_rate, sanov_rate
 from .rng import RngStream
 from .simulate import (gibbs_conditional_estimate, simulate_reinforced_urn,
@@ -62,10 +63,7 @@ def _parse_fraction(text: str, what: str) -> float:
 
 def _parse_q(text: str, *, allow_zero: bool) -> float:
     q = _parse_fraction(text, "memory parameter")
-    lo_ok = q >= 0.0 if allow_zero else q > 0.0
-    if not lo_ok or q >= 1.0:
-        dom = "[0, 1)" if allow_zero else "(0, 1)"
-        raise _UsageError(f"memory parameter {text!r} outside {dom}")
+    _check_q(q, allow_zero=allow_zero)
     return q
 
 

@@ -289,14 +289,6 @@ def size_biased(nu: OffspringLaw) -> ProbVector:
     return ProbVector(nu.support, np.asarray(nu.support, dtype=float) * nu.weights / m)
 
 
-def mix(t: float, rho: ProbVector, sigma: ProbVector) -> ProbVector:
-    """Convex combination t*rho + (1-t)*sigma; t must lie in [0, 1]."""
-    if math.isnan(t) or not (0.0 <= t <= 1.0):
-        raise ContractViolationError(f"mixing weight {t!r} outside [0, 1]")
-    _check_same_support(rho, sigma)
-    return ProbVector(rho.support, t * rho.weights + (1.0 - t) * sigma.weights)
-
-
 def linf_distance(rho: ProbVector, sigma: ProbVector) -> float:
     """Sup-norm distance between two probability vectors on one support."""
     _check_same_support(rho, sigma)

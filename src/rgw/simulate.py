@@ -21,8 +21,10 @@ passes of 8 do (88 MB against 16 MB, the populations included), and is
 slower.
 
 The same ancestral mechanism viewed along a single lineage is a Polya type
-urn, simulated here one run at a time and as batches. A batch of replicas
-is stored as classes too: replicas that share a draw histogram are
+urn, simulated here one run at a time and as batches. A run is built whole:
+each memory draw points at the earlier draw it repeats, and pointer jumping
+takes every draw to the fresh draw at the root of its chain. A batch of
+replicas is stored as classes too: replicas that share a draw histogram are
 exchangeable, so each step takes one multinomial draw per (histogram, count)
 class, and a batch of any size holds at most C(i+k-1, k-1) classes at step
 i. Batches power the many-to-one estimator (lineage draws weighted by the
@@ -32,7 +34,9 @@ expectations come from a dynamic program over draw histograms, giving an
 independent oracle with no randomness.
 
 A separate two-color urn with an auxiliary ball type tracks the spine
-construction used in persistence proofs.
+construction used in persistence proofs. Its picks depend on the weights of
+the picks before them, so it is stepped by speculation, a verified chunk at
+a time.
 """
 
 from __future__ import annotations
@@ -55,17 +59,12 @@ DEFAULT_POP_CAP = 10_000_000
 _CHUNK = 1024
 _PASS_CHUNKS = 8
 
-# urn steps are verified a chunk at a time (see _speculate): a chunk holds at
-# most this many steps times colors, so a pass's arrays stay under 1 MB each,
-# and keeps only its verified prefix after this many passes that change a
-# decision
+# spine urn steps are verified a chunk at a time (see simulate_spine_urn): a
+# chunk holds at most this many steps times colors, so a pass's arrays stay
+# under 1 MB each, and keeps only its verified prefix after this many passes
+# that change a pick
 _SPECULATE_CELLS = 1 << 16
 _SPECULATE_PASSES = 4
-
-# replacement_matrix's power iteration stops once no entry of the normalized
-# vector moves by this much, or fails after this many iterations
-_POWER_TOL = 1e-13
-_POWER_MAX_ITER = 200_000
 
 
 @dataclass(frozen=True)
@@ -114,8 +113,8 @@ class SpineUrnState:
 
 
 def _fresh_indices(cum_nu: np.ndarray, u: np.ndarray) -> np.ndarray:
-    j = np.searchsorted(cum_nu, u, side="right")
-    return np.minimum(j, len(cum_nu) - 1).astype(np.int64)
+    j = np.searchsorted(cum_nu, u, side="right").astype(np.int64, copy=False)
+    return np.minimum(j, len(cum_nu) - 1, out=j)
 
 
 @dataclass(frozen=True)
@@ -344,43 +343,6 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
                         classes)
 
 
-def _speculate(n: int, width: int, state, decide, advance):
-    """Decisions of an n-step chain computed a chunk of steps at a time,
-    equal to those of a loop that takes one step at a time.
-
-    Step i's decision depends on the state left by the steps before it.
-    ``decide(state, i, m, guess)`` returns the decisions of steps i..i+m-1
-    when step i+s sees ``state`` advanced by ``guess[:s]``, or by nothing if
-    ``guess`` is None; ``advance(state, decisions)`` returns the state after
-    them. A chunk first guesses every decision from its starting state, then
-    recomputes the decisions from the last guess until they repeat. Where a
-    recomputation first differs from its guess, at step j, the steps before
-    j saw their true states and so did step j; if the passes run out, the
-    chunk keeps steps up to j, at least one, and the next chunk starts there.
-    Chunks grow with i, as a chunk moves the state by about m / i, up to
-    ``_SPECULATE_CELLS`` steps times ``width``. Returns the decisions and the
-    final state.
-    """
-    out = np.empty(n, dtype=np.int64)
-    cap = max(64, _SPECULATE_CELLS // width)
-    i = 0
-    while i < n:
-        m = min(n - i, max(64, i // 16), cap)
-        guess = decide(state, i, m, None)
-        for _ in range(_SPECULATE_PASSES):
-            dec = decide(state, i, m, guess)
-            miss = np.flatnonzero(dec != guess)
-            if miss.size == 0:
-                break
-            guess = dec
-        else:
-            dec = dec[:miss[0] + 1]
-        out[i:i + dec.size] = dec
-        state = advance(state, dec)
-        i += dec.size
-    return out, state
-
-
 def simulate_reinforced_urn(nu: OffspringLaw, q: float, n: int,
                             rng: RngStream) -> tuple[np.ndarray, EmpiricalMeasure]:
     """One reinforced draw sequence of length n, with its final census.
@@ -389,12 +351,14 @@ def simulate_reinforced_urn(nu: OffspringLaw, q: float, n: int,
     earlier one with probability q, else follows nu. Every draw has marginal
     law nu.
 
-    Draw i compares u_val[i] * i with the cumulative color counts of the
-    draws before it (a memory draw) or u_val[i] with the cumulative law (a
-    fresh draw), from the uniforms drawn up front. ``_speculate`` steps the
-    draws a chunk at a time; the counts it compares are integers, so every
-    comparison is the one a loop taking one draw at a time makes, and the
-    stream and the sequence are that loop's.
+    From the uniforms drawn up front, draw i > 0 is a memory draw when
+    u_mode[i] < q, and then repeats draw min(floor(u_val[i] * i), i - 1);
+    any other draw is fresh and takes the atom of u_val[i] under the
+    cumulative law. Each draw points at the draw it repeats, a fresh one at
+    itself, and pointer jumping (``source = source[source]`` until nothing
+    moves) takes every draw to the fresh draw at the root of its chain, in
+    about log2 of the longest chain rounds. The stream and the sequence are
+    those of a loop taking one draw at a time.
     """
     _check_q(q)
     if n < 1:
@@ -402,34 +366,21 @@ def simulate_reinforced_urn(nu: OffspringLaw, q: float, n: int,
     support = nu.support
     k = len(support)
     g_rng = rng.generator("urn")
-    u_mode = g_rng.random(n)
+    # the memory draws, those with u_mode < q, then u_val
+    mem = np.flatnonzero(g_rng.random(n)[1:] < q) + 1
     u_val = g_rng.random(n)
-    memory = u_mode < q
-    memory[0] = False
-    fresh = _fresh_indices(np.cumsum(nu.weights), u_val)
-
-    def decide(counts, i, m, guess):
-        target = u_val[i:i + m] * np.arange(i, i + m)
-        # the draw is the number of colors whose cumulative count before the
-        # step is at most the target; the last color needs no count
-        j = np.zeros(m, dtype=np.int64)
-        acc = 0
-        for c in range(k - 1):
-            acc += counts[c]
-            if guess is None:
-                j += acc <= target
-            else:
-                below = guess <= c
-                j += acc + np.cumsum(below) - below <= target
-        return np.where(memory[i:i + m], j, fresh[i:i + m])
-
-    def advance(counts, drawn):
-        return counts + np.bincount(drawn, minlength=k)
-
-    drawn, counts = _speculate(n, k, np.zeros(k, dtype=np.int64), decide,
-                               advance)
+    source = np.arange(n)
+    source[mem] = np.minimum((u_val[mem] * mem).astype(np.int64), mem - 1)
+    # only memory draws move: a fresh draw is its own root
+    hop = source[mem]
+    while True:
+        jumped = source[hop]
+        if np.array_equal(jumped, hop):
+            break
+        source[mem] = hop = jumped
+    drawn = _fresh_indices(np.cumsum(nu.weights), u_val[source])
     seq = np.asarray(support, dtype=np.int64)[drawn]
-    return seq, EmpiricalMeasure(support, counts)
+    return seq, EmpiricalMeasure(support, np.bincount(drawn, minlength=k))
 
 
 def _urn_classes(nu: OffspringLaw, q: float, n: int, replicas: int,
@@ -593,12 +544,19 @@ def simulate_spine_urn(nu: OffspringLaw, q: float, a, n: int,
     u_pick[i] times the total weight, and an auxiliary pick adds the color
     that u_color[i] selects, from the uniforms drawn up front. The color
     weights and the total are accumulated apart, each in step order, as a
-    one-step-at-a-time loop does; ``_speculate`` steps the urn a chunk at a
-    time with sequential cumulative sums that add the same floats in the
-    same order, so the stream, every comparison and the result are those of
-    that loop. A chunk's end state is the last column of the path that its
-    last ``decide`` pass built from its guess, when the chunk is kept whole
-    and so equals that guess; a chunk cut short has its path rebuilt.
+    one-step-at-a-time loop does.
+
+    A pick depends on the weights left by the picks before it, so the urn is
+    stepped by speculation, a chunk of m steps at a time. The chunk first
+    guesses every pick from its starting weights, then builds the weight
+    path of its last guess, by sequential cumulative sums that add the same
+    floats in the same order as the loop, and picks again along it, until
+    the picks repeat their guess. Where they first differ, at step j, the
+    steps up to j saw their true weights; if the passes run out the chunk
+    keeps only those steps, and its path is rebuilt from them. So the
+    stream, every comparison and the result are those of the loop. Chunks
+    grow with i, as a chunk moves the weights by about m / i, up to
+    ``_SPECULATE_CELLS`` weights in all.
     """
     _check_q(q)
     if n < 1:
@@ -634,16 +592,8 @@ def simulate_spine_urn(nu: OffspringLaw, q: float, a, n: int,
         inc[k, 1:] = act[added] + act[k]
         return np.cumsum(inc, axis=1)
 
-    # the last guess stepped through and its path, for the chunk's end state
-    last = None
-
-    def decide(state, i, m, guess):
-        nonlocal last
-        if guess is None:
-            w = state[:, None]
-        else:
-            last = guess, path(state, guess)
-            w = last[1][:, :-1]
+    def pick(w, i, m):
+        # steps i..i+m-1 with weights w before each (one column for all)
         t = u_pick[i:i + m] * w[k]
         # the loop's running sum over the colors, in its order
         acc = w[0]
@@ -653,18 +603,28 @@ def simulate_spine_urn(nu: OffspringLaw, q: float, a, n: int,
             picked += acc <= t
         return np.where(picked < k, picked, star[i:i + m])
 
-    def advance(state, added):
-        # a chunk kept whole repeats the last guess of its last decide pass,
-        # whose path is built; only a chunk cut short is stepped again
-        guess, steps = last
-        if not np.array_equal(guess, added):
-            steps = path(state, added)
-        return steps[:, -1]
-
     # state: the k color weights, then the total weight, accumulated apart
     weights = counts * act
     state = np.append(weights[:k], sum(weights.tolist()))
-    added, _ = _speculate(n, k + 1, state, decide, advance)
+    added = np.empty(n, dtype=np.int64)
+    cap = max(64, _SPECULATE_CELLS // (k + 1))
+    i = 0
+    while i < n:
+        m = min(n - i, max(64, i // 16), cap)
+        guess = pick(state[:, None], i, m)
+        for _ in range(_SPECULATE_PASSES):
+            steps = path(state, guess)
+            dec = pick(steps[:, :-1], i, m)
+            miss = np.flatnonzero(dec != guess)
+            if miss.size == 0:
+                break
+            guess = dec
+        else:
+            dec = dec[:miss[0] + 1]
+            steps = path(state, dec)
+        added[i:i + dec.size] = dec
+        state = steps[:, -1]
+        i += dec.size
     tally = np.bincount(added, minlength=k)
     counts[:k] += tally
     counts[k] += n
@@ -683,7 +643,6 @@ class ReplacementSpectrum:
     eigenvalue: float
     left_vector: np.ndarray
     support_distribution: ProbVector
-    iterations: int
 
 
 def replacement_matrix(nu: OffspringLaw, q: float, a) -> ReplacementSpectrum:
@@ -692,7 +651,10 @@ def replacement_matrix(nu: OffspringLaw, q: float, a) -> ReplacementSpectrum:
     Entry (i, j) is the activity of color i times the expected number of j
     balls added on an i draw. Under the admissibility constraint the leading
     eigenvalue is 1 and the left eigenvector, normalized on the support
-    colors, is the stationary color frequency. Computed by power iteration.
+    colors, is the stationary color frequency. The matrix is non-negative,
+    so its eigenvalue of largest real part is its spectral radius, with a
+    non-negative left vector (Perron-Frobenius); one dense eigensolve finds
+    both, and the vector is scaled to sum 1.
     """
     _check_q(q)
     a = validate_activities(a, nu, q, tol=1e-8)
@@ -707,29 +669,14 @@ def replacement_matrix(nu: OffspringLaw, q: float, a) -> ReplacementSpectrum:
         mat[-1, ccol] = (1.0 - q) * a[idx] * nu.weights[idx]
     mat[-1, -1] = (1.0 - q) * float(np.dot(a, nu.weights))
 
-    v = np.full(m, 1.0 / m)
-    lam = 0.0
-    for it in range(1, _POWER_MAX_ITER + 1):
-        w = v @ mat
-        lam = float(w.sum())
-        if lam <= 0.0:
-            raise NumericError("power iteration collapsed",
-                               diagnostics={"iteration": it})
-        w /= lam
-        if float(np.max(np.abs(w - v))) < _POWER_TOL:
-            v = w
-            break
-        v = w
-    else:
-        raise NumericError("power iteration did not converge",
-                           diagnostics={"iterations": _POWER_MAX_ITER,
-                                        "last_delta": float(np.max(np.abs(w - v)))})
-    on_sup = v[:-1]
-    dist = ProbVector(sup, on_sup / on_sup.sum())
+    vals, vecs = np.linalg.eig(mat.T)
+    lead = int(np.argmax(vals.real))
+    v = vecs[:, lead].real
+    v = v / v.sum()
+    dist = ProbVector(sup, v[:-1] / v[:-1].sum())
     mat.setflags(write=False)
-    vv = v.copy()
-    vv.setflags(write=False)
-    return ReplacementSpectrum(sup, mat, lam, vv, dist, it)
+    v.setflags(write=False)
+    return ReplacementSpectrum(sup, mat, float(vals[lead].real), v, dist)
 
 
 def gibbs_conditional_estimate(nu: OffspringLaw, q: float, n: int, w, c: float,

@@ -157,6 +157,21 @@ def _activities_from_constant(nu: OffspringLaw, q: float, c: float) -> np.ndarra
     return a
 
 
+def _bisect(above, lo: float, hi: float) -> float:
+    """Midpoint of the bracket [lo, hi] of the point where the monotone
+    predicate ``above`` turns true, once the bracket stops shrinking or
+    after ``_BISECTION_ITERS`` halvings."""
+    for _ in range(_BISECTION_ITERS):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
 def _positive_degrees(nu: OffspringLaw):
     degs = [k for k in nu.support if k != 0 and nu.prob(k) > 0.0]
     if not degs:
@@ -198,15 +213,7 @@ def solve_survival_minimizer(nu: OffspringLaw, q: float) -> SurvivalReport:
         raise NumericError("constraint exceeds target at the lower bracket",
                            diagnostics={"target": target, "lo": lo})
 
-    for _ in range(_BISECTION_ITERS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if excess(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    c_star = 0.5 * (lo + hi)
+    c_star = _bisect(lambda c: excess(c) > 0.0, lo, hi)
     activities = _activities_from_constant(nu, q, c_star)
     # near the product-log branch point the constraint sum can move by more
     # than the tolerance per representable step of the constant, so finish by
@@ -274,14 +281,7 @@ def proportional_baseline(nu: OffspringLaw, q: float) -> tuple[float, float]:
     if activity_constraint_residual(prop_activities(hi), nu, q) < 0.0:
         raise NumericError("baseline constraint never reaches the target",
                            diagnostics={"target": target})
-    for _ in range(_BISECTION_ITERS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if activity_constraint_residual(prop_activities(mid), nu, q) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    c_star = 0.5 * (lo + hi)
+    c_star = _bisect(lambda c: activity_constraint_residual(
+        prop_activities(c), nu, q) > 0.0, lo, hi)
     value = survival_functional(prop_activities(c_star), nu, q)
     return c_star, value

@@ -16,9 +16,6 @@ EXEMPT = {
     "activity_from_law": "the inverse of law_from_activity in the paper's "
                          "activity bijection; three test files build "
                          "admissible activities from target laws with it",
-    "mix": "the convex combination of two laws on one support; the tests "
-           "build the mixture references q rho + (1 - q) nu of their "
-           "entropy oracles with it",
 }
 
 

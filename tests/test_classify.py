@@ -16,7 +16,9 @@ from rgw import (ContractViolationError, DECISION_TOL, OffspringLaw,
                  reinforced_rate, relative_entropy,
                  search_two_type_decomposition, simulate_reinforced_urn,
                  two_type_weak_persistence)
-from rgw.measures import align, mix
+from rgw.measures import align
+
+from helpers import mix
 
 FLAGSHIP = OffspringLaw((1, 2), (0.5, 0.5))
 Q = 1.0 / 3.0

@@ -265,6 +265,27 @@ class TestFormats:
                                         "observed_frequency")
 
 
+# every subcommand that takes --q, with valid arguments besides it
+Q_COMMANDS = {
+    "rate": ["rate", "--law", LAW, "--grid", "0.25"],
+    "classify": ["classify", "--law", LAW, "--grid", "0.25"],
+    "simulate": ["simulate", "--law", LAW, "--n-max", "2", "--replicas", "2"],
+    "urn": ["urn", "--law", LAW, "--steps", "10"],
+    "spine": ["spine", "--law", LAW, "--activities",
+              "1:0.5;2:1.3333333333333333", "--steps", "10"],
+    "gibbs": ["gibbs", "--law", LAW, "--n", "2", "--w", "1:0;2:1", "--c",
+              "0.5", "--replicas", "10"],
+    "survival": ["survival", "--law", LAW],
+    "verify control": ["verify", "control", "--rho", "1:0.2;2:0.8", "--m",
+                       "4"],
+}
+# q = 1.5 lies outside every domain; q = 0 outside the commands' whose
+# domain is (0, 1) rather than [0, 1)
+BAD_Q = ([(name, "1.5") for name in Q_COMMANDS]
+         + [(name, "0") for name in ("urn", "spine", "survival",
+                                     "verify control")])
+
+
 class TestExitCodes:
     def test_help_is_success(self, capsys):
         assert run(["--help"]) == 0
@@ -278,9 +299,17 @@ class TestExitCodes:
         assert run(["frobnicate"]) == 1
         capsys.readouterr()
 
-    def test_bad_memory_parameter(self, capsys):
-        assert run(["rate", "--law", LAW, "--q", "1.5",
-                    "--grid", "0.25"]) == 1
+    @pytest.mark.parametrize("command", Q_COMMANDS)
+    def test_good_memory_parameter(self, command, tmp_path, capsys):
+        # the arguments besides --q are valid, so a refusal below is q's
+        code, _ = invoke([*Q_COMMANDS[command], "--q", "1/3"], tmp_path)
+        capsys.readouterr()
+        assert code == 0
+
+    @pytest.mark.parametrize("command, q", BAD_Q,
+                             ids=[f"{name}-q{q}" for name, q in BAD_Q])
+    def test_bad_memory_parameter(self, command, q, capsys):
+        assert run([*Q_COMMANDS[command], "--q", q]) == 1
         capsys.readouterr()
 
     def test_missing_law_file(self, capsys):

@@ -11,7 +11,9 @@ from rgw import (ContractViolationError, ControlPath, InfeasibleError,
                  OffspringLaw, ProbVector, RngStream, constant_control_value,
                  rate_by_control, reinforced_rate, relative_entropy)
 from rgw.control import _LOG_FLOOR, _objective
-from rgw.measures import _check_q, _check_same_support, align, mix
+from rgw.measures import _check_q, _check_same_support, align
+
+from helpers import mix
 
 FLAGSHIP = OffspringLaw((1, 2), (0.5, 0.5))
 Q = 1.0 / 3.0

@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rgw import (ContractViolationError, OffspringLaw, ProbVector, align,
-                 linf_distance, load_offspring_law, log_degree_weights, mix,
+                 linf_distance, load_offspring_law, log_degree_weights,
                  offspring_law_from_json, pair, relative_entropy)
 from rgw.measures import LogWeights
+
+from helpers import mix
 
 UNIFORM12 = OffspringLaw((1, 2), (0.5, 0.5))
 

@@ -18,7 +18,9 @@ from rgw import (ContractViolationError, NumericError, OffspringLaw,
                  min_rate_over_halfspace, pair, reinforced_log_mgf,
                  reinforced_log_mgf_grad, reinforced_rate, relative_entropy,
                  sanov_rate)
-from rgw.measures import LogWeights, align, mix
+from rgw.measures import LogWeights, align
+
+from helpers import mix
 from rgw.rate import _BOUNDARY_TAIL, _boundary_eval, _boundary_nodes
 
 FLAGSHIP = OffspringLaw((1, 2), (0.5, 0.5))

@@ -465,8 +465,9 @@ class TestSpineUrn:
         assert linf_distance(freq, target) < 0.02
 
 
-# The one-step-at-a-time urn loops the chunked stepping replaced, kept as
-# its oracle: the same stream must give bit-identical results.
+# One-step-at-a-time loops of both urns, kept as oracles: the whole-run
+# lineage urn and the chunked spine urn must give bit-identical results on
+# the same stream.
 
 
 def loop_reinforced_urn(nu: OffspringLaw, q: float, n: int,
@@ -480,18 +481,11 @@ def loop_reinforced_urn(nu: OffspringLaw, q: float, n: int,
     u_mode = g_rng.random(n)
     u_val = g_rng.random(n)
     cum_nu = nu.weights.cumsum().tolist()
-    counts = [0] * k
-    seq = np.empty(n, dtype=np.int64)
+    drawn = [0] * n
     for i in range(n):
         if i > 0 and u_mode[i] < q:
-            target = u_val[i] * i
-            acc = 0
-            j = k - 1
-            for idx in range(k):
-                acc += counts[idx]
-                if target < acc:
-                    j = idx
-                    break
+            # a memory draw repeats a uniformly chosen earlier draw
+            j = drawn[min(int(u_val[i] * i), i - 1)]
         else:
             u = u_val[i]
             j = k - 1
@@ -499,9 +493,9 @@ def loop_reinforced_urn(nu: OffspringLaw, q: float, n: int,
                 if u < cum_nu[idx]:
                     j = idx
                     break
-        counts[j] += 1
-        seq[i] = support[j]
-    return seq, EmpiricalMeasure(support, counts)
+        drawn[i] = j
+    seq = np.asarray(support, dtype=np.int64)[drawn]
+    return seq, EmpiricalMeasure(support, np.bincount(drawn, minlength=k))
 
 
 def loop_spine_urn(nu: OffspringLaw, q: float, a, n: int,
@@ -605,17 +599,31 @@ class TestChunkedUrnsMatchTheLoop:
                 assert np.array_equal(state.activities, ref_state.activities)
 
     def test_chunks_cut_short_stay_exact(self, nu, rho, q, monkeypatch):
-        # one pass per chunk: a chunk whose first guess is off keeps only
-        # its verified prefix
+        # one pass per chunk: a spine chunk whose first guess is off keeps
+        # only its verified prefix
         monkeypatch.setattr(simulate, "_SPECULATE_PASSES", 1)
         a = activity_from_law(ProbVector(nu.support, rho), nu, q)
-        seq, _ = simulate_reinforced_urn(nu, q, 5000, RngStream(4))
-        assert np.array_equal(seq, loop_reinforced_urn(nu, q, 5000,
-                                                       RngStream(4))[0])
         _, state = simulate_spine_urn(nu, q, a, 5000, RngStream(4))
         assert np.array_equal(state.counts,
                               loop_spine_urn(nu, q, a, 5000,
                                              RngStream(4))[1].counts)
+
+
+def power_left_pair(mat: np.ndarray, *, tol: float = 1e-13,
+                    max_iter: int = 200_000) -> tuple[float, np.ndarray]:
+    """Leading eigenvalue and left vector, scaled to sum 1, of a
+    non-negative matrix by power iteration: the oracle of the dense
+    eigensolve. Its iterations grow as 1/(1 - q) for the spine urn's
+    replacement matrix."""
+    v = np.full(mat.shape[0], 1.0 / mat.shape[0])
+    for _ in range(max_iter):
+        w = v @ mat
+        lam = float(w.sum())
+        w /= lam
+        if float(np.max(np.abs(w - v))) < tol:
+            return lam, w
+        v = w
+    raise AssertionError("power iteration did not converge")
 
 
 class TestReplacementMatrix:
@@ -627,16 +635,31 @@ class TestReplacementMatrix:
         assert linf_distance(spec.support_distribution,
                              nu.as_prob_vector()) < 1e-8
 
-    def test_left_vector_agrees_with_dense_eigensolve(self):
+    def test_left_pair_agrees_with_power_iteration(self):
         rho = ProbVector((1, 2), (0.35, 0.65))
         a = activity_from_law(rho, FLAGSHIP, Q)
         spec = replacement_matrix(FLAGSHIP, Q, a)
-        vals, vecs = np.linalg.eig(spec.matrix.T)
-        lead = int(np.argmax(vals.real))
-        assert vals[lead].real == pytest.approx(1.0, abs=1e-10)
-        left = np.abs(vecs[:, lead].real)
-        left /= left.sum()
+        lam, left = power_left_pair(spec.matrix)
+        assert spec.eigenvalue == pytest.approx(1.0, abs=1e-10)
+        assert spec.eigenvalue == pytest.approx(lam, abs=1e-12)
         assert np.max(np.abs(left - spec.left_vector)) < 1e-8
+
+    def test_high_memory_spectrum(self):
+        # power iteration needs ~2,550 iterations here, one eigensolve none
+        nu = OffspringLaw((0, 1, 2, 5), (0.1, 0.3, 0.4, 0.2))
+        q = 0.99
+        a = activity_from_law(ProbVector(nu.support, (0.0, 0.2, 0.3, 0.5)),
+                              nu, q)
+        spec = replacement_matrix(nu, q, a)
+        assert abs(spec.eigenvalue - 1.0) < 1e-12
+        target, _ = law_from_activity(a, nu, q)
+        # the left vector lives on the positive atoms; atom 0 has weight 0
+        assert target.weights[0] == 0.0
+        assert np.max(np.abs(spec.support_distribution.weights
+                             - target.weights[1:])) < 1e-12
+        lam, left = power_left_pair(spec.matrix)
+        assert spec.eigenvalue == pytest.approx(lam, abs=1e-12)
+        assert np.max(np.abs(left - spec.left_vector)) < 1e-9
 
     def test_inadmissible_activity_is_detected(self):
         rho = ProbVector((1, 2), (0.2, 0.8))
