@@ -65,6 +65,6 @@ print("  margins   :", f"{cert.margin_growth:.6f}",
       f"{cert.margin_average:.6f}")
 print("  certified :", cert.certified, " strong form:", cert.strong)
 
-_, s, mu_hat, _ = search_two_type_decomposition(target, law, chain, mesh=20)
+_, s, mu_hat, _ = search_two_type_decomposition(target, law, chain)
 print("  search recovers mix weight", f"{s:.4f}",
       "with shifted type-1 component", mu_hat.weights, "on", mu_hat.support)

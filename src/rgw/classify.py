@@ -13,7 +13,8 @@ A separate mean test settles one more region: when the mixture of rho and
 the base law is subcritical, no line realizing rho can survive, whatever the
 margins say. This module also hosts the bijection between target frequencies
 and the activity vectors driving the spine urn, and the weak-persistence
-certificate for the two-type benchmark tree.
+certificate for the two-type benchmark tree, whose best split of a target
+between the two types is found as one concave maximization.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from itertools import product as _cartesian
 
 import numpy as np
+from scipy import optimize, special
 
 from .errors import ContractViolationError, NumericError
 from .measures import (
@@ -40,8 +41,12 @@ from .measures import (
 from .rate import reinforced_rate
 
 DECISION_TOL = 1e-6
-# largest grid of shared-atom splits that the decomposition search scans
-_MAX_COMBINATIONS = 100_000
+# the two-type search starts SLSQP at these fractions of each free atom's
+# mass, asks it for this precision, and gives type 1 this fraction of each
+# free atom when the best split would leave type 1 empty
+_SPLIT_STARTS = (0.25, 0.5, 0.75)
+_SPLIT_FTOL = 1e-12
+_SLIVER = 1e-12
 
 
 class VerdictKind(str, enum.Enum):
@@ -248,11 +253,11 @@ class TwoTypeCertificate:
     strong: bool
 
 
-def _shift_down(mu: ProbVector) -> ProbVector:
-    if any(k < 1 for k in mu.support if mu.prob(k) > 0.0):
-        raise ContractViolationError("cannot shift a law charging atoms below 1")
-    kept = [(k - 1, w) for k, w in zip(mu.support, mu.weights) if w > 0.0]
-    return ProbVector(tuple(k for k, _ in kept), [w for _, w in kept])
+def _margin(mu: ProbVector, law: OffspringLaw) -> float:
+    """Log-degree pairing minus relative entropy of mu against the law."""
+    mu_a, law_a = align(mu, law.as_prob_vector())
+    return (pair(mu_a, log_degree_weights(mu_a.support))
+            - relative_entropy(mu_a, law_a))
 
 
 def two_type_weak_persistence(rho: ProbVector, nu: OffspringLaw,
@@ -284,112 +289,105 @@ def two_type_weak_persistence(rho: ProbVector, nu: OffspringLaw,
                 raise ContractViolationError(
                     f"type-2 component charges degree {k} outside its support")
 
-    if s == 1.0:
-        parts = align(rho, mu)
-        gap = float(np.max(np.abs(parts[0].weights - parts[1].weights)))
-    else:
-        parts = align(rho, mu, mu_prime)
-        blend = s * parts[1].weights + (1.0 - s) * parts[2].weights
-        gap = float(np.max(np.abs(parts[0].weights - blend)))
+    parts = align(rho, mu, mu if mu_prime is None else mu_prime)
+    blend = s * parts[1].weights + (1.0 - s) * parts[2].weights
+    gap = float(np.max(np.abs(parts[0].weights - blend)))
     if gap > 1e-10:
         raise ContractViolationError(
             f"decomposition misses the target by {gap!r} in sup norm")
 
-    tau_mu = _shift_down(mu)
-    t_al, nu_al = align(tau_mu, nu.as_prob_vector())
-    ln1 = log_degree_weights(t_al.support)
-    gain1 = pair(t_al, ln1)
-    ent1 = relative_entropy(t_al, nu_al)
-    margin_growth = gain1 - ent1
-
-    if s == 1.0:
-        margin_average = margin_growth
-    else:
-        p_al, p_nu = align(mu_prime, nu_prime.as_prob_vector())
-        ln2 = log_degree_weights(p_al.support)
-        gain2 = pair(p_al, ln2)
-        ent2 = relative_entropy(p_al, p_nu)
-        margin_average = s * margin_growth + (1.0 - s) * (gain2 - ent2)
+    kept = mu.weights > 0.0  # the shift moves type-1 degrees down by one
+    margin_growth = _margin(
+        ProbVector(np.array(mu.support)[kept] - 1, mu.weights[kept]), nu)
+    margin_average = (margin_growth if s == 1.0 else
+                      s * margin_growth + (1.0 - s) * _margin(mu_prime, nu_prime))
 
     certified = margin_growth > 0.0 and margin_average > 0.0
     return TwoTypeCertificate(certified, margin_growth, margin_average, s == 1.0)
 
 
+def _margin_mass(m: np.ndarray, c: np.ndarray) -> float:
+    """sum m_k (c_k - log(m_k / sum m)), which is 0 when m is 0."""
+    return float(np.sum(m * c + special.entr(m)) - special.entr(m.sum()))
+
+
 def search_two_type_decomposition(rho: ProbVector, nu: OffspringLaw,
-                                  nu_prime: OffspringLaw, *,
-                                  mesh: int = 20):
-    """Grid search for a certifying decomposition of the target.
+                                  nu_prime: OffspringLaw):
+    """Best decomposition of the target for the two-type certificate.
 
-    Atoms belonging to one type only force their component masses, pinning
-    the feasible split weights s to an interval; s is scanned on a mesh of
-    that interval. Shared atoms are split by scanning fractions of all but
-    the last, whose share is forced so that the components sum to one
-    exactly. Returns (certificate, s, mu, mu_prime) for the best valid grid
-    point, best meaning the largest smaller margin; None when no grid point
-    yields a valid decomposition.
+    Give mass x_k of rho(k) to type 1 and y_k = rho(k) - x_k to type 2, with
+    s = sum x. Then s * margin_growth and margin_average are
+
+        F1 = sum x_k (log((k-1) nu(k-1)) - log x_k) + s log s,
+        F2 = F1 + sum y_k (log(k nu'(k)) - log y_k) + (1-s) log(1-s),
+
+    linear terms minus perspectives of the entropy, so both are jointly
+    concave in x. The best split, the one with the largest
+    min(s * margin_growth, margin_average), is thus one concave maximization
+    over the box 0 <= x_k <= rho(k), and since s > 0 a split certifies
+    exactly when its score is positive. Atoms on one type only are forced;
+    a shared atom whose log-weight is -inf on one side (atom 1 when nu has
+    atom 0) goes wholly to the other type, unless that leaves type 1 empty;
+    then type 1 takes every atom it can and fails. SLSQP splits the free
+    atoms on the epigraph form, max t subject to F1 >= t and F2 >= t, from
+    fixed starts; when its maximum sits at s = 0, which no split attains,
+    type 1 keeps a sliver of each free atom.
+
+    An inexact solve can lose a certificate but never create one: each
+    split goes back through the exact ``two_type_weak_persistence``, whose
+    certificate is the one returned. Returns (certificate, s, mu, mu_prime)
+    for the best split, mu_prime None when s = 1; None when an atom of rho
+    is on neither type or type 1 can carry no mass.
     """
-    if mesh < 2:
-        raise ContractViolationError("mesh must be at least 2")
-    shifted = tuple(sorted(k + 1 for k in nu.support))
-    sup2 = nu_prime.support
-    atoms = [(k, rho.prob(k)) for k in rho.support if rho.prob(k) > 0.0]
-    for k, _ in atoms:
-        if k not in shifted and k not in sup2:
-            return None
-
-    only1 = sum(w for k, w in atoms if k in shifted and k not in sup2)
-    only2 = sum(w for k, w in atoms if k in sup2 and k not in shifted)
-    shared = [(k, w) for k, w in atoms if k in shifted and k in sup2]
-    shared_mass = sum(w for _, w in shared)
-    free = max(len(shared) - 1, 0)
-    if mesh * (mesh + 1) ** free > _MAX_COMBINATIONS:
-        raise ContractViolationError("shared-atom grid exceeds the search guard")
-
-    # s must place mass only1..only1+shared on type 1
-    candidates: list[float] = []
-    lo, hi = only1, only1 + shared_mass
-    for i in range(mesh + 1):
-        s = lo + (hi - lo) * i / mesh
-        if 0.0 < s <= 1.0 and (s < 1.0 or only2 == 0.0):
-            if s not in candidates:
-                candidates.append(s)
-
-    fracs = np.linspace(0.0, 1.0, mesh + 1)
-    best = None
-    for s in candidates:
-        need = s - only1
-        for split in _cartesian(*([fracs] * free)):
-            taken = [float(f) * shared[i][1] for i, f in enumerate(split)]
-            if shared:
-                last = need - sum(taken)
-                if not (-1e-12 <= last <= shared[-1][1] + 1e-12):
-                    continue
-                taken.append(min(max(last, 0.0), shared[-1][1]))
-            elif abs(need) > 1e-12:
-                continue
-            mass1 = {k: w for k, w in atoms if k in shifted and k not in sup2}
-            mass2 = {k: w for k, w in atoms if k in sup2 and k not in shifted}
-            for (k, w), t in zip(shared, taken):
-                if t > 0.0:
-                    mass1[k] = mass1.get(k, 0.0) + t
-                if w - t > 0.0:
-                    mass2[k] = mass2.get(k, 0.0) + (w - t)
-            if not mass1 or (s < 1.0 and not mass2):
-                continue
-            try:
-                mu = ProbVector(tuple(mass1), [w / s for w in mass1.values()])
-                if s == 1.0:
-                    mu_p = None
-                else:
-                    mu_p = ProbVector(tuple(mass2),
-                                      [w / (1.0 - s) for w in mass2.values()])
-                cert = two_type_weak_persistence(rho, nu, nu_prime, s, mu, mu_p)
-            except ContractViolationError:
-                continue
-            score = min(cert.margin_growth, cert.margin_average)
-            if best is None or score > best[0]:
-                best = (score, cert, s, mu, mu_p)
-    if best is None:
+    atoms = np.array([k for k, m in zip(rho.support, rho.weights) if m > 0.0])
+    w = rho.weights[rho.weights > 0.0]
+    on1 = np.array([k - 1 in nu.support for k in atoms])
+    on2 = np.array([k in nu_prime.support for k in atoms])
+    if not (on1 | on2).all():
         return None
-    _, cert, s, mu, mu_p = best
-    return cert, s, mu, mu_p
+    with np.errstate(divide="ignore"):
+        c1 = np.log([(k - 1) * nu.prob(k - 1) for k in atoms])
+        c2 = np.log([k * nu_prime.prob(k) for k in atoms])
+    # bounds on the type-1 mass of each atom
+    lo = np.where(on1 & (c2 == -np.inf), w, 0.0)
+    hi = np.where(on1 & ((c1 > -np.inf) | (c2 == -np.inf)), w, 0.0)
+    if not hi.any():
+        lo = hi = np.where(on1, w, 0.0)
+        if not hi.any():
+            return None
+    free = lo < hi
+    # a side whose mass at an atom is pinned at 0 takes no term there
+    c1 = np.where(hi > 0.0, c1, 0.0)
+    c2 = np.where(lo < w, c2, 0.0)
+
+    def at(v):
+        x = lo.copy()
+        x[free] = np.clip(v, 0.0, w[free])
+        return x
+
+    def margins(x):
+        f1 = _margin_mass(x, c1)
+        return np.array([f1, f1 + _margin_mass(w - x, c2)])
+
+    points = [w[free] * f for f in _SPLIT_STARTS]
+    if free.any() and np.isfinite(margins(at(points[0]))).all():
+        epigraph = {"type": "ineq",
+                    "fun": lambda z: margins(at(z[:-1])) - z[-1]}
+        bounds = [(0.0, m) for m in w[free]] + [(None, None)]
+        points = [optimize.minimize(
+            lambda z: -z[-1], np.append(v, margins(at(v)).min()),
+            method="SLSQP", bounds=bounds, constraints=epigraph,
+            options={"ftol": _SPLIT_FTOL}).x[:-1] for v in points]
+
+    best = None
+    for v in points:
+        x = at(v) if at(v).any() else at(w[free] * _SLIVER)
+        y = w - x
+        s = float(x.sum()) if y.any() else 1.0
+        mu = ProbVector(atoms[x > 0.0], x[x > 0.0] / x.sum())
+        mu_p = ProbVector(atoms[y > 0.0], y[y > 0.0] / y.sum()) if y.any() else None
+        cert = two_type_weak_persistence(rho, nu, nu_prime, s, mu, mu_p)
+        score = min(s * cert.margin_growth, cert.margin_average)
+        if best is None or score > best[0]:
+            best = (score, cert, s, mu, mu_p)
+    return best[1:]

@@ -416,18 +416,15 @@ def _cmd_two_type(args) -> int:
                     if args.mu_prime else None)
         if mu is None:
             raise _UsageError("--s needs --mu (and --mu-prime when s < 1)")
-        cert = two_type_weak_persistence(rho, nu, nu_prime, s, mu, mu_prime)
+        found = (two_type_weak_persistence(rho, nu, nu_prime, s, mu, mu_prime), s)
+    else:
+        found = search_two_type_decomposition(rho, nu, nu_prime)
+    if found is None:
+        rows = [[False, False, None, None, None]]
+    else:
+        cert, s = found[:2]
         rows = [[cert.certified, cert.strong, s, cert.margin_growth,
                  cert.margin_average]]
-    else:
-        found = search_two_type_decomposition(rho, nu, nu_prime,
-                                              mesh=args.mesh)
-        if found is None:
-            rows = [[False, False, None, None, None]]
-        else:
-            cert, s, _, _ = found
-            rows = [[cert.certified, cert.strong, s, cert.margin_growth,
-                     cert.margin_average]]
     _write(_render(columns, rows, args.format), args.out)
     return 0
 
@@ -574,7 +571,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--s", default=None, help="mixing weight; omit to search")
     p.add_argument("--mu", default=None)
     p.add_argument("--mu-prime", default=None)
-    p.add_argument("--mesh", type=int, default=20)
     _add_common(p)
     p.set_defaults(fn=_cmd_two_type)
 

@@ -212,9 +212,13 @@ def _survival_instances(rng: RngStream):
     return [(nu, q, solve_survival_minimizer(nu, q)) for nu, q in cases]
 
 
+# random starts, and descent steps per start, of the survival oracle
+_ORACLE_STARTS = 6
+_ORACLE_ITERS = 500
+
+
 def _projected_gradient_minimum(nu: OffspringLaw, q: float,
-                                gen: np.random.Generator, *,
-                                starts: int = 6, iters: int = 500) -> float:
+                                gen: np.random.Generator) -> float:
     """Independent minimizer: eliminate the last positive-degree activity
     through the admissibility constraint, then projected gradient descent
     with finite-difference gradients on the remaining box coordinates."""
@@ -246,7 +250,7 @@ def _projected_gradient_minimum(nu: OffspringLaw, q: float,
         return value(np.empty(0))
 
     best = math.inf
-    for _ in range(starts):
+    for _ in range(_ORACLE_STARTS):
         for _ in range(50):
             v = gen.uniform(0.05, min(hi, 6.0), size=len(free))
             f = value(v)
@@ -256,7 +260,7 @@ def _projected_gradient_minimum(nu: OffspringLaw, q: float,
             continue
         step = 0.1
         h = 1e-7
-        for _ in range(iters):
+        for _ in range(_ORACLE_ITERS):
             grad = np.empty(len(free))
             for j in range(len(free)):
                 vp, vm = v.copy(), v.copy()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import product as _cartesian
 
 import numpy as np
 import pytest
@@ -227,8 +228,140 @@ class TestTwoType:
     def test_search_recovers_the_known_certificate(self):
         rho = ProbVector((1, 2, 3), (0.5, 1 / 6, 1 / 3))
         cert, s, mu, mu_prime = search_two_type_decomposition(
-            rho, FLAGSHIP, OffspringLaw((1,), (1.0,)), mesh=20)
+            rho, FLAGSHIP, OffspringLaw((1,), (1.0,)))
         assert cert.certified
         assert s == pytest.approx(0.5, abs=1e-12)
         assert linf_distance(mu, ProbVector((2, 3), (1 / 3, 2 / 3))) < 1e-9
         assert tuple(mu_prime.support) == (1,)
+
+    def test_search_reaches_the_strong_branch(self):
+        rho = ProbVector((2, 3), (1 / 3, 2 / 3))
+        cert, s, mu, mu_prime = search_two_type_decomposition(
+            rho, FLAGSHIP, OffspringLaw((1,), (1.0,)))
+        assert cert.certified and cert.strong
+        assert s == 1.0
+        assert mu_prime is None
+        assert linf_distance(mu, rho) < 1e-15
+
+    def test_search_refuses_an_atom_on_neither_type(self):
+        # atom 4 is neither a shifted degree of the flagship nor in delta_1
+        rho = ProbVector((1, 4), (0.5, 0.5))
+        assert search_two_type_decomposition(
+            rho, FLAGSHIP, OffspringLaw((1,), (1.0,))) is None
+
+    def test_infinite_log_weights_force_their_atoms(self):
+        nu = OffspringLaw((0, 1, 2), (0.2, 0.3, 0.5))
+        delta1 = OffspringLaw((1,), (1.0,))
+        # atom 1 would shift to degree 0 on type 1, so it goes to type 2
+        rho = ProbVector((1, 2, 3), (0.2, 0.3, 0.5))
+        _, s, mu, mu_prime = search_two_type_decomposition(rho, nu, delta1)
+        assert s == pytest.approx(0.8, abs=1e-15)
+        assert mu.support == (2, 3) and mu_prime.support == (1,)
+        # unless type 1 would be left empty: then it takes atom 1 and fails
+        cert, s, _, mu_prime = search_two_type_decomposition(
+            ProbVector((1,), (1.0,)), nu, delta1)
+        assert cert.margin_growth == -math.inf and not cert.certified
+        assert s == 1.0 and mu_prime is None
+        # atom 0 on type 2 fails every split, so no solve is needed
+        cert, *_ = search_two_type_decomposition(
+            ProbVector((0, 2, 3), (0.1, 0.4, 0.5)), FLAGSHIP,
+            OffspringLaw((0, 2), (0.5, 0.5)))
+        assert cert.margin_average == -math.inf and not cert.certified
+
+    def test_four_shared_atoms_are_certified(self):
+        # every atom is shared: the former grid refused this target, since
+        # 20 * 21**3 split points exceeded its guard
+        nu = OffspringLaw((0, 1, 2, 3), (0.1, 0.2, 0.3, 0.4))
+        nu_prime = OffspringLaw((1, 2, 3, 4), (0.4, 0.3, 0.2, 0.1))
+        rho = ProbVector((1, 2, 3, 4), (0.1, 0.2, 0.3, 0.4))
+        cert, s, mu, mu_prime = search_two_type_decomposition(rho, nu,
+                                                              nu_prime)
+        assert cert.certified
+        assert 0.0 < s < 1.0
+        assert two_type_weak_persistence(rho, nu, nu_prime, s, mu,
+                                         mu_prime) == cert
+
+
+def grid_two_type_decomposition(rho: ProbVector, nu: OffspringLaw,
+                                nu_prime: OffspringLaw, *, mesh: int):
+    """The mesh grid that the search replaced, kept as its oracle.
+
+    Atoms belonging to one type only force their component masses, pinning
+    the feasible split weights s to an interval; s is scanned on a mesh of
+    that interval. Shared atoms are split by scanning fractions of all but
+    the last, whose share is forced so that the components sum to one
+    exactly. Returns (score, certificate, s, mu, mu_prime) for the best
+    valid grid point, ranked by the search's score min(s * margin_growth,
+    margin_average); None when no grid point yields a valid decomposition.
+    """
+    shifted = tuple(sorted(k + 1 for k in nu.support))
+    sup2 = nu_prime.support
+    atoms = [(k, rho.prob(k)) for k in rho.support if rho.prob(k) > 0.0]
+    for k, _ in atoms:
+        if k not in shifted and k not in sup2:
+            return None
+
+    only1 = sum(w for k, w in atoms if k in shifted and k not in sup2)
+    only2 = sum(w for k, w in atoms if k in sup2 and k not in shifted)
+    shared = [(k, w) for k, w in atoms if k in shifted and k in sup2]
+    shared_mass = sum(w for _, w in shared)
+    free = max(len(shared) - 1, 0)
+
+    # s must place mass only1..only1+shared on type 1
+    candidates: list[float] = []
+    lo, hi = only1, only1 + shared_mass
+    for i in range(mesh + 1):
+        s = lo + (hi - lo) * i / mesh
+        if 0.0 < s <= 1.0 and (s < 1.0 or only2 == 0.0):
+            if s not in candidates:
+                candidates.append(s)
+
+    fracs = np.linspace(0.0, 1.0, mesh + 1)
+    best = None
+    for s in candidates:
+        need = s - only1
+        for split in _cartesian(*([fracs] * free)):
+            taken = [float(f) * shared[i][1] for i, f in enumerate(split)]
+            if shared:
+                last = need - sum(taken)
+                if not (-1e-12 <= last <= shared[-1][1] + 1e-12):
+                    continue
+                taken.append(min(max(last, 0.0), shared[-1][1]))
+            elif abs(need) > 1e-12:
+                continue
+            mass1 = {k: w for k, w in atoms if k in shifted and k not in sup2}
+            mass2 = {k: w for k, w in atoms if k in sup2 and k not in shifted}
+            for (k, w), t in zip(shared, taken):
+                if t > 0.0:
+                    mass1[k] = mass1.get(k, 0.0) + t
+                if w - t > 0.0:
+                    mass2[k] = mass2.get(k, 0.0) + (w - t)
+            if not mass1 or (s < 1.0 and not mass2):
+                continue
+            try:
+                mu = ProbVector(tuple(mass1), [w / s for w in mass1.values()])
+                if s == 1.0:
+                    mu_p = None
+                else:
+                    mu_p = ProbVector(tuple(mass2),
+                                      [w / (1.0 - s) for w in mass2.values()])
+                cert = two_type_weak_persistence(rho, nu, nu_prime, s, mu, mu_p)
+            except ContractViolationError:
+                continue
+            score = min(s * cert.margin_growth, cert.margin_average)
+            if best is None or score > best[0]:
+                best = (score, cert, s, mu, mu_p)
+    return best
+
+
+@pytest.mark.parametrize("case", range(30))
+def test_concave_search_dominates_the_grid(case):
+    gen = np.random.default_rng([21, case])
+    nu = OffspringLaw((0, 1, 2), gen.dirichlet(np.ones(3)))
+    nu_prime = OffspringLaw((1, 2, 3), gen.dirichlet(np.ones(3)))
+    rho = ProbVector((1, 2, 3), gen.dirichlet(np.ones(3)))
+    grid_score, grid_cert, *_ = grid_two_type_decomposition(rho, nu, nu_prime,
+                                                            mesh=10)
+    cert, s, _, _ = search_two_type_decomposition(rho, nu, nu_prime)
+    assert cert.certified or not grid_cert.certified
+    assert min(s * cert.margin_growth, cert.margin_average) >= grid_score - 1e-9

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import ast
 import json
 import math
 import re
@@ -263,6 +265,54 @@ class TestFormats:
         assert code == 0
         assert text.splitlines()[0] == ("atom,activity,stationary_frequency,"
                                         "observed_frequency")
+
+
+class TestTwoType:
+    # demo 04's target: the flagship shifts to degrees 2 and 3, delta_1
+    # holds degree 1, so no atom is shared and the split is forced at 1/2
+    TARGET = ["two-type", "--rho", "1:1/2;2:1/6;3:1/3", "--law", LAW]
+
+    @pytest.fixture
+    def args(self, tmp_path):
+        chain = tmp_path / "delta1.json"
+        chain.write_text('{"support": [1], "probs": [1.0]}')
+        return [*self.TARGET, "--law-prime", str(chain)]
+
+    def test_search(self, args, tmp_path):
+        code, text = invoke(args, tmp_path)
+        assert code == 0
+        # the margins are log(3/2) and half of it, as in demo 04
+        assert text == ("certified,strong,s,margin_growth,margin_average\n"
+                        "true,false,0.5,0.40546510810816438,"
+                        "0.20273255405408219\n")
+
+    def test_explicit_split(self, args, tmp_path):
+        code, text = invoke([*args, "--s", "1/2", "--mu", "2:1/3;3:2/3",
+                             "--mu-prime", "1:1"], tmp_path)
+        assert code == 0
+        assert text == invoke(args, tmp_path, "search.txt")[1]
+
+    def test_split_weight_needs_its_component(self, args, capsys):
+        assert run([*args, "--s", "1/2"]) == 1
+        assert "--s needs --mu" in capsys.readouterr().err
+
+    def test_mesh_is_no_longer_an_option(self, args, capsys):
+        assert run([*args, "--mesh", "20"]) == 1
+        assert "unrecognized arguments: --mesh" in capsys.readouterr().err
+
+
+def test_every_subcommand_is_run_here():
+    """The subcommand list, the parser and this module agree: each
+    subcommand begins at least one argument list in this module."""
+    parser = cli._build_parser()
+    subs = next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+    assert tuple(subs.choices) == cli._SUBCOMMANDS
+    tree = ast.parse(Path(__file__).read_text(encoding="utf8"))
+    first_words = {node.elts[0].value for node in ast.walk(tree)
+                   if isinstance(node, ast.List) and node.elts
+                   and isinstance(node.elts[0], ast.Constant)}
+    assert sorted(set(cli._SUBCOMMANDS) - first_words) == []
 
 
 # every subcommand that takes --q, with valid arguments besides it
