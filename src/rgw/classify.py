@@ -15,6 +15,10 @@ margins say. This module also hosts the bijection between target frequencies
 and the activity vectors driving the spine urn, and the weak-persistence
 certificate for the two-type benchmark tree, whose best split of a target
 between the two types is found as one concave maximization.
+
+SciPy stays off the import path: only search_two_type_decomposition imports
+it (``scipy.optimize.minimize`` and ``scipy.special.entr``), on its first
+call, which costs about 0.5 s once per process.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
 
 from .errors import ContractViolationError, NumericError
 from .measures import (
@@ -306,11 +309,6 @@ def two_type_weak_persistence(rho: ProbVector, nu: OffspringLaw,
     return TwoTypeCertificate(certified, margin_growth, margin_average, s == 1.0)
 
 
-def _margin_mass(m: np.ndarray, c: np.ndarray) -> float:
-    """sum m_k (c_k - log(m_k / sum m)), which is 0 when m is 0."""
-    return float(np.sum(m * c + special.entr(m)) - special.entr(m.sum()))
-
-
 def search_two_type_decomposition(rho: ProbVector, nu: OffspringLaw,
                                   nu_prime: OffspringLaw):
     """Best decomposition of the target for the two-type certificate.
@@ -339,6 +337,8 @@ def search_two_type_decomposition(rho: ProbVector, nu: OffspringLaw,
     for the best split, mu_prime None when s = 1; None when an atom of rho
     is on neither type or type 1 can carry no mass.
     """
+    from scipy import optimize, special
+
     atoms = np.array([k for k, m in zip(rho.support, rho.weights) if m > 0.0])
     w = rho.weights[rho.weights > 0.0]
     on1 = np.array([k - 1 in nu.support for k in atoms])
@@ -365,9 +365,13 @@ def search_two_type_decomposition(rho: ProbVector, nu: OffspringLaw,
         x[free] = np.clip(v, 0.0, w[free])
         return x
 
+    def mass(m, c):
+        # sum m_k (c_k - log(m_k / sum m)), which is 0 when m is 0
+        return float(np.sum(m * c + special.entr(m)) - special.entr(m.sum()))
+
     def margins(x):
-        f1 = _margin_mass(x, c1)
-        return np.array([f1, f1 + _margin_mass(w - x, c2)])
+        f1 = mass(x, c1)
+        return np.array([f1, f1 + mass(w - x, c2)])
 
     points = [w[free] * f for f in _SPLIT_STARTS]
     if free.any() and np.isfinite(margins(at(points[0]))).all():

@@ -499,9 +499,13 @@ def _cmd_verify(args) -> int:
     report = verify_suite(level, args.seed)
     for check in report["checks"]:
         flag = "ok  " if check["passed"] else "FAIL"
-        sys.stderr.write(f"{flag} {check['name']:28s} "
-                         f"observed={check['observed']:.3e} "
-                         f"tolerance={check['tolerance']:.3e}\n")
+        if "error" in check:
+            error = check["error"]
+            detail = f"raised {error['type']}: {error['message']}"
+        else:
+            detail = (f"observed={check['observed']:.3e} "
+                      f"tolerance={check['tolerance']:.3e}")
+        sys.stderr.write(f"{flag} {check['name']:28s} {detail}\n")
     sys.stderr.write(("all checks passed" if report["all_passed"]
                       else "verification FAILED") +
                      f" ({report['elapsed_seconds']} s)\n")

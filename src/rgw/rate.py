@@ -22,6 +22,10 @@ gradient-match equation in the coordinates m.
 
 Conventions: entries lam(k) = -inf contribute factor 1 to the integrand and
 get gradient component 0; the all -inf tilt yields -inf.
+
+SciPy stays off the import path: only min_rate_over_halfspace imports it
+(``scipy.optimize.brentq``), on its first call, which costs about 0.5 s
+once per process.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import optimize
 
 from .errors import ContractViolationError, InfeasibleError, NumericError
 from .measures import (
@@ -397,6 +400,8 @@ def min_rate_over_halfspace(nu: OffspringLaw, q: float, w, c: float):
     else:
         raise NumericError("halfspace dual root not bracketed",
                            {"log_theta": outer})
+    from scipy import optimize
+
     lo, hi = sorted((inner, outer))
     log_theta = optimize.brentq(excess, lo, hi, xtol=1e-14)
     ival, g = evaluate(log_theta)

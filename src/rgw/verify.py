@@ -22,6 +22,7 @@ import numpy as np
 
 from .classify import DECISION_TOL, VerdictKind, classify_reinforced, law_from_activity
 from .control import constant_control_value, rate_by_control
+from .errors import ContractViolationError, NumericError, StatisticalFailureError
 from .measures import (LogWeights, OffspringLaw, ProbVector, linf_distance,
                        log_degree_weights, pair)
 from .rate import concentration_target, reinforced_log_mgf, reinforced_rate
@@ -357,6 +358,11 @@ def _check_phase_exclusivity(scan) -> tuple[float, float]:
     return DECISION_TOL, worst
 
 
+def _plain(value):
+    # NumPy scalars and arrays in error diagnostics become JSON numbers and lists
+    return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
+
+
 def verify_suite(level: str = "quick", seed: int = 42) -> dict:
     """Run every cross-module check at the given level.
 
@@ -365,6 +371,11 @@ def verify_suite(level: str = "quick", seed: int = 42) -> dict:
     several checks share (the control solve, the replacement spectra, the
     survival solves, the verdict scan) runs once per call, inside the first
     check that needs it, and is timed there.
+
+    A check that raises one of the package's typed errors fails without
+    stopping the run: its tolerance and observed value are None, and its
+    entry alone carries an ``error`` with the exception's type, message and
+    diagnostics.
     """
     if level not in ("quick", "full"):
         raise ValueError(f"unknown verify level {level!r}")
@@ -435,14 +446,24 @@ def verify_suite(level: str = "quick", seed: int = 42) -> dict:
     t0 = time.perf_counter()
     for name, fn in plan:
         t1 = time.perf_counter()
-        tolerance, observed = fn()
+        error = None
+        try:
+            tolerance, observed = map(float, fn())
+        except (ContractViolationError, NumericError,
+                StatisticalFailureError) as exc:
+            tolerance = observed = None
+            error = {"type": type(exc).__name__, "message": str(exc),
+                     "diagnostics": {k: _plain(v) for k, v in
+                                     getattr(exc, "diagnostics", {}).items()}}
         checks.append({
             "name": name,
-            "tolerance": float(tolerance),
-            "observed": float(observed),
-            "passed": bool(observed <= tolerance),
+            "tolerance": tolerance,
+            "observed": observed,
+            "passed": error is None and observed <= tolerance,
             "seconds": round(time.perf_counter() - t1, 3),
         })
+        if error is not None:
+            checks[-1]["error"] = error
     return {
         "level": level,
         "seed": int(seed),

@@ -35,8 +35,9 @@ def passed(report, *names):
     entries = [check(report, name) for name in names]
     for entry in entries:
         assert entry["passed"], (
-            f"{entry['name']}: observed {entry['observed']:.3e} "
-            f"exceeds tolerance {entry['tolerance']:.3e}")
+            f"{entry['name']}: raised {entry['error']}" if "error" in entry
+            else f"{entry['name']}: observed {entry['observed']:.3e} "
+                 f"exceeds tolerance {entry['tolerance']:.3e}")
     return sum(entry["seconds"] for entry in entries)
 
 

@@ -6,8 +6,11 @@ import argparse
 import ast
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -390,3 +393,56 @@ class TestExitCodes:
         assert report["all_passed"] is True
         assert {"name", "tolerance", "observed", "passed",
                 "seconds"} <= set(report["checks"][0])
+
+
+# Runs in a fresh interpreter: imports the package and the CLI, runs each
+# command given as JSON in argv[1] with its output discarded, then prints
+# the exit codes, the loaded modules of the scipy package, and whether one
+# halfspace minimum loads scipy.optimize.
+COLD_START = """
+import contextlib, io, json, sys
+import rgw, rgw.cli
+
+codes = []
+for args in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        codes.append(rgw.cli.run(args))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+rgw.min_rate_over_halfspace(rgw.OffspringLaw((1, 2), (0.5, 0.5)), 1 / 3,
+                            (0.0, 1.0), 0.8)
+print(json.dumps([codes, loaded, "scipy.optimize" in sys.modules]))
+"""
+
+
+def test_no_command_but_two_type_loads_scipy():
+    # scipy is imported only by the two-type search and the halfspace minimum
+    commands = [
+        ["rate", "--law", LAW, "--q", "1/3", "--grid", "0.25"],
+        ["rate", "--law", LAW, "--q", "1/3", "--rho", "1:0.2;2:0.8"],
+        ["simulate", "--law", LAW, "--q", "1/3", "--n-max", "3",
+         "--replicas", "20"],
+        ["simulate", "--law", LAW, "--q", "1/3", "--n-max", "3",
+         "--replicas", "20", "--histograms"],
+        ["classify", "--law", LAW, "--q", "1/3", "--grid", "0.25"],
+        ["survival", "--law", LAW, "--q-grid", "1/5:4/5:1/5"],
+        ["spine", "--law", LAW, "--q", "1/3", "--activities",
+         "1:0.5;2:1.3333333333333333", "--steps", "100"],
+        ["gibbs", "--law", LAW, "--q", "1/3", "--n", "4", "--w", "1:0;2:1",
+         "--c", "0.5", "--replicas", "100"],
+        ["urn", "--law", LAW, "--q", "1/3", "--steps", "100"],
+        ["verify", "--quick"],
+        ["verify", "control", "--rho", "1:0.2;2:0.8", "--m", "16"],
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START, json.dumps(commands)], cwd=REPO,
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    codes, loaded, optimize_loaded = json.loads(done.stdout)
+    assert codes == [0] * len(commands)
+    assert loaded == []
+    # the probe can see scipy when it is loaded
+    assert optimize_loaded
