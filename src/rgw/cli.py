@@ -38,8 +38,10 @@ from .verify import verify_suite
 
 _SUBCOMMANDS = ("rate", "classify", "simulate", "urn", "spine", "two-type",
                 "gibbs", "survival", "verify")
-# CSV rows are formatted and written this many at a time, so a large table
-# is never held in memory as text
+# CSV rows are formatted and written about this many at a time (census-free
+# ``simulate`` rows in whole replicas), so a large table is never held in
+# memory as text; each block is one join of its rows' text pieces
+# (``_csv_block``)
 _CSV_BLOCK = 4096
 
 
@@ -171,40 +173,62 @@ def _column(values, fmt: str) -> list:
     return [rules[type(v)](v) for v in values]
 
 
-def _expand(values, index: np.ndarray, fmt: str) -> list:
-    """``_column`` of ``values[index]``, converting each value once."""
-    return np.asarray(_column(values, fmt), dtype=object)[index].tolist()
+def _csv_block(pieces, seps: list[str]) -> str:
+    """The CSV text of one block of rows, joined once.
+
+    Each distinct row of a piece becomes one text, its cells converted by
+    ``_column`` and each followed by its separator; the texts are gathered
+    into one (rows, pieces) array, which is joined in row order."""
+    seps = iter(seps)
+    texts = []
+    for cells, index in pieces:
+        text = np.full(len(cells[0]), "", dtype=object)
+        for values in cells:
+            converted = np.asarray(_column(values, "csv"), dtype=object)
+            text += converted + next(seps)
+        texts.append(text if index is None else text[index])
+    return "".join(np.stack(texts, axis=1).ravel().tolist())
 
 
 def _render_blocks(columns: list[str], blocks, fmt: str):
     """Yield the table as text: CSV a block of rows at a time, JSON as one
     document.
 
-    Each block holds the cells of its rows a column at a time, converted by
-    ``_column``. CSV lines are joined from the columns and written block by
-    block, while JSON rows are collected for one document.
+    A block is a list of pieces, each covering consecutive columns. A piece
+    is a pair (cells, index): its distinct rows of cells, a column at a
+    time, and the distinct row that each row of the block takes (None: one
+    each, in order). So a value shared by many rows is converted once. Each
+    CSV block is yielded as ``_csv_block`` joins it, while JSON rows are
+    collected for one document.
     """
     if fmt == "csv":
         yield ",".join(columns) + "\n"
+    seps = [","] * (len(columns) - 1) + ["\n"]
     records = []
-    for cols in blocks:
+    for pieces in blocks:
         if fmt == "csv":
-            yield "\n".join(map(",".join, zip(*cols))) + "\n"
-        else:
-            records.extend(dict(zip(columns, row)) for row in zip(*cols))
+            yield _csv_block(pieces, seps)
+            continue
+        cols = []
+        for cells, index in pieces:
+            for values in cells:
+                converted = _column(values, fmt)
+                cols.append(converted if index is None else
+                            np.asarray(converted, dtype=object)[index].tolist())
+        records.extend(dict(zip(columns, row)) for row in zip(*cols))
     if fmt == "json":
         yield json.dumps(records, indent=1) + "\n"
 
 
 def _render(columns: list[str], rows, fmt: str):
     """``_render_blocks`` over rows taken ``_CSV_BLOCK`` at a time, each
-    block converted a column at a time: every cell of one type in a column
-    by the same rule of ``_cell_rule``. The text is the same as converting
-    the cells one by one."""
+    column of a block one piece: every cell of one type in a column is
+    converted by the same rule of ``_cell_rule``. The text is the same as
+    converting the cells one by one."""
     rows = iter(rows)
     blocks = iter(lambda: list(islice(rows, _CSV_BLOCK)), [])
     return _render_blocks(
-        columns, ([_column(values, fmt) for values in zip(*block)]
+        columns, ([([values], None) for values in zip(*block)]
                   for block in blocks), fmt)
 
 
@@ -290,35 +314,43 @@ def _hist_key(support: tuple[int, ...], counts: tuple[int, ...]) -> str:
     return "|".join(f"{k}:{c}" for k, c in zip(support, counts) if c)
 
 
+# the survived and truncated cells of a replica, indexed by 2 * alive + cut
+_FLAG_CELLS = [[False, False, True, True], [False, True, False, True]]
+
+
+def _by_value(values: np.ndarray):
+    """A one-column piece holding ``values``, each distinct value once among
+    its cells."""
+    distinct, index = np.unique(values, return_inverse=True)
+    return [distinct.tolist()], index
+
+
 def _population_blocks(populations: np.ndarray, last: np.ndarray,
-                       alive: np.ndarray, cut: np.ndarray, fmt: str):
-    """The converted census-free rows of ``simulate``, generations
-    0..last[r] of each replica r, in blocks of about ``_CSV_BLOCK`` rows
-    taken a column at a time straight from the campaign arrays. A column
-    that repeats a replica's or a generation's value converts it once."""
+                       flags: np.ndarray):
+    """The census-free rows of ``simulate``, generations 0..last[r] of each
+    replica r, in blocks of whole replicas, about ``_CSV_BLOCK`` rows each,
+    taken straight from the campaign arrays. A row is four pieces: its
+    replica, its generation, its population, and one piece for the
+    survived, truncated and blank census cells, which take 4 values."""
     replicas, width = populations.shape
     per = max(1, _CSV_BLOCK // width)
+    blank = [""] * len(_FLAG_CELLS[0])
     for start in range(0, replicas, per):
         part = slice(start, start + per)
         shown = np.arange(width) <= last[part, None]
         # each row's replica, counted from start, and generation
         row_of, gen = np.nonzero(shown)
-        yield [_expand(range(start, start + shown.shape[0]), row_of, fmt),
-               _expand(range(width), gen, fmt),
-               _column(populations[part][shown].tolist(), fmt),
-               _expand(alive[part].tolist(), row_of, fmt),
-               _expand(cut[part].tolist(), row_of, fmt),
-               _column([""], fmt) * row_of.size,
-               _column([""], fmt) * row_of.size]
+        yield [([range(start, start + shown.shape[0])], row_of),
+               ([range(width)], gen),
+               _by_value(populations[part][shown]),
+               ([*_FLAG_CELLS, blank, blank], flags[part][row_of])]
 
 
-def _census_blocks(campaign, last: np.ndarray, alive: np.ndarray,
-                   cut: np.ndarray, fmt: str):
-    """The converted census rows of ``simulate``: for generations 0..last[r]
-    of each replica r, one row per census entry in counts order, or one row
-    with blank census cells if there is none; in blocks of ``_CSV_BLOCK``
-    rows taken a column at a time. Each distinct histogram's key is
-    formatted once."""
+def _census_blocks(campaign, last: np.ndarray, flags: np.ndarray):
+    """The census rows of ``simulate``: for generations 0..last[r] of each
+    replica r, one row per census entry in counts order, or one row with
+    blank census cells if there is none; in blocks of ``_CSV_BLOCK`` rows.
+    Each distinct histogram's key is formatted once."""
     rid, gen, hists, mult = [], [], [], []
     for g, layer in enumerate(campaign.histograms):
         if layer:
@@ -347,11 +379,10 @@ def _census_blocks(campaign, last: np.ndarray, alive: np.ndarray,
     for start in range(0, order.size, _CSV_BLOCK):
         part = order[start:start + _CSV_BLOCK]
         r, g = rid[part], gen[part]
-        yield [_column(r.tolist(), fmt), _column(g.tolist(), fmt),
-               _column(campaign.populations[r, g].tolist(), fmt),
-               _column(alive[r].tolist(), fmt), _column(cut[r].tolist(), fmt),
-               _expand(key_text, kid[part], fmt),
-               _column(mult[part].tolist(), fmt)]
+        yield [_by_value(r), _by_value(g),
+               _by_value(campaign.populations[r, g]),
+               (_FLAG_CELLS, flags[r]), ([key_text], kid[part]),
+               ([mult[part].tolist()], None)]
 
 
 def _cmd_simulate(args) -> int:
@@ -369,11 +400,11 @@ def _cmd_simulate(args) -> int:
     cut = trunc >= 0
     last = np.where(cut, trunc, args.n_max)
     alive = cut | (campaign.populations[:, args.n_max] > 0)
+    flags = 2 * alive + cut
     if campaign.histograms is None:
-        blocks = _population_blocks(campaign.populations, last, alive, cut,
-                                    args.format)
+        blocks = _population_blocks(campaign.populations, last, flags)
     else:
-        blocks = _census_blocks(campaign, last, alive, cut, args.format)
+        blocks = _census_blocks(campaign, last, flags)
     _write(_render_blocks(columns, blocks, args.format), args.out)
     return 0
 

@@ -9,6 +9,7 @@ nature of the finite-depth evidence.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,9 @@ import pytest
 from rgw import OffspringLaw, ProbVector, concentration_target, linf_distance
 from rgw.verify import verify_suite
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+REPO = Path(__file__).resolve().parent.parent
+README = REPO / "README.md"
+BENCHMARK = REPO / "BENCHMARK.json"
 
 
 @pytest.fixture(scope="module")
@@ -124,3 +127,13 @@ def test_c11_documentation_states_statistical_scope(report):
     assert "standard error" in text
     # the battery itself must have been healthy end to end
     assert report["all_passed"]
+
+
+def test_every_check_has_a_benchmark_metric(report):
+    # the readme_cli workload reports verify.<name>_s for each check of the
+    # full report, and a name that BENCHMARK.json does not declare stops a
+    # traced run
+    declared = {m["name"] for m in json.loads(BENCHMARK.read_text())["per_layer"]}
+    missing = [entry["name"] for entry in report["checks"]
+               if f"verify.{entry['name']}_s" not in declared]
+    assert not missing, f"checks without a verify.<name>_s metric: {missing}"

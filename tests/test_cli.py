@@ -11,6 +11,7 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -85,14 +86,20 @@ class TestGoldenFiles:
         assert code == 0
         assert text == (GOLDEN / "verify_control.json").read_text()
 
-    def test_csv_blocks_keep_the_bytes(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("flags, golden", [
+        (["--histograms"], "simulate_small.csv"),
+        (["--pop-cap", "40"], "simulate_capped.csv"),
+    ], ids=["census", "population"])
+    def test_csv_blocks_keep_the_bytes(self, flags, golden, block, tmp_path,
+                                       monkeypatch):
         # blocks far smaller than the table cut it at many row boundaries
-        monkeypatch.setattr(cli, "_CSV_BLOCK", 7)
+        monkeypatch.setattr(cli, "_CSV_BLOCK", block)
         code, text = invoke(["simulate", "--law", LAW, "--q", "1/3",
                              "--n-max", "6", "--replicas", "50", "--seed",
-                             "9", "--histograms"], tmp_path)
+                             "9", *flags], tmp_path)
         assert code == 0
-        assert text == (GOLDEN / "simulate_small.csv").read_text()
+        assert text == (GOLDEN / golden).read_text()
 
 
 def old_cell(value) -> str:
@@ -161,25 +168,57 @@ class TestRender:
         assert "".join(chunks) == old_render(MIXED_COLUMNS, rows, fmt)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_simulate_columns_follow_the_cell_rules(self, fmt, tmp_path):
-        # several blocks of rows, some replicas cut short by the cap
+    @pytest.mark.parametrize("probs, q, pop_cap", [
+        # atom 0: some replicas die out and print survived false
+        ({"support": [0, 1, 2], "probs": [0.3, 0.2, 0.5]}, "1/3", 10_000_000),
+        # the campaign's q = 0 branch
+        (None, "0", 10_000_000),
+        # some replicas cut short by the cap
+        (None, "1/3", 60),
+    ], ids=["extinct", "memoryless", "capped"])
+    def test_simulate_columns_follow_the_cell_rules(self, probs, q, pop_cap,
+                                                    fmt, tmp_path,
+                                                    monkeypatch):
+        # several blocks of rows
         n_max, replicas = 8, 1500
-        code, text = invoke(["simulate", "--law", LAW, "--q", "1/3",
+        law = LAW
+        if probs is not None:
+            law = str(tmp_path / "law.json")
+            Path(law).write_text(json.dumps(probs))
+        chunks = []
+        write = cli._write
+
+        def counted_write(parts, out):
+            parts = list(parts)
+            chunks.append(len(parts))
+            write(parts, out)
+
+        monkeypatch.setattr(cli, "_write", counted_write)
+        code, text = invoke(["simulate", "--law", law, "--q", q,
                              "--n-max", str(n_max), "--replicas",
-                             str(replicas), "--seed", "3", "--pop-cap", "60",
-                             "--format", fmt], tmp_path)
+                             str(replicas), "--seed", "3", "--pop-cap",
+                             str(pop_cap), "--format", fmt], tmp_path)
         assert code == 0
-        camp = simulate_tree_campaign(cli._parse_law(LAW), 1.0 / 3.0, n_max,
-                                      replicas, RngStream(3), pop_cap=60)
-        rows = []
+        if fmt == "csv":
+            # the header, then one block per run of whole replicas
+            per = max(1, cli._CSV_BLOCK // (n_max + 1))
+            assert chunks == [1 + math.ceil(replicas / per)]
+        camp = simulate_tree_campaign(cli._parse_law(law), float(Fraction(q)),
+                                      n_max, replicas, RngStream(3),
+                                      pop_cap=pop_cap)
+        rows, survived = [], 0
         for r in range(replicas):
             pops = camp.populations[r].tolist()
             cut = bool(camp.truncated_at[r] >= 0)
             last = int(camp.truncated_at[r]) if cut else n_max
             alive = cut or pops[n_max] > 0
+            survived += alive
             rows.extend([r, g, pops[g], alive, cut, "", ""]
                         for g in range(last + 1))
-        assert 0 < sum(camp.truncated_at >= 0) < replicas
+        if probs is not None:
+            assert 0 < survived < replicas
+        if pop_cap == 60:
+            assert 0 < sum(camp.truncated_at >= 0) < replicas
         assert len(rows) > 3 * cli._CSV_BLOCK
         columns = ["replica", "generation", "population", "survived",
                    "truncated", "hist_key", "hist_count"]
