@@ -35,7 +35,7 @@ print("base law                          :", law.as_prob_vector().weights)
 # tilting by activities a = (1/2, 4/3) makes degree-2 draws more sticky;
 # this particular profile reproduces the concentration target of the tree
 activities = np.array([0.5, 4.0 / 3.0])
-target, _ = law_from_activity(activities, law, q)
+target = law_from_activity(activities, law, q)
 print()
 print("activity profile", activities, "-> stationary law", target.weights)
 

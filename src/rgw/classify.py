@@ -219,24 +219,15 @@ def activity_from_law(rho: ProbVector, nu: OffspringLaw, q: float) -> np.ndarray
     return a
 
 
-def law_from_activity(a, nu: OffspringLaw, q: float) -> tuple[ProbVector, float]:
-    """Stationary target law of an admissible activity vector, with the
-    persistence criterion value.
+def law_from_activity(a, nu: OffspringLaw, q: float) -> ProbVector:
+    """Stationary target law of an admissible activity vector.
 
-    pi_a(k) = (1-q) a(k) nu(k) / (1 - q a(k)). The second return value is
-    sum pi_a(k) log(a(k)/k), negative exactly when the target beats the
-    mixed-entropy threshold; it equals the entropy of pi_a against its
-    mixture with nu minus the log-degree pairing.
+    pi_a(k) = (1-q) a(k) nu(k) / (1 - q a(k)). The persistence criterion
+    sum pi_a(k) log(a(k)/k) is ``survival_functional``.
     """
     a = validate_activities(a, nu, q)
     weights = (1.0 - q) * a * nu.weights / (1.0 - q * a)
-    pi = ProbVector(nu.support, weights)
-    crit = 0.0
-    for idx, k in enumerate(nu.support):
-        w = pi.weights[idx]
-        if w > 0.0:
-            crit += w * math.log(a[idx] / k)
-    return pi, crit
+    return ProbVector(nu.support, weights)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ One executable with a subcommand per capability: rate curves, law
 classification, tree campaigns, urn and spine runs, two-type benchmarks,
 conditioned-ensemble estimates, survival certificates, and the verification
 suite. Output is CSV (17 significant digits) or JSON, written to --out or
-stdout; all randomness derives from --seed, so equal invocations produce
-byte-identical files.
+stdout a block of rows at a time, both formats through the same join of
+per-cell text; all randomness derives from --seed, so equal invocations
+produce byte-identical files.
 
 Exit codes: 0 success, 1 invalid input, 2 numeric or statistical failure,
 3 verification-suite failure.
@@ -38,10 +39,10 @@ from .verify import verify_suite
 
 _SUBCOMMANDS = ("rate", "classify", "simulate", "urn", "spine", "two-type",
                 "gibbs", "survival", "verify")
-# CSV rows are formatted and written about this many at a time (census-free
-# ``simulate`` rows in whole replicas), so a large table is never held in
-# memory as text; each block is one join of its rows' text pieces
-# (``_csv_block``)
+# CSV and JSON rows are formatted and written about this many at a time
+# (census-free ``simulate`` rows in whole replicas), so a large table is never
+# held in memory as text; each block is one join of its rows' text pieces
+# (``_block``)
 _CSV_BLOCK = 4096
 
 
@@ -140,29 +141,29 @@ _BOOL_TEXT = {True: "true", False: "false"}
 _FLOAT_TEXT = "%.17g"
 
 
-def _json_float(value):
+def _json_float(value) -> str:
     x = float(value)
     if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return x
+        return '"inf"' if x > 0 else '"-inf"'
+    return json.dumps(x)
 
 
 def _cell_rule(kind: type, fmt: str):
     """The function that turns a cell of Python or NumPy type ``kind`` into
-    CSV text or a JSON value: None is empty (null), a bool true or false,
-    an int its digits, a float 17 significant digits (a number, or "inf" or
-    "-inf" in JSON); any other value is written as its str (passed to JSON
-    as it is)."""
+    its CSV or JSON text: None is empty (null), a bool true or false, an int
+    its digits, a float 17 significant digits in CSV and its shortest repr
+    in JSON (where infinities are the strings "inf" and "-inf"); any other
+    value is written as its str (its JSON encoding)."""
     csv = fmt == "csv"
     if kind is type(None):
-        return (lambda v: "") if csv else (lambda v: None)
+        return (lambda v: "") if csv else (lambda v: "null")
     if issubclass(kind, (bool, np.bool_)):
-        return _BOOL_TEXT.__getitem__ if csv else bool
+        return _BOOL_TEXT.__getitem__
     if issubclass(kind, (int, np.integer)):
-        return str if csv else int
+        return str
     if issubclass(kind, (float, np.floating)):
         return _FLOAT_TEXT.__mod__ if csv else _json_float
-    return str if csv else (lambda v: v)
+    return str if csv else json.dumps
 
 
 def _column(values, fmt: str) -> list:
@@ -173,8 +174,8 @@ def _column(values, fmt: str) -> list:
     return [rules[type(v)](v) for v in values]
 
 
-def _csv_block(pieces, seps: list[str]) -> str:
-    """The CSV text of one block of rows, joined once.
+def _block(pieces, seps: list[str], fmt: str) -> str:
+    """The text of one block of rows, joined once.
 
     Each distinct row of a piece becomes one text, its cells converted by
     ``_column`` and each followed by its separator; the texts are gathered
@@ -184,40 +185,39 @@ def _csv_block(pieces, seps: list[str]) -> str:
     for cells, index in pieces:
         text = np.full(len(cells[0]), "", dtype=object)
         for values in cells:
-            converted = np.asarray(_column(values, "csv"), dtype=object)
+            converted = np.asarray(_column(values, fmt), dtype=object)
             text += converted + next(seps)
         texts.append(text if index is None else text[index])
     return "".join(np.stack(texts, axis=1).ravel().tolist())
 
 
 def _render_blocks(columns: list[str], blocks, fmt: str):
-    """Yield the table as text: CSV a block of rows at a time, JSON as one
-    document.
+    """Yield the table as text, a block of rows at a time.
 
     A block is a list of pieces, each covering consecutive columns. A piece
     is a pair (cells, index): its distinct rows of cells, a column at a
     time, and the distinct row that each row of the block takes (None: one
-    each, in order). So a value shared by many rows is converted once. Each
-    CSV block is yielded as ``_csv_block`` joins it, while JSON rows are
-    collected for one document.
+    each, in order). So a value shared by many rows is converted once.
+    Every cell is followed by a separator: in CSV a comma, or a newline
+    after the last column; in JSON the next column's key, or after the last
+    column the record separator and the first key. CSV opens with its header
+    line. A JSON block is yielded without its trailing record separator,
+    which opens the next block instead, so the text is that of
+    ``json.dumps(records, indent=1)`` and a newline.
     """
     if fmt == "csv":
+        seps = [","] * (len(columns) - 1) + ["\n"]
         yield ",".join(columns) + "\n"
-    seps = [","] * (len(columns) - 1) + ["\n"]
-    records = []
+        for pieces in blocks:
+            yield _block(pieces, seps, fmt)
+        return
+    keys = [f"  {json.dumps(column)}: " for column in columns]
+    seps = [",\n" + key for key in keys[1:]] + ["\n },\n {\n" + keys[0]]
+    lead = "[\n {\n" + keys[0]
     for pieces in blocks:
-        if fmt == "csv":
-            yield _csv_block(pieces, seps)
-            continue
-        cols = []
-        for cells, index in pieces:
-            for values in cells:
-                converted = _column(values, fmt)
-                cols.append(converted if index is None else
-                            np.asarray(converted, dtype=object)[index].tolist())
-        records.extend(dict(zip(columns, row)) for row in zip(*cols))
-    if fmt == "json":
-        yield json.dumps(records, indent=1) + "\n"
+        yield lead + _block(pieces, seps, fmt)[:-len(seps[-1])]
+        lead = seps[-1]
+    yield "\n }\n]\n" if lead == seps[-1] else "[]\n"
 
 
 def _render(columns: list[str], rows, fmt: str):
@@ -424,7 +424,7 @@ def _cmd_spine(args) -> int:
     nu = _parse_law(args.law)
     q = _parse_q(args.q, allow_zero=False)
     a = _aligned_values(args.activities, nu.support, "--activities")
-    target, _ = law_from_activity(np.asarray(a), nu, q)
+    target = law_from_activity(np.asarray(a), nu, q)
     freq, _ = simulate_spine_urn(nu, q, a, args.steps, RngStream(args.seed))
     columns = ["atom", "activity", "stationary_frequency",
                "observed_frequency"]
@@ -515,9 +515,7 @@ def _verify_control(args) -> int:
               "gap_to_dual": value - dual,
               "gap_to_upper_bound": bound - value,
               "best_path": best_path.rstrip("\n")}
-    _write([json.dumps({k: _cell_rule(type(v), "json")(v)
-                        for k, v in report.items()}, indent=1) + "\n"],
-           args.out)
+    _write([json.dumps(report, indent=1) + "\n"], args.out)
     # a valid bound sits between the dual value and the constant-path bound
     ok = value - dual >= -1e-6 and bound - value >= -1e-6
     return 0 if ok else 3

@@ -149,14 +149,6 @@ class SurvivalReport:
     constraint_residual: float
 
 
-def _activities_from_constant(nu: OffspringLaw, q: float, c: float) -> np.ndarray:
-    a = np.zeros(len(nu.support))
-    for idx, k in enumerate(nu.support):
-        if k != 0:
-            a[idx] = -lambert_w0(-c * k) / q
-    return a
-
-
 def _bisect(above, lo: float, hi: float) -> float:
     """Midpoint of the bracket [lo, hi] of the point where the monotone
     predicate ``above`` turns true, once the bracket stops shrinking or
@@ -180,24 +172,24 @@ def _positive_degrees(nu: OffspringLaw):
     return degs
 
 
-def solve_survival_minimizer(nu: OffspringLaw, q: float) -> SurvivalReport:
-    """Minimize the certificate functional over admissible activities.
+def _admissible_constant(nu: OffspringLaw, q: float, ratio,
+                         ceiling: float) -> tuple[float, np.ndarray]:
+    """The constant c at which the activities a(k) = ratio(c k), with a = 0
+    at atom 0, meet the admissibility identity, and those activities.
 
-    The minimizing family is a(k) = -W0(-Ck)/q; the admissibility sum is
-    continuous and strictly increasing in C, from 1 at C=0 to infinity at
-    the branch-point ceiling 1/(e max S), so plain bisection finds the
-    unique admissible C. The upper end expands geometrically toward the
-    ceiling first if the target is not yet bracketed.
+    The admissibility sum must increase continuously in c on (0, ceiling),
+    from below the target to past it; plain bisection then finds c. The
+    upper end expands geometrically toward the ceiling first if the target
+    is not yet bracketed.
     """
-    _check_q(q)
-    degs = _positive_degrees(nu)
-    top = max(degs)
     target = 1.0 / (1.0 - q)
-    ceiling = 1.0 / (math.e * top)
+
+    def activities(c: float) -> np.ndarray:
+        return np.array([ratio(c * k) if k != 0 else 0.0
+                         for k in nu.support])
 
     def excess(c: float) -> float:
-        return activity_constraint_residual(
-            _activities_from_constant(nu, q, c), nu, q)
+        return activity_constraint_residual(activities(c), nu, q)
 
     lo = 1e-14 * ceiling
     hi = (1.0 - 1e-14) * ceiling
@@ -212,9 +204,23 @@ def solve_survival_minimizer(nu: OffspringLaw, q: float) -> SurvivalReport:
     if excess(lo) > 0.0:
         raise NumericError("constraint exceeds target at the lower bracket",
                            diagnostics={"target": target, "lo": lo})
+    c = _bisect(lambda c: excess(c) > 0.0, lo, hi)
+    return c, activities(c)
 
-    c_star = _bisect(lambda c: excess(c) > 0.0, lo, hi)
-    activities = _activities_from_constant(nu, q, c_star)
+
+def solve_survival_minimizer(nu: OffspringLaw, q: float) -> SurvivalReport:
+    """Minimize the certificate functional over admissible activities.
+
+    The minimizing family is a(k) = -W0(-Ck)/q; the admissibility sum is
+    continuous and strictly increasing in C, from 1 at C=0 to infinity at
+    the branch-point ceiling 1/(e max S), so plain bisection finds the
+    unique admissible C.
+    """
+    _check_q(q)
+    degs = _positive_degrees(nu)
+    target = 1.0 / (1.0 - q)
+    c_star, activities = _admissible_constant(
+        nu, q, lambda ck: -lambert_w0(-ck) / q, 1.0 / (math.e * max(degs)))
     # near the product-log branch point the constraint sum can move by more
     # than the tolerance per representable step of the constant, so finish by
     # recomputing the heaviest productive activity from the identity itself
@@ -262,26 +268,6 @@ def proportional_baseline(nu: OffspringLaw, q: float) -> tuple[float, float]:
     """
     _check_q(q)
     degs = _positive_degrees(nu)
-    top = max(degs)
-    target = 1.0 / (1.0 - q)
-    ceiling = 1.0 / (q * top)
-
-    def prop_activities(c: float) -> np.ndarray:
-        a = np.zeros(len(nu.support))
-        for idx, k in enumerate(nu.support):
-            if k != 0:
-                a[idx] = c * k
-        return a
-
-    lo = 1e-14 * ceiling
-    hi = (1.0 - 1e-14) * ceiling
-    if activity_constraint_residual(prop_activities(lo), nu, q) > 0.0:
-        raise NumericError("baseline constraint exceeds target at the lower "
-                           "bracket", diagnostics={"target": target})
-    if activity_constraint_residual(prop_activities(hi), nu, q) < 0.0:
-        raise NumericError("baseline constraint never reaches the target",
-                           diagnostics={"target": target})
-    c_star = _bisect(lambda c: activity_constraint_residual(
-        prop_activities(c), nu, q) > 0.0, lo, hi)
-    value = survival_functional(prop_activities(c_star), nu, q)
-    return c_star, value
+    c_star, activities = _admissible_constant(nu, q, lambda ck: ck,
+                                              1.0 / (q * max(degs)))
+    return c_star, survival_functional(activities, nu, q)

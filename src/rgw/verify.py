@@ -162,7 +162,7 @@ def _check_spine_lln(rng: RngStream, *, slice_points, steps: int,
     worst = 0.0
     for i, t in enumerate(slice_points):
         a = _flagship_activities(t)
-        target, _ = law_from_activity(a, _FLAGSHIP, _Q_FLAGSHIP)
+        target = law_from_activity(a, _FLAGSHIP, _Q_FLAGSHIP)
         freq, _ = simulate_spine_urn(_FLAGSHIP, _Q_FLAGSHIP, a, steps,
                                      rng.child(300 + i))
         worst = max(worst, linf_distance(freq, target))
@@ -179,7 +179,7 @@ def _check_replacement_eigenvalue(spectra) -> tuple[float, float]:
 def _check_replacement_left_vector(spectra) -> tuple[float, float]:
     worst = 0.0
     for a, spec in spectra:
-        target, _ = law_from_activity(a, _FLAGSHIP, _Q_FLAGSHIP)
+        target = law_from_activity(a, _FLAGSHIP, _Q_FLAGSHIP)
         worst = max(worst, linf_distance(spec.support_distribution, target))
     return 1e-8, worst
 

@@ -16,7 +16,7 @@ from rgw import (ContractViolationError, DECISION_TOL, OffspringLaw,
                  min_memory_for_persistence, pair, log_degree_weights,
                  reinforced_rate, relative_entropy,
                  search_two_type_decomposition, simulate_reinforced_urn,
-                 two_type_weak_persistence)
+                 survival_functional, two_type_weak_persistence)
 from rgw.measures import align
 
 from helpers import mix
@@ -182,7 +182,8 @@ class TestActivityMaps:
         for p in (0.2, 0.35, 0.5, 0.65, 0.8):
             rho = ProbVector((1, 2), (p, 1.0 - p))
             a = activity_from_law(rho, FLAGSHIP, Q)
-            back, criterion = law_from_activity(a, FLAGSHIP, Q)
+            back = law_from_activity(a, FLAGSHIP, Q)
+            criterion = survival_functional(a, FLAGSHIP, Q)
             assert linf_distance(back, rho) < 1e-12
             expected = (entropy_against_blend(rho, FLAGSHIP, Q)
                         - pair(rho, log_degree_weights((1, 2))))
@@ -190,7 +191,7 @@ class TestActivityMaps:
 
     def test_concentration_target_criterion_value(self):
         a = activity_from_law(ProbVector((1, 2), (0.2, 0.8)), FLAGSHIP, Q)
-        _, criterion = law_from_activity(a, FLAGSHIP, Q)
+        criterion = survival_functional(a, FLAGSHIP, Q)
         assert criterion == pytest.approx(-0.4630015225985207, abs=1e-12)
         assert criterion < 0.0
 

@@ -32,6 +32,21 @@ def invoke(args, tmp_path, name="out.txt"):
     return code, text
 
 
+def assert_same_text(text: str, expected: str) -> None:
+    """Exact equality of two texts; a mismatch names the first differing
+    line (None past the end) instead of leaving pytest to diff whole
+    tables."""
+    __tracebackhide__ = True
+    if text == expected:
+        return
+    got = [*text.splitlines(True), None]
+    want = [*expected.splitlines(True), None]
+    line = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
+    pytest.fail(f"texts differ first at line {line + 1} of {len(got) - 1} "
+                f"({len(want) - 1} expected): {got[line]!r} != "
+                f"{want[line]!r}", pytrace=False)
+
+
 class TestGoldenFiles:
     """Each golden file is the output of one command, run from the root of
     the repository:
@@ -48,26 +63,26 @@ class TestGoldenFiles:
         code, text = invoke(["rate", "--law", LAW, "--q", "1/3",
                              "--grid", "0.05"], tmp_path)
         assert code == 0
-        assert text == (GOLDEN / "rate_flagship.csv").read_text()
+        assert_same_text(text, (GOLDEN / "rate_flagship.csv").read_text())
 
     def test_classification_curve(self, tmp_path):
         code, text = invoke(["classify", "--law", LAW, "--q", "1/3",
                              "--grid", "0.1"], tmp_path)
         assert code == 0
-        assert text == (GOLDEN / "classify_flagship.csv").read_text()
+        assert_same_text(text, (GOLDEN / "classify_flagship.csv").read_text())
 
     def test_survival_grid(self, tmp_path):
         code, text = invoke(["survival", "--law", LAW, "--q-grid",
                              "1/5:4/5:1/5"], tmp_path)
         assert code == 0
-        assert text == (GOLDEN / "survival_grid.csv").read_text()
+        assert_same_text(text, (GOLDEN / "survival_grid.csv").read_text())
 
     def test_simulation_with_histograms(self, tmp_path):
         code, text = invoke(["simulate", "--law", LAW, "--q", "1/3",
                              "--n-max", "6", "--replicas", "50", "--seed",
                              "9", "--histograms"], tmp_path)
         assert code == 0
-        assert text == (GOLDEN / "simulate_small.csv").read_text()
+        assert_same_text(text, (GOLDEN / "simulate_small.csv").read_text())
 
     def test_simulation_without_histograms(self, tmp_path):
         # the census-free rows, with replicas cut short by the population cap
@@ -76,7 +91,7 @@ class TestGoldenFiles:
                              "9", "--pop-cap", "40"], tmp_path)
         assert code == 0
         assert ",true,true,," in text
-        assert text == (GOLDEN / "simulate_capped.csv").read_text()
+        assert_same_text(text, (GOLDEN / "simulate_capped.csv").read_text())
 
     def test_verify_control_report(self, tmp_path):
         # the bound and its best path, every float at %.17g
@@ -84,22 +99,30 @@ class TestGoldenFiles:
                              "--m", "16", "--restarts", "3", "--seed", "5"],
                             tmp_path)
         assert code == 0
-        assert text == (GOLDEN / "verify_control.json").read_text()
+        assert_same_text(text, (GOLDEN / "verify_control.json").read_text())
 
     @pytest.mark.parametrize("block", [1, 7])
     @pytest.mark.parametrize("flags, golden", [
         (["--histograms"], "simulate_small.csv"),
         (["--pop-cap", "40"], "simulate_capped.csv"),
-    ], ids=["census", "population"])
+        (["--histograms", "--format", "json"], None),
+        (["--pop-cap", "40", "--format", "json"], None),
+    ], ids=["census", "population", "census-json", "population-json"])
     def test_csv_blocks_keep_the_bytes(self, flags, golden, block, tmp_path,
                                        monkeypatch):
-        # blocks far smaller than the table cut it at many row boundaries
+        # blocks far smaller than the table cut it at many row boundaries,
+        # and JSON carries its record separator across each cut; JSON is
+        # held to its text at the default block size
+        args = ["simulate", "--law", LAW, "--q", "1/3", "--n-max", "6",
+                "--replicas", "50", "--seed", "9", *flags]
+        if golden is None:
+            expected = invoke(args, tmp_path, "whole.txt")[1]
+        else:
+            expected = (GOLDEN / golden).read_text()
         monkeypatch.setattr(cli, "_CSV_BLOCK", block)
-        code, text = invoke(["simulate", "--law", LAW, "--q", "1/3",
-                             "--n-max", "6", "--replicas", "50", "--seed",
-                             "9", *flags], tmp_path)
+        code, text = invoke(args, tmp_path)
         assert code == 0
-        assert text == (GOLDEN / golden).read_text()
+        assert_same_text(text, expected)
 
 
 def old_cell(value) -> str:
@@ -155,7 +178,7 @@ class TestRender:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_mixed_table_follows_the_cell_rules(self, fmt):
         text = "".join(cli._render(MIXED_COLUMNS, MIXED_ROWS, fmt))
-        assert text == old_render(MIXED_COLUMNS, MIXED_ROWS, fmt)
+        assert_same_text(text, old_render(MIXED_COLUMNS, MIXED_ROWS, fmt))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_table_longer_than_a_block(self, fmt):
@@ -163,9 +186,10 @@ class TestRender:
                 + [i, i / 7, "r" if i % 3 else None]
                 for i in range(2 * cli._CSV_BLOCK + 5)]
         chunks = list(cli._render(MIXED_COLUMNS, rows, fmt))
-        if fmt == "csv":
-            assert len(chunks) == 1 + 3
-        assert "".join(chunks) == old_render(MIXED_COLUMNS, rows, fmt)
+        # three blocks, and the CSV header or the end of the JSON document
+        assert len(chunks) == 3 + 1
+        assert_same_text("".join(chunks),
+                         old_render(MIXED_COLUMNS, rows, fmt))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("probs, q, pop_cap", [
@@ -199,10 +223,10 @@ class TestRender:
                              str(replicas), "--seed", "3", "--pop-cap",
                              str(pop_cap), "--format", fmt], tmp_path)
         assert code == 0
-        if fmt == "csv":
-            # the header, then one block per run of whole replicas
-            per = max(1, cli._CSV_BLOCK // (n_max + 1))
-            assert chunks == [1 + math.ceil(replicas / per)]
+        # one block per run of whole replicas, and the CSV header or the
+        # end of the JSON document
+        per = max(1, cli._CSV_BLOCK // (n_max + 1))
+        assert chunks == [math.ceil(replicas / per) + 1]
         camp = simulate_tree_campaign(cli._parse_law(law), float(Fraction(q)),
                                       n_max, replicas, RngStream(3),
                                       pop_cap=pop_cap)
@@ -222,12 +246,12 @@ class TestRender:
         assert len(rows) > 3 * cli._CSV_BLOCK
         columns = ["replica", "generation", "population", "survived",
                    "truncated", "hist_key", "hist_count"]
-        assert text == old_render(columns, rows, fmt)
+        assert_same_text(text, old_render(columns, rows, fmt))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empty_table(self, fmt):
         text = "".join(cli._render(MIXED_COLUMNS, [], fmt))
-        assert text == old_render(MIXED_COLUMNS, [], fmt)
+        assert_same_text(text, old_render(MIXED_COLUMNS, [], fmt))
 
 
 def readme_command_lines() -> list[list[str]]:

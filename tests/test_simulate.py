@@ -13,7 +13,8 @@ from rgw import (ContractViolationError, NumericError, OffspringLaw,
                  enumerate_expected_counts, gibbs_conditional_estimate,
                  law_from_activity, linf_distance, many_to_one_estimate,
                  replacement_matrix, simulate_reinforced_urn,
-                 simulate_spine_urn, simulate_tree_campaign)
+                 simulate_spine_urn, simulate_tree_campaign,
+                 survival_functional)
 from rgw import simulate
 from rgw.classify import validate_activities
 from rgw.measures import EmpiricalMeasure, _check_q
@@ -447,19 +448,20 @@ class TestReinforcedUrn:
 class TestSpineUrn:
     def test_identity_activity_targets_the_base_law(self):
         ones = np.ones(2)
-        target, criterion = law_from_activity(ones, FLAGSHIP, Q)
+        target = law_from_activity(ones, FLAGSHIP, Q)
         assert np.allclose(target.weights, FLAGSHIP.weights, atol=1e-15)
         freq, _ = simulate_spine_urn(FLAGSHIP, Q, ones, 200_000,
                                      RngStream(15))
         assert linf_distance(freq, target) < 0.02
         # the criterion collapses to minus the mean log degree under nu
+        criterion = survival_functional(ones, FLAGSHIP, Q)
         assert criterion == pytest.approx(-0.34657359027997264, abs=1e-12)
 
     def test_tilted_activity_reaches_the_requested_law(self):
         rho = ProbVector((1, 2), (0.2, 0.8))
         a = activity_from_law(rho, FLAGSHIP, Q)
         assert np.allclose(a, (0.5, 4.0 / 3.0), atol=1e-12)
-        target, _ = law_from_activity(a, FLAGSHIP, Q)
+        target = law_from_activity(a, FLAGSHIP, Q)
         assert np.allclose(target.weights, rho.weights, atol=1e-12)
         freq, _ = simulate_spine_urn(FLAGSHIP, Q, a, 200_000, RngStream(16))
         assert linf_distance(freq, target) < 0.02
@@ -652,7 +654,7 @@ class TestReplacementMatrix:
                               nu, q)
         spec = replacement_matrix(nu, q, a)
         assert abs(spec.eigenvalue - 1.0) < 1e-12
-        target, _ = law_from_activity(a, nu, q)
+        target = law_from_activity(a, nu, q)
         # the left vector lives on the positive atoms; atom 0 has weight 0
         assert target.weights[0] == 0.0
         assert np.max(np.abs(spec.support_distribution.weights
