@@ -12,13 +12,16 @@ grows polynomially in depth while its population grows exponentially.
 
 The draw schedule of a campaign is fixed by chunks: replicas come in chunks of
 1024, and each chunk draws from its own stream, its classes in ascending key
-order. The work is done in passes: a pass steps up to 8 chunks as one class
+order. The work is done in passes: a pass steps a few chunks as one class
 array, keyed by pass-local replica so the chunks stay contiguous, and only the
 multinomial draws go chunk by chunk, so the results do not depend on the pass
-size. A pass is bounded because its arrays grow with it: at 100k replicas,
-one pass over all 98 chunks allocates at its peak over five times what
-passes of 8 do (88 MB against 16 MB, the populations included), and is
-slower.
+size. Passes are independent, each writing its own replicas' rows, so they
+run on as many threads as the process has CPUs, and the results do not depend
+on that number either. At most 8 chunks are in flight, one pass of 8 or
+several smaller ones, since the arrays, and so peak memory, grow with them:
+at 100k replicas, one pass over all 98 chunks allocates at its peak over
+five times what passes of 8 do (88 MB against 16 MB, the populations
+included), and is slower.
 
 The same ancestral mechanism viewed along a single lineage is a Polya type
 urn, simulated here one run at a time and as batches. A run is built whole:
@@ -42,6 +45,8 @@ a time.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,10 +59,16 @@ from .rng import RngStream
 DEFAULT_POP_CAP = 10_000_000
 
 # campaign replicas are drawn in chunks, each from its own stream, so the
-# chunk size is part of the deterministic draw schedule; the pass size, in
-# chunks, is not (see simulate_tree_campaign)
+# chunk size is part of the deterministic draw schedule; the pass size and
+# the thread count are not (see simulate_tree_campaign). At most
+# _PASS_CHUNKS chunks are in flight, shared among the threads, which bounds
+# a campaign's peak memory
 _CHUNK = 1024
 _PASS_CHUNKS = 8
+# the CPUs this process may use: a campaign runs its passes on up to this
+# many threads, the calling one included
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
 
 # spine urn steps are verified a chunk at a time (see simulate_spine_urn): a
 # chunk holds at most this many steps times colors, so a pass's arrays stay
@@ -113,8 +124,12 @@ class SpineUrnState:
 
 
 def _fresh_indices(cum_nu: np.ndarray, u: np.ndarray) -> np.ndarray:
-    j = np.searchsorted(cum_nu, u, side="right").astype(np.int64, copy=False)
-    return np.minimum(j, len(cum_nu) - 1, out=j)
+    """The atom of each uniform in ``u``: how many of the cumulative
+    weights before the last are at most it."""
+    j = np.zeros(u.shape, dtype=np.int64)
+    for c in cum_nu[:-1].tolist():
+        j += c <= u
+    return j
 
 
 @dataclass(frozen=True)
@@ -205,6 +220,44 @@ def _class_step(keys: np.ndarray, draws: np.ndarray, pick: np.ndarray,
     return child[ends], mult
 
 
+def _map_in_threads(work, items, threads: int) -> list:
+    """``[work(x) for x in items]`` on the calling thread and ``threads - 1``
+    started threads, each taking the next item in turn.
+
+    The first exception stops every thread from taking another item and is
+    raised once all have ended, so no thread outlives the call.
+    """
+    results = [None] * len(items)
+    order = iter(range(len(items)))
+    lock = threading.Lock()
+    failures: list[BaseException] = []
+
+    def drain():
+        while not failures:
+            with lock:
+                i = next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = work(items[i])
+            except BaseException as exc:
+                failures.append(exc)
+
+    started = []
+    try:
+        for _ in range(threads - 1):
+            helper = threading.Thread(target=drain)
+            helper.start()
+            started.append(helper)
+        drain()
+    finally:
+        for helper in started:
+            helper.join()
+    if failures:
+        raise failures[0]
+    return results
+
+
 def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
                            replicas: int, rng: RngStream, *,
                            pop_cap: int = DEFAULT_POP_CAP,
@@ -226,11 +279,22 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
     order. A pass steps up to ``_PASS_CHUNKS`` chunks together, keyed by
     pass-local replica, so each chunk's classes form one contiguous slice:
     the multinomial draws go chunk by chunk and every other step, from the
-    keys to the population sums, is one array operation over the pass. The
-    pass takes as many chunks as its int64 keys fit, and one chunk whose
-    keys overflow is refused. It is bounded because its arrays, and so the
-    campaign's peak memory, grow with it, while the time per class stops
-    falling at about 8 chunks.
+    keys to the population sums, is one array operation over the pass.
+
+    Passes run on W threads, the calling one and W - 1 it starts, where W is
+    the least of ``_PASS_CHUNKS``, the CPUs this process may use and the
+    chunks; each thread takes the next pass in turn, and a pass is
+    ``_PASS_CHUNKS // W`` chunks (at least one), so at most ``_PASS_CHUNKS``
+    chunks are in flight. Their arrays grow with them, so it is the chunks
+    in flight that bound the campaign's peak memory, while the time per
+    class stops falling at about 8 chunks. A pass takes no more chunks than
+    its int64 keys fit, and one chunk whose keys overflow is refused. Each
+    pass writes only its own replicas' rows, and the class counts and census
+    layers are gathered in pass order, so the results do not depend on W.
+    With one pass, or one CPU, the calling thread runs every pass and starts
+    none. The first error in a pass stops the others from taking more and is
+    raised once every thread has ended. The q = 0 replica path, one
+    generator per generation for all replicas, runs on the calling thread.
 
     A replica whose population reaches ``pop_cap`` stops there and is
     recorded in ``truncated_at``. ``keep_histograms`` records, for every
@@ -284,14 +348,15 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
     pos_cols = np.flatnonzero(support_arr > 0)
     layout = _ClassKeys.layout(pos_cols, k, n_max, min(replicas, _CHUNK))
     fit = np.iinfo(np.int64).max // (layout.lead * _CHUNK)
-    per_pass = _CHUNK * max(1, min(_PASS_CHUNKS, fit))
+    threads = min(_PASS_CHUNKS, _CPUS, -(-replicas // _CHUNK))
+    per_pass = _CHUNK * max(1, min(_PASS_CHUNKS // threads, fit))
     shift, gain = layout.place[pos_cols], support_arr[pos_cols]
-    hist_acc: list[dict] | None = None
-    if keep_histograms:
-        hist_acc = [dict() for _ in range(n_max + 1)]
-        zero = (0,) * k
-        hist_acc[0] = {(r, zero): 1 for r in range(replicas)}
-    for start in range(0, replicas, per_pass) if pop_cap > 1 else ():
+
+    def run_pass(start: int) -> tuple[np.ndarray, list[zip] | None]:
+        # steps the replicas of one pass, writing only their rows of
+        # populations and truncated_at; returns the classes it drew per
+        # generation and, on request, its census layers from generation 1
+        # as lazy (key, individuals) pairs
         rc = min(per_pass, replicas - start)
         streams = [rng.child(c) for c in range(start // _CHUNK,
                                                 (start + rc - 1) // _CHUNK + 1)]
@@ -302,10 +367,12 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
         keys = rid * layout.lead
         hist = np.zeros((rc, k), dtype=np.int64)
         mult = np.ones(rc, dtype=np.int64)
+        drawn = np.zeros(n_max, dtype=np.int64)
+        layers = [] if keep_histograms else None
         for g in range(n_max):
             if mult.size == 0:
                 break
-            classes[g] += mult.size
+            drawn[g] = mult.size
             p = nu.weights
             if q > 0.0 and g > 0:
                 p = q / g * hist + (1.0 - q) * nu.weights
@@ -322,7 +389,7 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
             # a truncated replica holds no classes, so its column stays 0
             ends, z = _run_sums(rid, mult)
             pops[rid[ends], g + 1] = z
-            if hist_acc is not None:
+            if layers is not None:
                 # equal histogram digits mean equal histograms, so each
                 # distinct one becomes a tuple once and its classes share it
                 _, first, inverse = np.unique(keys - rid * layout.lead,
@@ -330,14 +397,31 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
                                               return_inverse=True)
                 shared = np.fromiter(map(tuple, hist[first].tolist()),
                                      dtype=object, count=first.size)
-                hist_acc[g + 1].update(zip(
-                    zip((rid + start).tolist(), shared[inverse].tolist()),
-                    mult.tolist()))
+                layers.append(zip(zip((rid + start).tolist(),
+                                      shared[inverse].tolist()),
+                                  mult.tolist()))
             over = pops[:, g + 1] >= pop_cap
             if over.any():
                 trunc_at[over] = g + 1
                 keep = ~over[rid]
                 keys, rid, hist, mult = keys[keep], rid[keep], hist[keep], mult[keep]
+        return drawn, layers
+
+    starts = range(0, replicas, per_pass) if pop_cap > 1 else range(0)
+    threads = min(threads, len(starts))
+    done = (map(run_pass, starts) if threads <= 1
+            else _map_in_threads(run_pass, starts, threads))
+    hist_acc: list[dict] | None = None
+    if keep_histograms:
+        hist_acc = [dict() for _ in range(n_max + 1)]
+        zero = (0,) * k
+        hist_acc[0] = {(r, zero): 1 for r in range(replicas)}
+    # in pass order, so each census layer lists its replicas in order
+    for drawn, layers in done:
+        classes += drawn
+        if layers:
+            for layer, pairs in zip(hist_acc[1:], layers):
+                layer.update(pairs)
     return TreeCampaign(support, populations, truncated_at,
                         tuple(hist_acc) if hist_acc is not None else None,
                         classes)

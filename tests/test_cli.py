@@ -466,6 +466,7 @@ COLD_START = """
 import contextlib, io, json, sys
 import rgw, rgw.cli
 
+futures_at_import = "concurrent.futures" in sys.modules
 codes = []
 for args in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), \\
@@ -474,7 +475,8 @@ for args in json.loads(sys.argv[1]):
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 rgw.min_rate_over_halfspace(rgw.OffspringLaw((1, 2), (0.5, 0.5)), 1 / 3,
                             (0.0, 1.0), 0.8)
-print(json.dumps([codes, loaded, "scipy.optimize" in sys.modules]))
+print(json.dumps([codes, loaded, "scipy.optimize" in sys.modules,
+                  futures_at_import]))
 """
 
 
@@ -504,8 +506,10 @@ def test_no_command_but_two_type_loads_scipy():
         [sys.executable, "-c", COLD_START, json.dumps(commands)], cwd=REPO,
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    codes, loaded, optimize_loaded = json.loads(done.stdout)
+    codes, loaded, optimize_loaded, futures_at_import = json.loads(done.stdout)
     assert codes == [0] * len(commands)
     assert loaded == []
     # the probe can see scipy when it is loaded
     assert optimize_loaded
+    # nor does import load an executor: campaigns start plain threads
+    assert not futures_at_import

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -195,8 +197,13 @@ def chunk_loop_campaign(nu, q, n_max, replicas, rng, *,
 def assert_matches_chunk_loop(nu, q, n_max, replicas, seed, **options):
     camp = simulate_tree_campaign(nu, q, n_max, replicas, RngStream(seed),
                                   **options)
-    pops, trunc_at, hists, classes = chunk_loop_campaign(
-        nu, q, n_max, replicas, RngStream(seed), **options)
+    assert_is_the_chunk_loop(camp, chunk_loop_campaign(
+        nu, q, n_max, replicas, RngStream(seed), **options))
+    return camp
+
+
+def assert_is_the_chunk_loop(camp, loop):
+    pops, trunc_at, hists, classes = loop
     assert np.array_equal(camp.populations, pops)
     assert np.array_equal(camp.truncated_at, trunc_at)
     assert camp.histograms == hists
@@ -210,7 +217,6 @@ def assert_matches_chunk_loop(nu, q, n_max, replicas, seed, **options):
                    for layer in camp.histograms
                    for (rid, counts), cnt in layer.items())
     assert np.array_equal(camp.classes, classes)
-    return camp
 
 
 # (law, q, n_max, replicas, options): atom 0 in the support, a cap hit in
@@ -242,8 +248,9 @@ class TestPassesMatchTheChunkLoop:
             cut = camp.truncated_at[camp.truncated_at > 0]
             assert cut.size and np.unique(cut).size > 1
 
-    def test_full_passes(self):
+    def test_full_passes(self, monkeypatch):
         # one whole pass of _PASS_CHUNKS chunks and a short one
+        monkeypatch.setattr(simulate, "_CPUS", 1)
         replicas = simulate._PASS_CHUNKS * simulate._CHUNK + 700
         assert_matches_chunk_loop(FLAGSHIP, Q, 5, replicas, 41)
 
@@ -270,6 +277,90 @@ class TestPassesMatchTheChunkLoop:
         camp = assert_matches_chunk_loop(nu, Q, n_max, replicas, 43,
                                          pop_cap=20)
         assert np.all(camp.truncated_at > 0)
+
+
+class FailingChunk(RngStream):
+    """A stream whose child ``fail_at`` raises, so the pass that holds
+    that chunk fails when it starts."""
+
+    fail_at = 3
+
+    def child(self, index):
+        if index == self.fail_at:
+            raise RuntimeError(f"chunk {index}")
+        return super().child(index)
+
+
+class TestThreadCountChangesNothing:
+    @pytest.mark.parametrize("nu, q, n_max, replicas, options", PASS_CASES,
+                             ids=["flagship", "atom0", "cap", "census",
+                                  "census_q0", "census_digits"])
+    def test_any_thread_count_matches_the_chunk_loop(self, nu, q, n_max,
+                                                     replicas, options,
+                                                     monkeypatch):
+        # 5 chunks: one pass of all at 1 CPU, two passes of 4 chunks or
+        # fewer on 2 threads at 2, three of 2 or fewer on 3 threads at 3
+        loop = chunk_loop_campaign(nu, q, n_max, replicas, RngStream(48),
+                                   **options)
+        threaded = []
+        real = simulate._map_in_threads
+
+        def spy(work, items, threads):
+            threaded.append((len(items), threads))
+            return real(work, items, threads)
+
+        monkeypatch.setattr(simulate, "_map_in_threads", spy)
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(simulate, "_CPUS", cpus)
+            before = threading.active_count()
+            camp = simulate_tree_campaign(nu, q, n_max, replicas,
+                                          RngStream(48), **options)
+            assert threading.active_count() == before
+            assert_is_the_chunk_loop(camp, loop)
+        assert threaded == [(2, 2), (3, 3)]
+
+    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
+        # a pass run twice, lost or merged out of order changes the result
+        monkeypatch.setattr(simulate, "_CPUS", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            camp = assert_matches_chunk_loop(
+                OffspringLaw((0, 1, 2), (0.1, 0.3, 0.6)), 0.3, 7,
+                11 * simulate._CHUNK + 5, 49, pop_cap=40, keep_histograms=True)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (camp.truncated_at > 0).any()
+
+    def test_a_failing_pass_reaches_the_caller(self, monkeypatch):
+        # passes of 2 chunks on 3 threads; the second pass fails
+        monkeypatch.setattr(simulate, "_CPUS", 3)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="chunk 3"):
+            simulate_tree_campaign(FLAGSHIP, Q, 6, 6 * simulate._CHUNK,
+                                   FailingChunk(50))
+        assert threading.active_count() == before
+
+    def test_an_error_on_a_started_thread_stops_the_others(self):
+        # the calling thread holds its first item until a started thread
+        # has failed on another; every started thread fails on its first,
+        # so none may take a second, nor the calling thread after the failure
+        failed = threading.Event()
+        taken = []
+
+        def work(item):
+            taken.append(item)
+            if threading.current_thread() is threading.main_thread():
+                assert failed.wait(timeout=30)
+                return item
+            failed.set()
+            raise ValueError(item)
+
+        before = threading.active_count()
+        with pytest.raises(ValueError):
+            simulate._map_in_threads(work, range(20), 3)
+        assert threading.active_count() == before
+        assert len(taken) <= 3
 
 
 class TestDepthPrefix:
