@@ -127,8 +127,10 @@ def classify_reinforced(rho: ProbVector, nu: OffspringLaw, q: float) -> Verdict:
     if off_support:
         rate = math.inf
     else:
-        nu_full = OffspringLaw(nu_a.support, nu_a.weights)
-        rate = reinforced_rate(rho_a, nu_full, q).value
+        # the rate lives on the law's own support; rho may list zero atoms
+        # beyond it, or leave some of its atoms out
+        on_law = ProbVector(nu.support, [rho.prob(k) for k in nu.support])
+        rate = reinforced_rate(on_law, nu, q).value
     margin_ev = rate - gain
     margin_pe = gain - ent
 

@@ -20,6 +20,7 @@ import math
 import sys
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 
@@ -92,17 +93,21 @@ def _parse_pairs(text: str, what: str) -> tuple[tuple[int, ...], list[float]]:
 
 
 def _parse_prob_vector(text: str, what: str) -> ProbVector:
-    # accepts inline JSON, a law-format .json file, or a k:prob;k:prob string
+    # accepts inline JSON, a .json file holding the same, or a k:prob;k:prob
+    # string; a file is read as text, so it keeps its zero atoms as inline does
     stripped = text.strip()
-    if stripped.startswith("{"):
+    from_file = stripped.endswith(".json")
+    if from_file:
+        try:
+            stripped = Path(stripped).read_text(encoding="utf8")
+        except OSError as exc:
+            raise _UsageError(f"cannot read {what} file: {exc}") from None
+    if from_file or stripped.startswith("{"):
         try:
             doc = json.loads(stripped)
             return ProbVector(doc["support"], doc["probs"])
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise _UsageError(f"cannot parse {what} as JSON: {exc}") from None
-    if stripped.endswith(".json"):
-        law = _parse_law(stripped)
-        return ProbVector(law.support, law.weights)
     atoms, values = _parse_pairs(text, what)
     return ProbVector(atoms, values)
 

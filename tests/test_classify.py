@@ -64,6 +64,12 @@ class TestReinforcedVerdicts:
             0.46300152259852057, abs=1e-9)
         assert not verdict.subcritical
 
+    def test_zero_atom_off_the_law_changes_nothing(self):
+        listed = classify_reinforced(ProbVector((1, 2, 3), (0.2, 0.8, 0.0)),
+                                     FLAGSHIP, Q)
+        assert listed == classify_reinforced(ProbVector((1, 2), (0.2, 0.8)),
+                                             FLAGSHIP, Q)
+
     def test_pure_chain_target_is_evanescent(self):
         rho = ProbVector((1, 2), (1.0, 0.0))
         verdict = classify_reinforced(rho, FLAGSHIP, Q)

@@ -310,6 +310,27 @@ class TestFormats:
         row = next(r for r in golden if r.startswith("0.20000000000000001,"))
         assert line.split(",")[2] == row.split(",")[2]
 
+    def test_rho_file_reads_as_inline_json(self, tmp_path):
+        # a file keeps its zero atom, as the inline form does
+        doc = '{"support": [1, 2], "probs": [0, 1]}'
+        target = tmp_path / "rho.json"
+        target.write_text(doc)
+        base = ["rate", "--law", LAW, "--q", "1/3", "--rho"]
+        code, from_file = invoke([*base, str(target)], tmp_path, "file.csv")
+        assert code == 0
+        assert from_file == invoke([*base, doc], tmp_path, "inline.csv")[1]
+        assert from_file.splitlines()[1].startswith("1:0;2:1,")
+
+    def test_classify_target_listing_a_zero_atom_off_the_law(self, tmp_path):
+        base = ["classify", "--law", LAW, "--q", "1/3", "--rho"]
+        code, listed = invoke([*base, "1:0.2;2:0.8;3:0"], tmp_path, "a.csv")
+        assert code == 0
+        _, plain = invoke([*base, "1:0.2;2:0.8"], tmp_path, "b.csv")
+        # the same verdict and margins; only the key names the extra atom
+        values = [text.splitlines()[1].split(",", 1)[1]
+                  for text in (listed, plain)]
+        assert values[0] == values[1]
+
     def test_verify_control_report(self, tmp_path):
         code, text = invoke(["verify", "control", "--rho", "1:0.2;2:0.8",
                              "--m", "8", "--restarts", "2", "--seed", "5"],
@@ -432,6 +453,13 @@ class TestExitCodes:
         assert run(["rate", "--law", "/nonexistent/law.json", "--q", "1/3",
                     "--grid", "0.25"]) == 1
         capsys.readouterr()
+
+    def test_bad_json_target_file(self, tmp_path, capsys):
+        target = tmp_path / "rho.json"
+        target.write_text('{"support": [1, 2], "probs": [0.2')
+        assert run(["rate", "--law", LAW, "--q", "1/3", "--rho",
+                    str(target)]) == 1
+        assert "cannot parse --rho as JSON" in capsys.readouterr().err
 
     def test_off_support_target(self, capsys):
         assert run(["rate", "--law", LAW, "--q", "1/3", "--rho",

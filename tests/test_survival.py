@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from rgw import (ContractViolationError, NumericError, OffspringLaw,
-                 RngStream, lambert_w0, proportional_baseline,
-                 solve_survival_minimizer, stationarity_ratios,
-                 survival_functional)
+                 RngStream, lambert_w0, law_from_activity,
+                 log_degree_weights, mixed_entropy, pair,
+                 proportional_baseline, solve_survival_minimizer,
+                 stationarity_ratios, survival_functional)
 
 FLAGSHIP = OffspringLaw((1, 2), (0.5, 0.5))
 Q = 1.0 / 3.0
@@ -66,6 +67,22 @@ class TestFunctional:
             survival_functional([1.0, 3.5], FLAGSHIP, Q)
         with pytest.raises(ContractViolationError):
             survival_functional([-0.1, 1.0], FLAGSHIP, Q)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_functional_is_mixed_entropy_minus_gain(self, seed):
+        # verify's convexity certificate rests on this identity
+        gen = np.random.default_rng(seed)
+        nu, q = _random_instance(gen)
+        positive = np.asarray(nu.support) > 0
+        pi = np.zeros(len(nu.support))
+        pi[positive] = gen.dirichlet(np.ones(positive.sum()))
+        # the admissible activities whose stationary law is pi
+        a = pi / (q * pi + (1.0 - q) * nu.weights)
+        law = law_from_activity(a, nu, q)
+        expected = mixed_entropy(law, nu, q) - pair(
+            law, log_degree_weights(nu.support))
+        assert abs(survival_functional(a, nu, q) - expected) <= 1e-12
 
     def test_stationarity_ratios_constant_at_the_reported_minimizer(self):
         report = solve_survival_minimizer(FLAGSHIP, Q)

@@ -1,15 +1,17 @@
-"""Verification checks: how they spend their draws, and how one that raises
-is reported."""
+"""Verification checks: how they spend their draws, how the survival
+certificate brackets a minimum, and how a check that raises is reported."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from rgw import (ContractViolationError, NumericError, RngStream,
-                 StatisticalFailureError, cli, verify)
+                 StatisticalFailureError, cli, law_from_activity,
+                 survival_functional, verify)
 
 
 def test_triangulation_runs_one_campaign_per_memory(monkeypatch):
@@ -26,6 +28,39 @@ def test_triangulation_runs_one_campaign_per_memory(monkeypatch):
     verify._check_triangulation(RngStream(42, 900), qs=qs,
                                 n_values=n_values, replicas=100_000)
     assert calls == [(q, max(n_values), 100_000) for q in qs]
+
+
+# the seeds at which the random-start descent that this certificate replaced
+# stopped 2.4e-6 to 2.0e-4 above the minimum
+DESCENT_FAILURES = (52, 76, 118, 145, 158, 187)
+
+
+@pytest.mark.parametrize("seed", DESCENT_FAILURES)
+def test_survival_certificate_holds_where_the_descent_stalled(seed):
+    instances = verify._survival_instances(RngStream(seed, 900))
+    tolerance, observed = verify._check_survival_oracle(instances)
+    assert observed <= tolerance
+
+
+def test_survival_certificate_rejects_a_moved_minimizer():
+    moved = 0
+    for nu, q, report in verify._survival_instances(RngStream(52, 900)):
+        positive = np.flatnonzero(np.asarray(nu.support) > 0)
+        if len(positive) < 2:
+            continue
+        # move 1e-4 of mass between two atoms of the stationary law; the
+        # reported value is the functional's at the moved activities, so
+        # only the gap can catch it
+        pi = law_from_activity(report.activities, nu, q).weights.copy()
+        pi[positive[0]] += 1e-4
+        pi[positive[1]] -= 1e-4
+        a = pi / (q * pi + (1.0 - q) * nu.weights)
+        off = dataclasses.replace(report, activities=a,
+                                  minimum_value=survival_functional(a, nu, q))
+        tolerance, observed = verify._check_survival_oracle([(nu, q, off)])
+        assert observed > tolerance
+        moved += 1
+    assert moved >= 5
 
 
 # each typed error, with the diagnostics its entry should carry; NumPy
