@@ -35,6 +35,7 @@ from .measures import (
     ProbVector,
     _check_q,
     _check_same_support,
+    _on_support,
     align,
     log_degree_weights,
     mixed_entropy,
@@ -113,24 +114,17 @@ def classify_reinforced(rho: ProbVector, nu: OffspringLaw, q: float) -> Verdict:
     then the margin certificates and the honest indeterminate band.
     """
     _check_q(q)
-    rho_a, nu_a = align(rho, nu.as_prob_vector())
-    ln = log_degree_weights(rho_a.support)
-    gain = pair(rho_a, ln)
+    rho_a, _ = align(rho, nu.as_prob_vector())
+    gain = pair(rho_a, log_degree_weights(rho_a.support))
     ent = mixed_entropy(rho, nu, q)
     subcritical = q * rho.mean() + (1.0 - q) * nu.mean() < 1.0
 
     if gain == -math.inf:
         return Verdict(VerdictKind.EVANESCENT, math.inf, -math.inf, subcritical)
 
-    off_support = any(w > 0.0 and a == 0.0
-                      for w, a in zip(rho_a.weights, nu_a.weights))
-    if off_support:
-        rate = math.inf
-    else:
-        # the rate lives on the law's own support; rho may list zero atoms
-        # beyond it, or leave some of its atoms out
-        on_law = ProbVector(nu.support, [rho.prob(k) for k in nu.support])
-        rate = reinforced_rate(on_law, nu, q).value
+    # the rate lives on the law's own support, and is infinite off it
+    on_law = _on_support(rho, nu)
+    rate = math.inf if on_law is None else reinforced_rate(on_law, nu, q).value
     margin_ev = rate - gain
     margin_pe = gain - ent
 

@@ -29,8 +29,8 @@ from .classify import (classify_memoryless, classify_reinforced,
                        two_type_weak_persistence)
 from .control import rate_by_control
 from .errors import NumericError, StatisticalFailureError
-from .measures import (OffspringLaw, ProbVector, _check_q, load_offspring_law,
-                       mixed_entropy)
+from .measures import (OffspringLaw, ProbVector, _check_q, _on_support,
+                       load_offspring_law, mixed_entropy)
 from .rate import reinforced_rate, sanov_rate
 from .rng import RngStream
 from .simulate import (gibbs_conditional_estimate, simulate_reinforced_urn,
@@ -58,15 +58,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _parse_fraction(text: str, what: str) -> float:
+def _parse_fraction(text: str, what: str) -> Fraction:
     try:
-        return float(Fraction(text.strip()))
+        return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise _UsageError(f"cannot parse {what} {text!r}: {exc}") from None
 
 
 def _parse_q(text: str, *, allow_zero: bool) -> float:
-    q = _parse_fraction(text, "memory parameter")
+    q = float(_parse_fraction(text, "memory parameter"))
     _check_q(q, allow_zero=allow_zero)
     return q
 
@@ -83,7 +83,7 @@ def _parse_pairs(text: str, what: str) -> tuple[tuple[int, ...], list[float]]:
             atoms.append(int(key))
         except ValueError:
             raise _UsageError(f"bad atom {key!r} in {what}") from None
-        values.append(_parse_fraction(val, f"{what} entry"))
+        values.append(float(_parse_fraction(val, f"{what} entry")))
     if not atoms:
         raise _UsageError(f"empty {what}")
     if len(set(atoms)) != len(atoms):
@@ -128,10 +128,7 @@ def _aligned_values(text: str, support: tuple[int, ...], what: str) -> list[floa
 
 
 def _grid_points(step_text: str) -> list[tuple[Fraction, float]]:
-    try:
-        step = Fraction(step_text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _UsageError(f"cannot parse grid step {step_text!r}: {exc}") from None
+    step = _parse_fraction(step_text, "grid step")
     if not 0 < step < 1:
         raise _UsageError("grid step must lie in (0, 1)")
     points = []
@@ -251,11 +248,11 @@ def _rho_key(rho: ProbVector) -> str:
 
 
 def _rate_value(rho: ProbVector, nu: OffspringLaw, q: float) -> float:
-    if q == 0.0:
-        if rho.support != nu.support:
-            raise _UsageError("target support must match the law support")
-        return sanov_rate(rho, nu)
-    return reinforced_rate(rho, nu, q).value
+    # the rate lives on the law's own support, and is infinite off it
+    rho = _on_support(rho, nu)
+    if rho is None:
+        return math.inf
+    return sanov_rate(rho, nu) if q == 0.0 else reinforced_rate(rho, nu, q).value
 
 
 def _is_flagship(nu: OffspringLaw) -> bool:
@@ -446,7 +443,7 @@ def _cmd_two_type(args) -> int:
     rho = _parse_prob_vector(args.rho, "--rho")
     columns = ["certified", "strong", "s", "margin_growth", "margin_average"]
     if args.s is not None:
-        s = _parse_fraction(args.s, "--s")
+        s = float(_parse_fraction(args.s, "--s"))
         mu = _parse_prob_vector(args.mu, "--mu") if args.mu else None
         mu_prime = (_parse_prob_vector(args.mu_prime, "--mu-prime")
                     if args.mu_prime else None)
@@ -469,7 +466,7 @@ def _cmd_gibbs(args) -> int:
     nu = _parse_law(args.law)
     q = _parse_q(args.q, allow_zero=True)
     w = _aligned_values(args.w, nu.support, "--w")
-    c = _parse_fraction(args.c, "--c")
+    c = float(_parse_fraction(args.c, "--c"))
     freq, acceptance = gibbs_conditional_estimate(
         nu, q, args.n, w, c, args.replicas, RngStream(args.seed))
     columns = ["acceptance_rate"] + [f"freq_{k}" for k in nu.support]
@@ -484,7 +481,7 @@ def _cmd_survival(args) -> int:
         parts = args.q_grid.split(":")
         if len(parts) != 3:
             raise _UsageError("--q-grid expects start:stop:step")
-        start, stop, step = (Fraction(p) for p in parts)
+        start, stop, step = (_parse_fraction(p, "--q-grid part") for p in parts)
         if step <= 0 or start <= 0 or stop >= 1 or start > stop:
             raise _UsageError("--q-grid must stay inside (0, 1) with step > 0")
         qs = []
@@ -509,7 +506,9 @@ def _verify_control(args) -> int:
         raise _UsageError("verify control needs --rho")
     nu = _parse_law(args.law) if args.law else OffspringLaw((1, 2), (0.5, 0.5))
     q = _parse_q(args.q, allow_zero=False) if args.q else 1.0 / 3.0
-    rho = _parse_prob_vector(args.rho, "--rho")
+    rho = _on_support(_parse_prob_vector(args.rho, "--rho"), nu)
+    if rho is None:
+        raise _UsageError("--rho charges an atom off the law support")
     value, path = rate_by_control(rho, nu, q, steps=args.m)
     dual = _rate_value(rho, nu, q)
     bound = mixed_entropy(rho, nu, q)

@@ -31,10 +31,17 @@ _SUM_TOL = 1e-12
 
 
 def _as_support(support) -> tuple[int, ...]:
-    sup = tuple(int(k) for k in support)
-    if len(sup) == 0:
+    atoms = tuple(support)
+    if len(atoms) == 0:
         raise ContractViolationError("support must be non-empty")
-    if any(k < 0 for k in sup):
+    try:
+        sup = tuple(map(int, atoms))
+    except (TypeError, ValueError, OverflowError):
+        sup = None
+    # int() would truncate 1.5 and read True as 1, so both are refused; an
+    # integral float such as 2.0 is the atom 2
+    if (sup != atoms or min(sup) < 0
+            or not {bool, np.bool_}.isdisjoint(map(type, atoms))):
         raise ContractViolationError("support atoms must be non-negative integers")
     if any(a >= b for a, b in zip(sup, sup[1:])):
         raise ContractViolationError("support atoms must be strictly increasing")
@@ -222,6 +229,18 @@ def align(*measures) -> tuple[ProbVector, ...]:
     return tuple(out)
 
 
+def _on_support(rho: ProbVector, nu: OffspringLaw) -> ProbVector | None:
+    """``rho`` read on the support of ``nu``: its zero atoms off that support
+    dropped and the atoms it leaves out read as 0. ``rho`` itself when the
+    supports agree, None when it charges an atom off the support."""
+    if rho.support == nu.support:
+        return rho
+    if any(p > 0.0 and k not in nu.support
+           for k, p in zip(rho.support, rho.weights)):
+        return None
+    return ProbVector(nu.support, [rho.prob(k) for k in nu.support])
+
+
 def _check_same_support(a, b):
     if a.support != b.support:
         raise SupportMismatchError(f"supports differ: {a.support} vs {b.support}")
@@ -316,6 +335,8 @@ def offspring_law_from_json(obj) -> OffspringLaw:
         raise ContractViolationError('"support" and "probs" must be lists')
     if len(support) != len(probs):
         raise ContractViolationError('"support" and "probs" have different lengths')
+    if any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in probs):
+        raise ContractViolationError('"probs" entries must be numbers')
     return OffspringLaw(support, probs)
 
 

@@ -15,13 +15,13 @@ The draw schedule of a campaign is fixed by chunks: replicas come in chunks of
 order. The work is done in passes: a pass steps a few chunks as one class
 array, keyed by pass-local replica so the chunks stay contiguous, and only the
 multinomial draws go chunk by chunk, so the results do not depend on the pass
-size. Passes are independent, each writing its own replicas' rows, so they
-run on as many threads as the process has CPUs, and the results do not depend
-on that number either. At most 8 chunks are in flight, one pass of 8 or
-several smaller ones, since the arrays, and so peak memory, grow with them:
-at 100k replicas, one pass over all 98 chunks allocates at its peak over
-five times what passes of 8 do (88 MB against 16 MB, the populations
-included), and is slower.
+size. Passes are independent, each writing its own replicas' rows, so they run
+on the standard thread pool with as many workers as the process has CPUs, and
+the results do not depend on that number either. At most 8 chunks are in
+flight, one pass of 8 or several smaller ones, since the arrays, and so peak
+memory, grow with them: at 100k replicas, one pass over all 98 chunks
+allocates at its peak over five times what passes of 8 do (88 MB against
+16 MB, the populations included), and is slower.
 
 The same ancestral mechanism viewed along a single lineage is a Polya type
 urn, simulated here one run at a time and as batches. A run is built whole:
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +64,8 @@ DEFAULT_POP_CAP = 10_000_000
 # a campaign's peak memory
 _CHUNK = 1024
 _PASS_CHUNKS = 8
-# the CPUs this process may use: a campaign runs its passes on up to this
-# many threads, the calling one included
+# the CPUs this process may use: a campaign runs its passes on a pool of up
+# to this many worker threads
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
 
@@ -220,44 +219,6 @@ def _class_step(keys: np.ndarray, draws: np.ndarray, pick: np.ndarray,
     return child[ends], mult
 
 
-def _map_in_threads(work, items, threads: int) -> list:
-    """``[work(x) for x in items]`` on the calling thread and ``threads - 1``
-    started threads, each taking the next item in turn.
-
-    The first exception stops every thread from taking another item and is
-    raised once all have ended, so no thread outlives the call.
-    """
-    results = [None] * len(items)
-    order = iter(range(len(items)))
-    lock = threading.Lock()
-    failures: list[BaseException] = []
-
-    def drain():
-        while not failures:
-            with lock:
-                i = next(order, None)
-            if i is None:
-                return
-            try:
-                results[i] = work(items[i])
-            except BaseException as exc:
-                failures.append(exc)
-
-    started = []
-    try:
-        for _ in range(threads - 1):
-            helper = threading.Thread(target=drain)
-            helper.start()
-            started.append(helper)
-        drain()
-    finally:
-        for helper in started:
-            helper.join()
-    if failures:
-        raise failures[0]
-    return results
-
-
 def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
                            replicas: int, rng: RngStream, *,
                            pop_cap: int = DEFAULT_POP_CAP,
@@ -281,20 +242,20 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
     the multinomial draws go chunk by chunk and every other step, from the
     keys to the population sums, is one array operation over the pass.
 
-    Passes run on W threads, the calling one and W - 1 it starts, where W is
-    the least of ``_PASS_CHUNKS``, the CPUs this process may use and the
-    chunks; each thread takes the next pass in turn, and a pass is
-    ``_PASS_CHUNKS // W`` chunks (at least one), so at most ``_PASS_CHUNKS``
-    chunks are in flight. Their arrays grow with them, so it is the chunks
-    in flight that bound the campaign's peak memory, while the time per
-    class stops falling at about 8 chunks. A pass takes no more chunks than
-    its int64 keys fit, and one chunk whose keys overflow is refused. Each
-    pass writes only its own replicas' rows, and the class counts and census
-    layers are gathered in pass order, so the results do not depend on W.
-    With one pass, or one CPU, the calling thread runs every pass and starts
-    none. The first error in a pass stops the others from taking more and is
-    raised once every thread has ended. The q = 0 replica path, one
-    generator per generation for all replicas, runs on the calling thread.
+    Passes run on a ``ThreadPoolExecutor`` of W workers, where W is the least
+    of ``_PASS_CHUNKS``, the CPUs this process may use and the passes; the
+    pool starts passes in order, and a pass is ``_PASS_CHUNKS // W`` chunks
+    (at least one), so at most ``_PASS_CHUNKS`` chunks are in flight. Their
+    arrays grow with them, so it is the chunks in flight that bound the
+    campaign's peak memory, while the time per class stops falling at about 8
+    chunks. A pass takes no more chunks than its int64 keys fit, and one chunk
+    whose keys overflow is refused. Each pass writes only its own replicas'
+    rows, and the class counts and census layers are gathered in pass order,
+    so the results do not depend on W. With one pass, or one CPU, the calling
+    thread runs every pass and starts no thread. Once a pass fails, no pass
+    that has not started is started, and the first failed pass in pass order
+    raises once every worker has ended. The q = 0 replica path, one generator
+    per generation for all replicas, runs on the calling thread.
 
     A replica whose population reaches ``pop_cap`` stops there and is
     recorded in ``truncated_at``. ``keep_histograms`` records, for every
@@ -409,8 +370,20 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
 
     starts = range(0, replicas, per_pass) if pop_cap > 1 else range(0)
     threads = min(threads, len(starts))
-    done = (map(run_pass, starts) if threads <= 1
-            else _map_in_threads(run_pass, starts, threads))
+    if threads <= 1:
+        done = map(run_pass, starts)
+    else:
+        # imported here, so importing rgw loads no executor
+        from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+        pool = ThreadPoolExecutor(threads)
+        try:
+            futures = [pool.submit(run_pass, start) for start in starts]
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            pool.shutdown(cancel_futures=True)
+        # a failed pass comes before every cancelled one, since the pool
+        # starts passes in order
+        done = [future.result() for future in futures]
     hist_acc: list[dict] | None = None
     if keep_histograms:
         hist_acc = [dict() for _ in range(n_max + 1)]

@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rgw import RngStream, cli, simulate_tree_campaign
+from rgw import (ContractViolationError, ProbVector, RngStream, cli,
+                 offspring_law_from_json, simulate_tree_campaign)
 from rgw.cli import run
 
 REPO = Path(__file__).resolve().parent.parent
@@ -462,9 +463,11 @@ class TestExitCodes:
         assert "cannot parse --rho as JSON" in capsys.readouterr().err
 
     def test_off_support_target(self, capsys):
-        assert run(["rate", "--law", LAW, "--q", "1/3", "--rho",
-                    "1:0.5;3:0.5"]) == 1
-        capsys.readouterr()
+        # rate reads such a target's rate as infinite (TestTargetSupport);
+        # a control path has no steps off the law's support
+        assert run(["verify", "control", "--rho", "1:0.5;3:0.5", "--m",
+                    "4"]) == 1
+        assert "off the law support" in capsys.readouterr().err
 
     def test_unnormalized_target(self, capsys):
         assert run(["classify", "--law", LAW, "--q", "1/3", "--rho",
@@ -476,6 +479,54 @@ class TestExitCodes:
                     "1:0;2:1", "--c", "1.01", "--replicas", "200"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("args", [
+        ["survival", "--law", LAW, "--q-grid", "1/0:4/5:1/5"],
+        ["survival", "--law", LAW, "--q-grid", "1/5:1/0:1/5"],
+        ["survival", "--law", LAW, "--q-grid", "1/5:4/5:1/0"],
+        ["survival", "--law", LAW, "--q", "1/0"],
+        ["rate", "--law", LAW, "--q", "1/3", "--grid", "1/0"],
+    ], ids=["q_grid_start", "q_grid_stop", "q_grid_step", "q", "grid"])
+    def test_zero_denominator(self, args, capsys):
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "cannot parse" in err
+
+    @pytest.mark.parametrize("field, doc", [
+        ("--law", {"support": [1.5, 2], "probs": [0.5, 0.5]}),
+        ("--law", {"support": [True, 2], "probs": [0.5, 0.5]}),
+        ("--law", {"support": [1, 2], "probs": ["0.5", 0.5]}),
+        ("--rho", {"support": [1.5, 2], "probs": [0.2, 0.8]}),
+        ("--rho", {"support": [True, 2], "probs": [0.2, 0.8]}),
+    ], ids=["law_half_atom", "law_bool_atom", "law_text_prob",
+            "rho_half_atom", "rho_bool_atom"])
+    def test_atoms_are_integers_and_probs_numbers(self, field, doc,
+                                                   tmp_path, capsys):
+        # once read as the flagship law or target, the atom truncated
+        with pytest.raises(ContractViolationError) as refused:
+            if field == "--law":
+                offspring_law_from_json(doc)
+            else:
+                ProbVector(doc["support"], doc["probs"])
+        text = json.dumps(doc)
+        if field == "--law":
+            law = tmp_path / "law.json"
+            law.write_text(text)
+            args = ["rate", "--law", str(law), "--q", "1/3", "--grid", "0.25"]
+        else:
+            args = ["rate", "--law", LAW, "--q", "1/3", "--rho", text]
+        assert run(args) == 1
+        assert capsys.readouterr().err == f"invalid input: {refused.value}\n"
+
+    def test_integral_float_atoms_are_integers(self, tmp_path, capsys):
+        law = tmp_path / "law.json"
+        law.write_text('{"support": [1.0, 2.0], "probs": [0.5, 0.5]}')
+        args = ["rate", "--q", "1/3", "--rho", '{"support": [1.0, 2.0], '
+                '"probs": [0.2, 0.8]}']
+        assert invoke([*args, "--law", str(law)], tmp_path, "float.csv") == \
+            invoke([*args, "--law", LAW], tmp_path, "int.csv")
+        capsys.readouterr()
+
     def test_quick_verification_passes(self, tmp_path, capsys):
         code, text = invoke(["verify", "--quick", "--seed", "42"], tmp_path)
         capsys.readouterr()
@@ -484,6 +535,38 @@ class TestExitCodes:
         assert report["all_passed"] is True
         assert {"name", "tolerance", "observed", "passed",
                 "seconds"} <= set(report["checks"][0])
+
+
+def rate_column(rho: str, q: str, tmp_path) -> str:
+    code, text = invoke(["rate", "--law", LAW, "--q", q, "--rho", rho],
+                        tmp_path)
+    assert code == 0
+    header, row = text.splitlines()
+    return row.split(",")[header.split(",").index("lambda_star")]
+
+
+class TestTargetSupport:
+    """``rate`` and ``verify control`` read a target on the law's support,
+    as ``classify`` does: zero atoms off it are dropped, atoms it leaves out
+    are 0, and a charge off it costs an infinite rate."""
+
+    @pytest.mark.parametrize("q", ["0", "1/3"])
+    @pytest.mark.parametrize("rho, on_law", [("1:0.2;2:0.8;3:0", "1:0.2;2:0.8"),
+                                             ("2:1", "1:0;2:1")],
+                             ids=["zero_atom_off", "atom_left_out"])
+    def test_rate_reads_the_target_on_the_law_support(self, rho, on_law, q,
+                                                      tmp_path):
+        assert rate_column(rho, q, tmp_path) == rate_column(on_law, q,
+                                                            tmp_path)
+
+    @pytest.mark.parametrize("q", ["0", "1/3"])
+    def test_a_charge_off_the_support_has_infinite_rate(self, q, tmp_path):
+        assert rate_column("1:0.5;3:0.5", q, tmp_path) == "inf"
+
+    def test_control_reads_the_target_on_the_law_support(self, tmp_path):
+        args = ["verify", "control", "--m", "4", "--rho"]
+        assert invoke([*args, "1:0.2;2:0.8;3:0"], tmp_path, "off.json") == \
+            invoke([*args, "1:0.2;2:0.8"], tmp_path, "on.json")
 
 
 # Runs in a fresh interpreter: imports the package and the CLI, runs each
@@ -539,5 +622,6 @@ def test_no_command_but_two_type_loads_scipy():
     assert loaded == []
     # the probe can see scipy when it is loaded
     assert optimize_loaded
-    # nor does import load an executor: campaigns start plain threads
+    # nor does import load an executor: a campaign imports its thread pool
+    # when it first runs passes on more than one worker
     assert not futures_at_import

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
 import sys
 import threading
@@ -280,15 +281,48 @@ class TestPassesMatchTheChunkLoop:
 
 
 class FailingChunk(RngStream):
-    """A stream whose child ``fail_at`` raises, so the pass that holds
-    that chunk fails when it starts."""
+    """A stream whose child ``fail_at`` raises ``error``, so the pass that
+    holds that chunk fails when it starts."""
 
     fail_at = 3
+    error = RuntimeError
 
     def child(self, index):
         if index == self.fail_at:
-            raise RuntimeError(f"chunk {index}")
+            raise self.error(f"chunk {index}")
         return super().child(index)
+
+
+class InterruptedChunk(FailingChunk):
+    error = KeyboardInterrupt
+
+
+@pytest.fixture
+def spy_pool(monkeypatch):
+    """The campaign's thread pool, logging (passes submitted, workers) per
+    pool in ``pools``; ``shut`` is set once shutdown has cancelled the
+    passes not yet started, before it waits for the workers."""
+
+    class SpyPool(concurrent.futures.ThreadPoolExecutor):
+        pools: list[list[int]] = []
+        shut = threading.Event()
+
+        def __init__(self, workers):
+            super().__init__(workers)
+            self.log = [0, workers]
+            self.pools.append(self.log)
+
+        def submit(self, fn, /, *args, **kwargs):
+            self.log[0] += 1
+            return super().submit(fn, *args, **kwargs)
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            self.shut.set()
+            super().shutdown(wait=wait)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SpyPool)
+    return SpyPool
 
 
 class TestThreadCountChangesNothing:
@@ -297,19 +331,11 @@ class TestThreadCountChangesNothing:
                                   "census_q0", "census_digits"])
     def test_any_thread_count_matches_the_chunk_loop(self, nu, q, n_max,
                                                      replicas, options,
-                                                     monkeypatch):
+                                                     monkeypatch, spy_pool):
         # 5 chunks: one pass of all at 1 CPU, two passes of 4 chunks or
-        # fewer on 2 threads at 2, three of 2 or fewer on 3 threads at 3
+        # fewer on 2 workers at 2, three of 2 or fewer on 3 workers at 3
         loop = chunk_loop_campaign(nu, q, n_max, replicas, RngStream(48),
                                    **options)
-        threaded = []
-        real = simulate._map_in_threads
-
-        def spy(work, items, threads):
-            threaded.append((len(items), threads))
-            return real(work, items, threads)
-
-        monkeypatch.setattr(simulate, "_map_in_threads", spy)
         for cpus in (1, 2, 3):
             monkeypatch.setattr(simulate, "_CPUS", cpus)
             before = threading.active_count()
@@ -317,7 +343,7 @@ class TestThreadCountChangesNothing:
                                           RngStream(48), **options)
             assert threading.active_count() == before
             assert_is_the_chunk_loop(camp, loop)
-        assert threaded == [(2, 2), (3, 3)]
+        assert [tuple(log) for log in spy_pool.pools] == [(2, 2), (3, 3)]
 
     def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
         # a pass run twice, lost or merged out of order changes the result
@@ -341,26 +367,42 @@ class TestThreadCountChangesNothing:
                                    FailingChunk(50))
         assert threading.active_count() == before
 
-    def test_an_error_on_a_started_thread_stops_the_others(self):
-        # the calling thread holds its first item until a started thread
-        # has failed on another; every started thread fails on its first,
-        # so none may take a second, nor the calling thread after the failure
-        failed = threading.Event()
-        taken = []
+    def test_an_error_on_a_started_thread_stops_the_others(self,
+                                                           monkeypatch,
+                                                           spy_pool):
+        # five passes of 4 chunks on 2 workers. The second pass fails at its
+        # first chunk; every other pass holds at its first chunk until
+        # shutdown has cancelled the passes not yet started, so a worker
+        # starts at most one pass after the failure, and the last two passes
+        # are still queued when the failure is seen
+        monkeypatch.setattr(simulate, "_CPUS", 2)
+        started = []
 
-        def work(item):
-            taken.append(item)
-            if threading.current_thread() is threading.main_thread():
-                assert failed.wait(timeout=30)
-                return item
-            failed.set()
-            raise ValueError(item)
+        class HeldChunks(RngStream):
+            def child(self, index):
+                if index % 4 == 0:
+                    started.append(index // 4)
+                    if index == 4:
+                        raise RuntimeError(f"chunk {index}")
+                    assert spy_pool.shut.wait(timeout=30)
+                return super().child(index)
 
         before = threading.active_count()
-        with pytest.raises(ValueError):
-            simulate._map_in_threads(work, range(20), 3)
+        with pytest.raises(RuntimeError, match="chunk 4"):
+            simulate_tree_campaign(FLAGSHIP, Q, 2, 20 * simulate._CHUNK,
+                                   HeldChunks(51))
         assert threading.active_count() == before
-        assert len(taken) <= 3
+        assert spy_pool.pools == [[5, 2]]
+        assert {0, 1} <= set(started) <= {0, 1, 2}
+
+    def test_an_interrupt_on_a_worker_reaches_the_caller(self, monkeypatch):
+        # passes of 2 chunks on 3 workers; the second pass is interrupted
+        monkeypatch.setattr(simulate, "_CPUS", 3)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt, match="chunk 3"):
+            simulate_tree_campaign(FLAGSHIP, Q, 6, 6 * simulate._CHUNK,
+                                   InterruptedChunk(52))
+        assert threading.active_count() == before
 
 
 class TestDepthPrefix:

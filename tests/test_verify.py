@@ -5,6 +5,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,3 +108,25 @@ def test_a_check_that_raises_fails_and_the_run_goes_on(
     others = [c for c in report["checks"] if c is not raised]
     assert len(others) == 17
     assert all(c["passed"] and "error" not in c for c in others)
+
+
+def test_the_seed_sweep_prints_one_line_per_check():
+    # tools/verify_sweep.py reads the report's fields; nothing else runs it
+    repo = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(repo / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "tools/verify_sweep.py", "quick", "42", "42"],
+        cwd=repo, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("verify --quick, seeds 42-42: 1 seeds")
+    assert lines[1].split() == ["check", "failed", "worst", "obs/tol", "at"]
+    # name, failed seeds, worst ratio, its seed (and the failing seeds)
+    rows = [line.split() for line in lines[2:]]
+    checks = verify.verify_suite("quick", 42)["checks"]
+    assert [row[0] for row in rows] == [c["name"] for c in checks]
+    assert [row[1] for row in rows] == [str(int(not c["passed"]))
+                                        for c in checks]
+    assert all(row[3] == "42" for row in rows)
