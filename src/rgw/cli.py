@@ -29,8 +29,8 @@ from .classify import (classify_memoryless, classify_reinforced,
                        two_type_weak_persistence)
 from .control import rate_by_control
 from .errors import NumericError, StatisticalFailureError
-from .measures import (OffspringLaw, ProbVector, _check_q, _on_support,
-                       load_offspring_law, mixed_entropy)
+from .measures import (OffspringLaw, ProbVector, _check_json_probs, _check_q,
+                       _on_support, load_offspring_law, mixed_entropy)
 from .rate import reinforced_rate, sanov_rate
 from .rng import RngStream
 from .simulate import (gibbs_conditional_estimate, simulate_reinforced_urn,
@@ -45,6 +45,8 @@ _SUBCOMMANDS = ("rate", "classify", "simulate", "urn", "spine", "two-type",
 # held in memory as text; each block is one join of its rows' text pieces
 # (``_block``)
 _CSV_BLOCK = 4096
+# --grid points one command may ask for
+_GRID_MAX_POINTS = 10**5
 
 
 class _UsageError(Exception):
@@ -105,6 +107,7 @@ def _parse_prob_vector(text: str, what: str) -> ProbVector:
     if from_file or stripped.startswith("{"):
         try:
             doc = json.loads(stripped)
+            _check_json_probs(doc["probs"])
             return ProbVector(doc["support"], doc["probs"])
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise _UsageError(f"cannot parse {what} as JSON: {exc}") from None
@@ -127,16 +130,17 @@ def _aligned_values(text: str, support: tuple[int, ...], what: str) -> list[floa
     return values
 
 
-def _grid_points(step_text: str) -> list[tuple[Fraction, float]]:
+def _grid_points(step_text: str) -> list[float]:
+    # the count comes from the exact step, so a tiny step is refused before
+    # any point is built
     step = _parse_fraction(step_text, "grid step")
     if not 0 < step < 1:
         raise _UsageError("grid step must lie in (0, 1)")
-    points = []
-    i = 1
-    while i * step < 1:
-        points.append((i * step, float(i * step)))
-        i += 1
-    return points
+    count = math.ceil(1 / step) - 1
+    if count > _GRID_MAX_POINTS:
+        raise _UsageError(f"grid step {step_text} gives {count} points; "
+                          f"at most {_GRID_MAX_POINTS} are allowed")
+    return [float(i * step) for i in range(1, count + 1)]
 
 
 _BOOL_TEXT = {True: "true", False: "false"}
@@ -277,7 +281,7 @@ def _cmd_rate(args) -> int:
         if len(nu.support) != 2:
             raise _UsageError("--grid needs a two-atom law; use --rho instead")
         columns = ["p"] + tail
-        for _, p in _grid_points(args.grid):
+        for p in _grid_points(args.grid):
             rho = ProbVector(nu.support, (p, 1.0 - p))
             rows.append([p] + _rate_columns(rho, nu, q))
     else:
@@ -295,7 +299,7 @@ def _cmd_classify(args) -> int:
     if args.grid is not None:
         if len(nu.support) != 2:
             raise _UsageError("--grid needs a two-atom law; use --rho instead")
-        for _, p in _grid_points(args.grid):
+        for p in _grid_points(args.grid):
             targets.append(ProbVector(nu.support, (p, 1.0 - p)))
     else:
         targets.append(_parse_prob_vector(args.rho, "--rho"))

@@ -335,9 +335,15 @@ def offspring_law_from_json(obj) -> OffspringLaw:
         raise ContractViolationError('"support" and "probs" must be lists')
     if len(support) != len(probs):
         raise ContractViolationError('"support" and "probs" have different lengths')
+    _check_json_probs(probs)
+    return OffspringLaw(support, probs)
+
+
+def _check_json_probs(probs) -> None:
+    """``probs`` of a JSON law or target holds JSON numbers only: no text,
+    which float() would read, and no booleans, which it would read as 0/1."""
     if any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in probs):
         raise ContractViolationError('"probs" entries must be numbers')
-    return OffspringLaw(support, probs)
 
 
 def load_offspring_law(path) -> OffspringLaw:

@@ -18,7 +18,10 @@ exact polynomial path for integer exponents, and tanh-sinh quadrature at
 30 digits) live in the tests.
 
 The Fenchel-Legendre transform is one Levenberg-Marquardt solve of the
-gradient-match equation in the coordinates m.
+gradient-match equation in the coordinates m. An evaluation yields the
+integral and the gradient; the Jacobian is built from the same integrand
+arrays only for the point an LM step starts from, so neither the accepted
+last point nor a rejected trial point pays for one.
 
 Conventions: entries lam(k) = -inf contribute factor 1 to the integrand and
 get gradient component 0; the all -inf tilt yields -inf.
@@ -55,13 +58,16 @@ class RateDual:
 
     ``tilt`` is normalized so its largest entry is 0 and is -inf exactly off
     the argument's support; ``residual`` is the sup-norm gap between the
-    gradient at ``tilt`` and the requested measure.
+    gradient at ``tilt`` and the requested measure. ``nodes`` is the number
+    of quadrature nodes summed over every integrand evaluation of the solve,
+    which sets its cost.
     """
 
     value: float
     tilt: LogWeights
     residual: float
     iterations: int
+    nodes: int
 
 
 def sanov_rate(rho: ProbVector, nu: OffspringLaw) -> float:
@@ -153,10 +159,10 @@ def _boundary_nodes(m: np.ndarray, lg1m: np.ndarray, c_total: float):
     """Quadrature nodes and weights for coordinates m = log(delta) and
     lg1m = log(1 - delta), on [0, x_end] with x_end ``_BOUNDARY_TAIL`` past
     the last crossover."""
-    knots = np.clip(lg1m - m, 0.0, None)
-    x_end = float(np.max(knots, initial=0.0)) + _BOUNDARY_TAIL
+    knots = [k for k in (lg1m - m).tolist() if k > 0.0]
+    x_end = max(knots, default=0.0) + _BOUNDARY_TAIL
     width0 = min(6.0, 18.0 / (2.0 + c_total))
-    anchors = sorted({0.0, x_end} | {float(k) for k in knots if 0.0 < k < x_end})
+    anchors = sorted({0.0, x_end, *knots})
     pts = [0.0]
     for a, b in zip(anchors, anchors[1:]):
         pts.extend(_graded_edges(a, b, width0))
@@ -164,41 +170,48 @@ def _boundary_nodes(m: np.ndarray, lg1m: np.ndarray, c_total: float):
     nodes, wts = _legendre_rule(_BOUNDARY_ORDER)
     half = 0.5 * np.diff(pts)
     mid = pts[:-1] + half
-    x = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    w = (half[:, None] * wts[None, :]).ravel()
+    x = (mid[:, None] + half[:, None] * nodes).ravel()
+    w = (half[:, None] * wts).ravel()
     return x, w
 
 
 def _boundary_eval(m: np.ndarray, lg1m: np.ndarray, c: np.ndarray,
-                   c_top: float, jacobian: bool = True):
-    """Integral, gradient, and (unless ``jacobian`` is false, when it is
-    None) the Jacobian dg/dm at coordinate m.
+                   c_top: float, q: float):
+    """Integral, gradient, a builder of the Jacobian dg/dm, and the node
+    count, at coordinate m.
 
     ``m``, ``lg1m`` (the tilt, log(1 - delta)) and ``c`` cover the
     coordinates below the tilt maximum; the coordinates at the maximum
     (delta = 0) contribute the factor e^{-c_top x}. All integrands are
     assembled in log space from log f_k = logaddexp(m_k, lg1m_k - x), so
     coordinates whose delta or 1 - delta underflows float64 are still exact.
+    The Jacobian is built from the same integrand arrays when its builder is
+    called, which a solve does only for the point an LM step starts from.
+    An integral that is not a positive float raises NumericError with ``q``
+    in its diagnostics; the rate solve's first one underflows to 0 at
+    q = 1e-20, where the exponents are 5e19.
     """
     x, w = _boundary_nodes(m, lg1m, float(c.sum()) + c_top)
-    lgf = np.logaddexp(m[:, None], lg1m[:, None] - x[None, :])
+    lgf = np.logaddexp(m[:, None], lg1m[:, None] - x)
     big_l = -(1.0 + c_top) * x + c @ lgf
     lg_om = np.log(-np.expm1(-x))
 
     ival = float(w @ np.exp(big_l))
-    lgr = lg1m[:, None] + lg_om[None, :] - lgf
-    g = c * (np.exp(big_l + lgr) @ w) / ival
-    if not jacobian:
-        return ival, g, None
+    if not 0.0 < ival < math.inf:
+        raise NumericError("boundary-layer integral is not a positive float",
+                           {"q": q, "integral": ival})
+    big_lr = big_l + (lg1m[:, None] + lg_om - lgf)
+    g = c * (np.exp(big_lr) @ w) / ival
 
-    lgh = m[:, None] + lg_om[None, :] - lgf
-    div = c * (np.exp(big_l + lgh) @ w)
-    cross = np.outer(c, c) * (
-        np.exp(big_l + lgr[:, None, :] + lgh[None, :, :]) @ w)
-    own = np.exp(big_l + m[:, None] + lg_om - 2.0 * lgf) @ w
-    cross[np.diag_indices_from(cross)] -= c * own
-    jac = (cross - np.outer(g, div)) / ival
-    return ival, g, jac
+    def jacobian():
+        lgh = m[:, None] + lg_om - lgf
+        div = c * (np.exp(big_l + lgh) @ w)
+        cross = c[:, None] * c * (np.exp(big_lr[:, None, :] + lgh) @ w)
+        own = np.exp(big_l + m[:, None] + lg_om - 2.0 * lgf) @ w
+        cross.flat[::len(m) + 1] -= c * own
+        return (cross - g[:, None] * div) / ival
+
+    return ival, g, jacobian, len(x)
 
 
 def _tilt_eval(lam: LogWeights, nu: OffspringLaw, q: float):
@@ -216,8 +229,8 @@ def _tilt_eval(lam: LogWeights, nu: OffspringLaw, q: float):
     top = gap == 0.0
     low = finite & ~top
     c_top = float(exponents[top].sum())
-    ival, g, _ = _boundary_eval(np.log(-np.expm1(gap[low])), gap[low],
-                                exponents[low], c_top, jacobian=False)
+    ival, g = _boundary_eval(np.log(-np.expm1(gap[low])), gap[low],
+                             exponents[low], c_top, q)[:2]
     grad = np.zeros(len(vals))
     grad[low] = g
     grad[top] = (1.0 - float(g.sum())) * exponents[top] / c_top
@@ -251,20 +264,26 @@ def reinforced_rate(rho: ProbVector, nu: OffspringLaw, q: float) -> RateDual:
     c_top = float(c_work[top].sum())
     share = c_work[top] / c_top
 
+    nodes = 0
+
     def evaluate(m):
-        ival, g, jac = _boundary_eval(m, np.log1p(-np.exp(m)), c_low, c_top)
+        nonlocal nodes
+        ival, g, jacobian, count = _boundary_eval(m, np.log1p(-np.exp(m)),
+                                                  c_low, c_top, q)
+        nodes += count
         resid = np.concatenate([g - rho_low,
                                 (1.0 - g.sum()) * share - rho_work[top]])
-        return ival, resid, np.vstack([jac, -np.outer(share, jac.sum(axis=0))])
+        return ival, resid, float(np.max(np.abs(resid))), jacobian
 
     m = np.log(np.maximum(1.0 - rho_low, 1e-300)) / c_low
-    m = np.clip(m, -1e9, _BOUNDARY_CLIP)
-    ival, resid_vec, jac = evaluate(m)
-    best = float(np.max(np.abs(resid_vec)))
+    m = np.minimum(np.maximum(m, -1e9), _BOUNDARY_CLIP)
+    ival, resid_vec, best, jacobian = evaluate(m)
     tau = 1e-3
     iterations = 0
-    while best > _RESIDUAL_TOL and iterations < _LM_MAX_ITER:
+    while not best <= _RESIDUAL_TOL and iterations < _LM_MAX_ITER:
         iterations += 1
+        jac = jacobian()
+        jac = np.concatenate([jac, -share[:, None] * jac.sum(axis=0)])
         jtj = jac.T @ jac
         rhs = -jac.T @ resid_vec
         damp = np.diag(jtj).copy()
@@ -276,18 +295,18 @@ def reinforced_rate(rho: ProbVector, nu: OffspringLaw, q: float) -> RateDual:
             except np.linalg.LinAlgError:
                 tau *= 10.0
                 continue
-            m_new = np.clip(m + step, -1e9, _BOUNDARY_CLIP)
-            ival2, r2, jac2 = evaluate(m_new)
-            if float(np.max(np.abs(r2))) < best:
-                m, ival, resid_vec, jac = m_new, ival2, r2, jac2
-                best = float(np.max(np.abs(r2)))
+            m_new = np.minimum(np.maximum(m + step, -1e9), _BOUNDARY_CLIP)
+            ival2, r2, best2, jacobian2 = evaluate(m_new)
+            if best2 < best:
+                m, ival, resid_vec, best, jacobian = (m_new, ival2, r2, best2,
+                                                      jacobian2)
                 tau = max(tau / 3.0, 1e-12)
                 accepted = True
                 break
             tau *= 10.0
         if not accepted:
             break
-    if best > _RESIDUAL_TOL:
+    if not best <= _RESIDUAL_TOL:
         raise NumericError("dual solver did not converge",
                            {"residual": best, "iterations": iterations})
     lam_work = np.zeros(len(work_idx))
@@ -299,7 +318,7 @@ def reinforced_rate(rho: ProbVector, nu: OffspringLaw, q: float) -> RateDual:
     tilt = np.full(len(rho.support), -np.inf)
     tilt[work_idx] = lam_work
     return RateDual(value=max(value, 0.0), tilt=LogWeights(rho.support, tilt),
-                    residual=best, iterations=iterations)
+                    residual=best, iterations=iterations, nodes=nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +400,7 @@ def min_rate_over_halfspace(nu: OffspringLaw, q: float, w, c: float):
         small = y < 1e-4
         m = np.where(small, log_theta + log_gap - 0.5 * y + y * y / 24.0,
                      np.log(-np.expm1(-np.where(small, 1.0, y))))
-        ival, g, _ = _boundary_eval(m, -y, c_low, c_top, jacobian=False)
-        return ival, g
+        return _boundary_eval(m, -y, c_low, c_top, q)[:2]
 
     def excess(log_theta):
         # <grad, w> - c, with the atoms at the maximum holding 1 - sum(g)

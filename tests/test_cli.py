@@ -11,6 +11,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -517,6 +518,45 @@ class TestExitCodes:
             args = ["rate", "--law", LAW, "--q", "1/3", "--rho", text]
         assert run(args) == 1
         assert capsys.readouterr().err == f"invalid input: {refused.value}\n"
+
+    @pytest.mark.parametrize("source", ["inline", "file"])
+    @pytest.mark.parametrize("probs", [["0.2", 0.8], [True, False]],
+                             ids=["text_prob", "bool_prob"])
+    def test_json_target_probs_are_numbers(self, probs, source, tmp_path,
+                                           capsys):
+        # as in a law file: once read as 1:0.2;2:0.8 and 1:1;2:0
+        text = json.dumps({"support": [1, 2], "probs": probs})
+        if source == "file":
+            target = tmp_path / "rho.json"
+            target.write_text(text)
+            text = str(target)
+        assert run(["rate", "--law", LAW, "--q", "1/3", "--rho", text]) == 1
+        assert capsys.readouterr().err == \
+            'invalid input: "probs" entries must be numbers\n'
+
+    @pytest.mark.parametrize("command", ["rate", "classify"])
+    def test_an_underflowing_integral_is_a_numeric_failure(self, command,
+                                                           capsys):
+        # q = 1e-20: the rate solve's integral underflows to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run([command, "--law", LAW, "--q", "1e-20", "--rho",
+                        "1:0.2;2:0.8"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("computation failed:")
+
+    def test_grid_counts_its_points_before_building_them(self, capsys):
+        # a step of 1e-9 is refused before any of its 10^9 points is built
+        for command in ("rate", "classify"):
+            assert run([command, "--law", LAW, "--q", "1/3", "--grid",
+                        "1e-9"]) == 1
+            assert capsys.readouterr().err == (
+                "grid step 1e-9 gives 999999999 points; at most 100000 are "
+                "allowed\n")
+        assert len(cli._grid_points("1/100001")) == 100000
+        with pytest.raises(cli._UsageError):
+            cli._grid_points("1/100002")
 
     def test_integral_float_atoms_are_integers(self, tmp_path, capsys):
         law = tmp_path / "law.json"

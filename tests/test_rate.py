@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import time
+import warnings
 from functools import lru_cache
 
 import mpmath
@@ -21,6 +22,7 @@ from rgw import (ContractViolationError, NumericError, OffspringLaw,
 from rgw.measures import LogWeights, align
 
 from helpers import mix
+from rgw import rate
 from rgw.rate import _BOUNDARY_TAIL, _boundary_eval, _boundary_nodes
 
 FLAGSHIP = OffspringLaw((1, 2), (0.5, 0.5))
@@ -350,7 +352,8 @@ class TestLogMgf:
             c_top = float(gen.uniform(0.0, 1.0)) * (1.0 - q) / q
             m = -np.exp(gen.uniform(-30.0, 6.0, n))
             lg1m = np.log1p(-np.exp(m))
-            ival, g, jac = _boundary_eval(m, lg1m, c, c_top)
+            ival, g, jacobian, _ = _boundary_eval(m, lg1m, c, c_top, q)
+            jac = jacobian()
             ref_ival, ref_g, ref_jac = boundary_eval_loops(m, lg1m, c, c_top)
             assert ival == ref_ival
             if n <= 1:
@@ -359,8 +362,7 @@ class TestLogMgf:
                 assert np.max(np.abs(g - ref_g)) <= 1e-13 * np.max(ref_g)
                 assert (np.max(np.abs(jac - ref_jac))
                         <= 1e-13 * np.max(np.abs(ref_jac)))
-            assert np.array_equal(_boundary_eval(m, lg1m, c, c_top,
-                                                 jacobian=False)[1], g)
+            assert np.array_equal(_boundary_eval(m, lg1m, c, c_top, q)[1], g)
 
     def test_tail_past_the_rule_is_below_resolution(self):
         # the closed-form part past x_end, which _boundary_eval leaves out,
@@ -489,6 +491,101 @@ class TestRate:
                            .fun for x0 in (-1.0, 0.0, 1.0))
                 assert reinforced_rate(rho, FLAGSHIP, q).value == (
                     pytest.approx(-best, abs=1e-6))
+
+
+def solve_bit_cases():
+    """Six seeded solves with two or three coordinates below the tilt
+    maximum: 3- then 4-atom laws, each at q = 0.05, 0.5 and 0.95."""
+    gen = RngStream(29).generator("rate-tests")
+    for size in (3, 4):
+        for q in (0.05, 0.5, 0.95):
+            support = tuple(sorted(gen.choice(np.arange(0, 7), size=size,
+                                              replace=False).tolist()))
+            nu = np.maximum(gen.dirichlet(np.ones(size)), 1e-3)
+            rho = np.maximum(gen.dirichlet(np.ones(size)), 1e-3)
+            yield (ProbVector(support, rho / rho.sum()),
+                   OffspringLaw(support, nu / nu.sum()), q)
+
+
+def solve_bits(dual) -> tuple:
+    return (dual.value.hex(), tuple(float(t).hex() for t in dual.tilt.values),
+            dual.residual.hex(), dual.iterations)
+
+
+# float.hex of value, tilt and residual, and the iteration count, of the six
+# solve_bit_cases, recorded with the solver of commit 491acea (a Jacobian
+# built at every evaluation); from the root of the repository:
+#   PYTHONPATH=src:tests python -c "from test_rate import *; [print(solve_bits(reinforced_rate(*case))) for case in solve_bit_cases()]"
+SOLVE_BITS = [
+    ("0x1.db2a157de9f90p-3", ("-0x1.0f43f2681e64fp-4", "-0x1.9c4cf748c86edp+0",
+                              "0x0.0p+0"), "0x1.b100000000000p-43", 8),
+    ("0x1.cf7401b4314f0p-5", ("0x0.0p+0", "-0x1.5148953e084b4p-1",
+                              "-0x1.becb6b2be442fp-6"), "0x1.77b8000000000p-43", 5),
+    ("0x1.81c930aabd8b0p-8", ("0x0.0p+0", "-0x1.9b7e9e7f06290p+0",
+                              "-0x1.2b707d5ff1864p-73"), "0x1.0588000000000p-39", 5),
+    ("0x1.5079c5cf21d74p-2", ("-0x1.064538092c12fp+1", "-0x1.02cd59c52174bp+1",
+                              "-0x1.6a338ea7665fbp-1", "0x0.0p+0"),
+     "0x1.eb00000000000p-46", 6),
+    ("0x1.904417eb7f190p-4", ("-0x1.9665dcd8f5306p-1", "-0x1.2b6b948a37609p+0",
+                              "-0x1.3db5a3253c8a9p-4", "0x0.0p+0"),
+     "0x1.e9fbf00000000p-34", 4),
+    ("0x1.df5338c1ab200p-14", ("0x0.0p+0", "-0x1.d9a01964b68dap-22",
+                               "-0x1.e9c102a7a0752p-7", "-0x1.cb92297ad6756p-70"),
+     "0x1.f831e00000000p-33", 4),
+]
+
+
+class TestSolveRecord:
+    def test_solves_below_two_or_more_coordinates_keep_their_bits(self):
+        # the goldens pin two-atom laws only, where the array sums run in
+        # the loops' order; these pin the solves the order could move
+        got = [solve_bits(reinforced_rate(*case)) for case in solve_bit_cases()]
+        assert got == SOLVE_BITS
+
+    def test_a_solve_builds_one_jacobian_per_iteration(self, monkeypatch):
+        # the last accepted point and rejected trial points build none
+        built = []
+
+        def spy(*args):
+            ival, g, jacobian, nodes = _boundary_eval(*args)
+
+            def counted():
+                built.append(1)
+                return jacobian()
+            return ival, g, counted, nodes
+
+        monkeypatch.setattr(rate, "_boundary_eval", spy)
+        cases = [*solve_bit_cases(),
+                 (ProbVector((1, 2), (0.2, 0.8)), FLAGSHIP, Q)]
+        for case in cases:
+            built.clear()
+            dual = reinforced_rate(*case)
+            assert dual.iterations > 0 and len(built) == dual.iterations
+
+    def test_nodes_count_every_integrand_evaluation(self, monkeypatch):
+        counts = []
+
+        def spy(*args):
+            x, w = _boundary_nodes(*args)
+            counts.append(len(x))
+            return x, w
+
+        monkeypatch.setattr(rate, "_boundary_nodes", spy)
+        for case in [*solve_bit_cases(),
+                     (FLAGSHIP.as_prob_vector(), FLAGSHIP, Q)]:
+            counts.clear()
+            dual = reinforced_rate(*case)
+            assert counts and dual.nodes == sum(counts)
+
+    def test_an_underflowing_integral_is_a_numeric_error(self):
+        # at q = 1e-20 the exponents are 5e19 and the integral underflows
+        # to 0; no 0/0 gradient, so no NaN residual passes as converged
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError) as failed:
+                reinforced_rate(ProbVector((1, 2), (0.2, 0.8)), FLAGSHIP,
+                                1e-20)
+        assert failed.value.diagnostics == {"q": 1e-20, "integral": 0.0}
 
 
 def edge_law(support, weights) -> OffspringLaw:
