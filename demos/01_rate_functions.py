@@ -24,7 +24,7 @@ from rgw import (
     pair,
     reinforced_log_mgf,
     reinforced_rate,
-    sanov_rate,
+    relative_entropy,
 )
 
 law = OffspringLaw((1, 2), (0.5, 0.5))
@@ -50,7 +50,7 @@ print("  p     reinforced    memoryless")
 for p in np.arange(0.1, 0.95, 0.2):
     rho = ProbVector((1, 2), (p, 1.0 - p))
     with_memory = reinforced_rate(rho, law, q).value
-    without = sanov_rate(rho, law)
+    without = relative_entropy(rho, law)
     print(f"  {p:.2f}  {with_memory:.8f}    {without:.8f}")
 
 # the zero of the rate curve is the concentration target; memory drags it

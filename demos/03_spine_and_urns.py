@@ -30,7 +30,7 @@ rng = RngStream(7)
 # copied, so the census of draws still converges to the base law
 _, census = simulate_reinforced_urn(law, q, 200_000, rng.child(1))
 print("lineage urn census after 2e5 draws:", census.normalize().weights)
-print("base law                          :", law.as_prob_vector().weights)
+print("base law                          :", law.weights)
 
 # tilting by activities a = (1/2, 4/3) makes degree-2 draws more sticky;
 # this particular profile reproduces the concentration target of the tree

@@ -42,12 +42,10 @@ from .rate import (
     reinforced_log_mgf,
     reinforced_log_mgf_grad,
     reinforced_rate,
-    sanov_rate,
 )
 from .rng import RngStream
 from .control import (
     ControlPath,
-    constant_control_value,
     rate_by_control,
 )
 from .simulate import (

@@ -86,7 +86,7 @@ def classify_memoryless(rho: ProbVector, nu: OffspringLaw) -> Verdict:
     the evanescence and persistence margins are exact negatives of each
     other and the indeterminate band collapses to the tolerance strip.
     """
-    rho_a, nu_a = align(rho, nu.as_prob_vector())
+    rho_a, nu_a = align(rho, nu)
     ln = log_degree_weights(rho_a.support)
     gain = pair(rho_a, ln)
     ent = relative_entropy(rho_a, nu_a)
@@ -114,7 +114,7 @@ def classify_reinforced(rho: ProbVector, nu: OffspringLaw, q: float) -> Verdict:
     then the margin certificates and the honest indeterminate band.
     """
     _check_q(q)
-    rho_a, _ = align(rho, nu.as_prob_vector())
+    rho_a, _ = align(rho, nu)
     gain = pair(rho_a, log_degree_weights(rho_a.support))
     ent = mixed_entropy(rho, nu, q)
     subcritical = q * rho.mean() + (1.0 - q) * nu.mean() < 1.0
@@ -149,7 +149,7 @@ def min_memory_for_persistence(rho: ProbVector, nu: OffspringLaw) -> float | Non
     """
     if rho.prob(0) > 0.0:
         raise ContractViolationError("the target must not charge atom 0")
-    rho_a, nu_a = align(rho, nu.as_prob_vector())
+    rho_a, nu_a = align(rho, nu)
     ent = relative_entropy(rho_a, nu_a)
     if ent == math.inf:
         return None
@@ -245,7 +245,7 @@ class TwoTypeCertificate:
 
 def _margin(mu: ProbVector, law: OffspringLaw) -> float:
     """Log-degree pairing minus relative entropy of mu against the law."""
-    mu_a, law_a = align(mu, law.as_prob_vector())
+    mu_a, law_a = align(mu, law)
     return (pair(mu_a, log_degree_weights(mu_a.support))
             - relative_entropy(mu_a, law_a))
 

@@ -29,9 +29,10 @@ from .classify import (classify_memoryless, classify_reinforced,
                        two_type_weak_persistence)
 from .control import rate_by_control
 from .errors import NumericError, StatisticalFailureError
-from .measures import (OffspringLaw, ProbVector, _check_json_probs, _check_q,
-                       _on_support, load_offspring_law, mixed_entropy)
-from .rate import reinforced_rate, sanov_rate
+from .measures import (OffspringLaw, ProbVector, _check_q, _on_support,
+                       _support_and_probs, load_offspring_law, mixed_entropy,
+                       relative_entropy)
+from .rate import reinforced_rate
 from .rng import RngStream
 from .simulate import (gibbs_conditional_estimate, simulate_reinforced_urn,
                        simulate_spine_urn, simulate_tree_campaign)
@@ -107,10 +108,9 @@ def _parse_prob_vector(text: str, what: str) -> ProbVector:
     if from_file or stripped.startswith("{"):
         try:
             doc = json.loads(stripped)
-            _check_json_probs(doc["probs"])
-            return ProbVector(doc["support"], doc["probs"])
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except json.JSONDecodeError as exc:
             raise _UsageError(f"cannot parse {what} as JSON: {exc}") from None
+        return ProbVector(*_support_and_probs(doc, what))
     atoms, values = _parse_pairs(text, what)
     return ProbVector(atoms, values)
 
@@ -130,17 +130,27 @@ def _aligned_values(text: str, support: tuple[int, ...], what: str) -> list[floa
     return values
 
 
+def _fraction_grid(start: Fraction, stop: Fraction, step: Fraction, what: str,
+                   *, closed: bool) -> list[float]:
+    """The points start + i step, i = 0, 1, ..., up to stop (included when
+    ``closed``), each rounded once from its exact value. The count comes
+    from the exact fractions, so a tiny step is refused before any point
+    is built."""
+    span = (stop - start) / step
+    count = math.floor(span) + 1 if closed else math.ceil(span)
+    if count > _GRID_MAX_POINTS:
+        raise _UsageError(f"{what} gives {count} points; "
+                          f"at most {_GRID_MAX_POINTS} are allowed")
+    return [float(start + i * step) for i in range(count)]
+
+
 def _grid_points(step_text: str) -> list[float]:
-    # the count comes from the exact step, so a tiny step is refused before
-    # any point is built
+    # --grid: the multiples of the step inside (0, 1)
     step = _parse_fraction(step_text, "grid step")
     if not 0 < step < 1:
         raise _UsageError("grid step must lie in (0, 1)")
-    count = math.ceil(1 / step) - 1
-    if count > _GRID_MAX_POINTS:
-        raise _UsageError(f"grid step {step_text} gives {count} points; "
-                          f"at most {_GRID_MAX_POINTS} are allowed")
-    return [float(i * step) for i in range(1, count + 1)]
+    return _fraction_grid(step, Fraction(1), step, f"grid step {step_text}",
+                          closed=False)
 
 
 _BOOL_TEXT = {True: "true", False: "false"}
@@ -256,7 +266,7 @@ def _rate_value(rho: ProbVector, nu: OffspringLaw, q: float) -> float:
     rho = _on_support(rho, nu)
     if rho is None:
         return math.inf
-    return sanov_rate(rho, nu) if q == 0.0 else reinforced_rate(rho, nu, q).value
+    return relative_entropy(rho, nu) if q == 0.0 else reinforced_rate(rho, nu, q).value
 
 
 def _is_flagship(nu: OffspringLaw) -> bool:
@@ -488,11 +498,8 @@ def _cmd_survival(args) -> int:
         start, stop, step = (_parse_fraction(p, "--q-grid part") for p in parts)
         if step <= 0 or start <= 0 or stop >= 1 or start > stop:
             raise _UsageError("--q-grid must stay inside (0, 1) with step > 0")
-        qs = []
-        value = start
-        while value <= stop:
-            qs.append(float(value))
-            value += step
+        qs = _fraction_grid(start, stop, step, f"--q-grid {args.q_grid}",
+                            closed=True)
     else:
         qs = [_parse_q(args.q, allow_zero=False)]
     columns = ["q", "C", "J_min", "J_baseline", "survives_certified"]
@@ -513,7 +520,8 @@ def _verify_control(args) -> int:
     rho = _on_support(_parse_prob_vector(args.rho, "--rho"), nu)
     if rho is None:
         raise _UsageError("--rho charges an atom off the law support")
-    value, path = rate_by_control(rho, nu, q, steps=args.m)
+    value, path = rate_by_control(rho, nu, q,
+                                  steps=64 if args.m is None else args.m)
     dual = _rate_value(rho, nu, q)
     bound = mixed_entropy(rho, nu, q)
     steps = ([i, *row] for i, row in enumerate(path.rows))
@@ -532,6 +540,9 @@ def _verify_control(args) -> int:
 def _cmd_verify(args) -> int:
     if args.mode == "control":
         return _verify_control(args)
+    for flag in ("law", "q", "rho", "m"):
+        if getattr(args, flag) is not None:
+            raise _UsageError(f"--{flag} applies only to 'verify control'")
     level = "full" if args.full else "quick"
     report = verify_suite(level, args.seed)
     for check in report["checks"]:
@@ -645,9 +656,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--q", default=None,
                    help="control mode: memory parameter (default 1/3)")
     p.add_argument("--rho", default=None, help="control mode: target law")
-    p.add_argument("--m", type=int, default=64,
-                   help="control mode: discretization steps; the cost "
-                        "grows as the cube of steps times the support size")
+    p.add_argument("--m", type=int, default=None,
+                   help="control mode: discretization steps (default 64); "
+                        "the cost grows as the cube of steps times the "
+                        "support size")
     p.add_argument("--restarts", type=int, default=8,
                    help="ignored; kept so existing command lines run")
     _add_common(p)

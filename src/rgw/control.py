@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError, NumericError
-from .measures import (OffspringLaw, ProbVector, _check_q, _check_same_support,
-                       mixed_entropy)
+from .measures import OffspringLaw, ProbVector, _check_q, _check_same_support
 
 _LOG_FLOOR = 1e-300
 # Newton stops once half the squared decrement, which estimates the distance
@@ -122,12 +121,6 @@ def _hessian_blocks(rows: np.ndarray, nu_w: np.ndarray, q: float,
                  + q * q * cesaro.T @ (cesaro * (x / (r * r))[:, None]))
         blocks.append(block / m)
     return blocks
-
-
-def constant_control_value(rho: ProbVector, nu: OffspringLaw, q: float) -> float:
-    """Cost of the constant path eta == rho: the mixed relative entropy."""
-    _check_same_support(rho, nu)
-    return mixed_entropy(rho, nu, q)
 
 
 def _newton(rows: np.ndarray, nu_w: np.ndarray, q: float) -> np.ndarray:

@@ -1,11 +1,9 @@
 """Probability measures on finite sets of offspring counts.
 
-Everything downstream works with four small immutable types:
-
-* ``OffspringLaw``    reproduction law with strictly positive weights,
-* ``ProbVector``      point on the simplex over a support (zeros allowed),
-* ``EmpiricalMeasure`` integer histogram with its total,
-* ``LogWeights``      exponential tilt vector with entries in [-inf, inf).
+A point of the simplex over a support is a ``ProbVector`` (zeros allowed);
+a reproduction law, ``OffspringLaw``, is a probability vector whose atoms
+all carry mass. ``EmpiricalMeasure`` is an integer histogram with its total,
+``LogWeights`` an exponential tilt vector with entries in [-inf, inf).
 
 Extended-real conventions used throughout the package: ``log 0 = -inf``,
 ``exp(-inf) = 0`` and ``0 * log 0 = 0``. A pairing against log-degree weights
@@ -64,55 +62,8 @@ def _freeze(obj, **fields):
         object.__setattr__(obj, name, value)
 
 
-class _Weighted:
-    """Point lookup, mean and display shared by laws and probability vectors."""
-
-    def __repr__(self):
-        body = ", ".join(f"{k}: {p:.6g}" for k, p in zip(self.support, self.weights))
-        return f"{type(self).__name__}({{{body}}})"
-
-    def prob(self, k: int) -> float:
-        try:
-            return float(self.weights[self.support.index(k)])
-        except ValueError:
-            return 0.0
-
-    def mean(self) -> float:
-        return float(np.dot(self.support, self.weights))
-
-
 @dataclass(frozen=True, eq=False, repr=False)
-class OffspringLaw(_Weighted):
-    """Reproduction law on a finite subset of the non-negative integers.
-
-    Atoms with zero weight are dropped at construction, so the stored weights
-    are strictly positive and sum to one (drift up to 1e-12 is renormalized).
-    """
-
-    support: tuple[int, ...]
-    weights: np.ndarray
-
-    def __init__(self, support, weights):
-        sup = _as_support(support)
-        w = _as_weights(weights, len(sup))
-        if (w < 0).any():
-            raise ContractViolationError("offspring weights must be non-negative")
-        keep = w > 0.0
-        if not keep.any():
-            raise ContractViolationError("offspring law has no positive weight")
-        sup = tuple(k for k, m in zip(sup, keep) if m)
-        w = w[keep]
-        total = w.sum()
-        if abs(total - 1.0) > _SUM_TOL:
-            raise ContractViolationError(f"offspring weights sum to {total!r}, not 1")
-        _freeze(self, support=sup, weights=w / total)
-
-    def as_prob_vector(self) -> "ProbVector":
-        return ProbVector(self.support, self.weights)
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class ProbVector(_Weighted):
+class ProbVector:
     """Probability vector over a fixed support; zero entries are allowed."""
 
     support: tuple[int, ...]
@@ -129,6 +80,37 @@ class ProbVector(_Weighted):
         if abs(total - 1.0) > _SUM_TOL:
             raise ContractViolationError(f"probability weights sum to {total!r}, not 1")
         _freeze(self, support=sup, weights=w / total)
+
+    def __repr__(self):
+        body = ", ".join(f"{k}: {p:.6g}" for k, p in zip(self.support, self.weights))
+        return f"{type(self).__name__}({{{body}}})"
+
+    def prob(self, k: int) -> float:
+        try:
+            return float(self.weights[self.support.index(k)])
+        except ValueError:
+            return 0.0
+
+    def mean(self) -> float:
+        return float(np.dot(self.support, self.weights))
+
+
+class OffspringLaw(ProbVector):
+    """Reproduction law: a probability vector whose atoms all carry mass.
+
+    Atoms with zero weight are dropped at construction, so the stored weights
+    are strictly positive and sum to one (drift up to 1e-12 is renormalized).
+    """
+
+    def __init__(self, support, weights):
+        sup = _as_support(support)
+        w = _as_weights(weights, len(sup))
+        if (w < 0).any():
+            raise ContractViolationError("offspring weights must be non-negative")
+        keep = w > 0.0
+        if not keep.any():
+            raise ContractViolationError("offspring law has no positive weight")
+        super().__init__([k for k, m in zip(sup, keep) if m], w[keep])
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,6 +236,20 @@ def _check_q(q: float, *, allow_zero: bool = False):
         raise ContractViolationError(f"memory parameter {q!r} outside {dom}")
 
 
+def _check_halfspace(w, c: float, support) -> np.ndarray:
+    """The normal of the halfspace {rho : <rho, w> >= c} as an array, once
+    it is known to be finite over the support and the bound not NaN."""
+    w = np.asarray(w, dtype=float)
+    if w.shape != (len(support),):
+        raise ContractViolationError(
+            f"halfspace functional must have length {len(support)}")
+    if not np.isfinite(w).all():
+        raise ContractViolationError("halfspace functional must be finite")
+    if math.isnan(c):
+        raise ContractViolationError("halfspace bound must be a number")
+    return w
+
+
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -276,9 +272,9 @@ def mixed_entropy(rho: ProbVector, nu, q: float) -> float:
     """Mixed relative entropy H(rho | q rho + (1-q) nu), q in [0, 1).
 
     The entropy threshold of persistence and the cost of the constant
-    control. ``nu`` is a law or probability vector; both measures are read
-    on the union of their supports, so the value stays finite for q > 0 even
-    when rho charges atoms outside the support of nu.
+    control. Both measures are read on the union of their supports, so the
+    value stays finite for q > 0 even when rho charges atoms outside the
+    support of nu.
     """
     _check_q(q, allow_zero=True)
     atoms = sorted(set(rho.support) | set(nu.support))
@@ -318,32 +314,34 @@ def linf_distance(rho: ProbVector, sigma: ProbVector) -> float:
 # JSON reproduction-law format (shared with the command line tools)
 # ---------------------------------------------------------------------------
 
-def offspring_law_from_json(obj) -> OffspringLaw:
-    """Build a law from ``{"support": [...], "probs": [...]}``.
+def _support_and_probs(obj, what: str) -> tuple[list, list]:
+    """The ``support`` and ``probs`` lists of ``{"support": [...], "probs":
+    [...]}``, the JSON form of a law or a target.
 
-    Unknown fields are rejected so that config typos fail loudly.
+    Unknown fields are rejected so that config typos fail loudly; ``probs``
+    holds JSON numbers only: no text, which float() would read, and no
+    booleans, which it would read as 0/1.
     """
     if not isinstance(obj, dict):
-        raise ContractViolationError("reproduction law JSON must be an object")
+        raise ContractViolationError(f"{what} JSON must be an object")
     extra = set(obj) - {"support", "probs"}
     if extra:
-        raise ContractViolationError(f"unknown reproduction-law fields: {sorted(extra)}")
+        raise ContractViolationError(f"unknown {what} fields: {sorted(extra)}")
     if "support" not in obj or "probs" not in obj:
-        raise ContractViolationError('reproduction law needs "support" and "probs"')
+        raise ContractViolationError(f'{what} needs "support" and "probs"')
     support, probs = obj["support"], obj["probs"]
     if not isinstance(support, list) or not isinstance(probs, list):
         raise ContractViolationError('"support" and "probs" must be lists')
     if len(support) != len(probs):
         raise ContractViolationError('"support" and "probs" have different lengths')
-    _check_json_probs(probs)
-    return OffspringLaw(support, probs)
-
-
-def _check_json_probs(probs) -> None:
-    """``probs`` of a JSON law or target holds JSON numbers only: no text,
-    which float() would read, and no booleans, which it would read as 0/1."""
     if any(isinstance(p, bool) or not isinstance(p, (int, float)) for p in probs):
         raise ContractViolationError('"probs" entries must be numbers')
+    return support, probs
+
+
+def offspring_law_from_json(obj) -> OffspringLaw:
+    """Build a law from ``{"support": [...], "probs": [...]}``."""
+    return OffspringLaw(*_support_and_probs(obj, "reproduction law"))
 
 
 def load_offspring_law(path) -> OffspringLaw:

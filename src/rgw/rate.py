@@ -44,10 +44,10 @@ from .measures import (
     LogWeights,
     OffspringLaw,
     ProbVector,
+    _check_halfspace,
     _check_q,
     _check_same_support,
     log_degree_weights,
-    relative_entropy,
     size_biased,
 )
 
@@ -68,12 +68,6 @@ class RateDual:
     residual: float
     iterations: int
     nodes: int
-
-
-def sanov_rate(rho: ProbVector, nu: OffspringLaw) -> float:
-    """Rate function of iid empirical measures: relative entropy to nu."""
-    _check_same_support(rho, nu)
-    return relative_entropy(rho, nu.as_prob_vector())
 
 
 def reinforced_log_mgf(lam: LogWeights, nu: OffspringLaw, q: float) -> float:
@@ -372,17 +366,12 @@ def min_rate_over_halfspace(nu: OffspringLaw, q: float, w, c: float):
     gradient at the limit tilt, which is 0 there and -inf elsewhere.
     """
     _check_q(q)
-    w = np.asarray(w, dtype=float)
-    if w.shape != (len(nu.support),) or not np.isfinite(w).all():
-        raise ContractViolationError("halfspace functional must be finite over the support")
-    if math.isnan(c):
-        raise ContractViolationError("halfspace bound must be a number")
+    w = _check_halfspace(w, c, nu.support)
     top = float(np.max(w))
     if top < c:
         raise InfeasibleError("halfspace does not meet the simplex")
-    nu_vec = nu.as_prob_vector()
-    if float(np.dot(nu_vec.weights, w)) >= c:
-        return nu_vec, 0.0
+    if float(np.dot(nu.weights, w)) >= c:
+        return nu, 0.0
     if c == top:
         tilt = LogWeights(nu.support, np.where(w == top, 0.0, -np.inf))
         log_mgf, grad = _tilt_eval(tilt, nu, q)

@@ -52,7 +52,8 @@ import numpy as np
 
 from .classify import validate_activities
 from .errors import ContractViolationError, NumericError, StatisticalFailureError
-from .measures import EmpiricalMeasure, OffspringLaw, ProbVector, _check_q
+from .measures import (EmpiricalMeasure, OffspringLaw, ProbVector, _check_halfspace,
+                       _check_q)
 from .rng import RngStream
 
 DEFAULT_POP_CAP = 10_000_000
@@ -753,10 +754,8 @@ def gibbs_conditional_estimate(nu: OffspringLaw, q: float, n: int, w, c: float,
     _check_q(q, allow_zero=True)
     if n < 1 or replicas < 1:
         raise ContractViolationError("n and replicas must be >= 1")
-    w_arr = np.asarray(w, dtype=float)
+    w_arr = _check_halfspace(w, c, nu.support)
     k = len(nu.support)
-    if w_arr.shape != (k,):
-        raise ContractViolationError(f"constraint vector must have length {k}")
     hist, mult = _urn_classes(nu, q, n, replicas, rng, "gibbs", np.arange(k))
     scores = hist @ w_arr / n
     accept = scores >= c

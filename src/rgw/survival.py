@@ -50,6 +50,9 @@ def lambert_w0(x: float) -> float:
         x = _BRANCH_POINT
     if x == 0.0:
         return 0.0
+    if x == math.inf:
+        # W grows without bound, like log x
+        return math.inf
 
     ex1 = math.e * x + 1.0
     if ex1 <= 0.0:

@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from .classify import DECISION_TOL, VerdictKind, classify_reinforced, law_from_activity
-from .control import constant_control_value, rate_by_control
+from .control import rate_by_control
 from .errors import ContractViolationError, NumericError, StatisticalFailureError
 from .measures import (LogWeights, OffspringLaw, ProbVector, linf_distance,
                        log_degree_weights, mixed_entropy, pair)
@@ -123,7 +123,7 @@ def _check_control(value: float) -> tuple[float, float]:
 
 
 def _check_control_margin(value: float) -> tuple[float, float]:
-    bound = constant_control_value(_CONTROL_TARGET, _FLAGSHIP, _Q_FLAGSHIP)
+    bound = mixed_entropy(_CONTROL_TARGET, _FLAGSHIP, _Q_FLAGSHIP)
     return 0.0, max(0.0, value - (bound - 1e-3))
 
 
@@ -194,8 +194,7 @@ def _check_census_lln(rng: RngStream, *, steps: int) -> tuple[float, float]:
     1.0e-3, so the tolerance stands about 4.8 of those from zero."""
     _, census = simulate_reinforced_urn(_FLAGSHIP, _Q_FLAGSHIP, steps,
                                         rng.child(4))
-    return 5e-3, linf_distance(census.normalize(),
-                               _FLAGSHIP.as_prob_vector())
+    return 5e-3, linf_distance(census.normalize(), _FLAGSHIP)
 
 
 def _check_lambert() -> tuple[float, float]:

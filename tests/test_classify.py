@@ -27,7 +27,7 @@ Q = 1.0 / 3.0
 
 def entropy_against_blend(rho: ProbVector, nu: OffspringLaw,
                           q: float) -> float:
-    blend = mix(q, rho, nu.as_prob_vector())
+    blend = mix(q, rho, nu)
     return relative_entropy(*align(rho, blend))
 
 
@@ -141,7 +141,7 @@ class TestReinforcedVerdicts:
 
 class TestMinMemory:
     def test_base_law_needs_no_memory(self):
-        assert min_memory_for_persistence(FLAGSHIP.as_prob_vector(),
+        assert min_memory_for_persistence(FLAGSHIP,
                                           FLAGSHIP) == 0.0
 
     def test_rich_target_needs_no_memory(self):
@@ -176,7 +176,7 @@ class TestMinMemory:
 
 class TestActivityMaps:
     def test_base_law_maps_to_identity(self):
-        a = activity_from_law(FLAGSHIP.as_prob_vector(), FLAGSHIP, Q)
+        a = activity_from_law(FLAGSHIP, FLAGSHIP, Q)
         assert np.allclose(a, 1.0, atol=1e-12)
 
     def test_concentration_target_activities(self):

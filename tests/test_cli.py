@@ -558,6 +558,59 @@ class TestExitCodes:
         with pytest.raises(cli._UsageError):
             cli._grid_points("1/100002")
 
+    def test_q_grid_counts_its_points_before_building_them(self, capsys):
+        # as --grid: a step of 1e-9 is refused before any of its 5 * 10^8
+        # points is built, let alone solved
+        spec = "1/1000000000:1/2:1/1000000000"
+        assert run(["survival", "--law", LAW, "--q-grid", spec]) == 1
+        assert capsys.readouterr().err == (
+            f"--q-grid {spec} gives 500000000 points; at most 100000 are "
+            "allowed\n")
+        # a closed grid counts its stop
+        step = Fraction(1, 10**6)
+        assert len(cli._fraction_grid(step, 100000 * step, step, "q",
+                                      closed=True)) == 100000
+        with pytest.raises(cli._UsageError):
+            cli._fraction_grid(step, 100001 * step, step, "q", closed=True)
+
+    @pytest.mark.parametrize("source", ["inline", "file"])
+    def test_json_target_refuses_unknown_fields(self, source, tmp_path,
+                                                capsys):
+        # as a law file does: the typo "prbs" is not passed over
+        doc = {"support": [1, 2], "probs": [0.2, 0.8], "prbs": [1, 0]}
+        text = json.dumps(doc)
+        if source == "file":
+            target = tmp_path / "rho.json"
+            target.write_text(text)
+            text = str(target)
+        assert run(["rate", "--law", LAW, "--q", "1/3", "--rho", text]) == 1
+        assert capsys.readouterr().err == \
+            "invalid input: unknown --rho fields: ['prbs']\n"
+        law = tmp_path / "law.json"
+        law.write_text(json.dumps({"support": [1, 2], "probs": [0.5, 0.5],
+                                   "prbs": [1, 0]}))
+        assert run(["rate", "--law", str(law), "--q", "1/3", "--rho",
+                    "1:0.2;2:0.8"]) == 1
+        assert capsys.readouterr().err == \
+            "invalid input: unknown reproduction law fields: ['prbs']\n"
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--law", "nonexistent.json"), ("--q", "1/3"), ("--rho", "1:0.2;2:0.8"),
+        ("--m", "3"),
+    ])
+    def test_verify_suite_refuses_control_flags(self, flag, value, capsys):
+        # the suite would run whole and pass, the flag silently unread
+        assert run(["verify", "--quick", flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and flag in err
+
+    def test_verify_control_steps_default_to_64(self, tmp_path):
+        args = ["verify", "control", "--rho", "1:0.2;2:0.8"]
+        code, text = invoke(args, tmp_path, "default.json")
+        assert code == 0
+        assert (code, text) == invoke([*args, "--m", "64"], tmp_path,
+                                      "m64.json")
+
     def test_integral_float_atoms_are_integers(self, tmp_path, capsys):
         law = tmp_path / "law.json"
         law.write_text('{"support": [1.0, 2.0], "probs": [0.5, 0.5]}')

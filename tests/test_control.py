@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rgw import (ContractViolationError, ControlPath, InfeasibleError,
-                 OffspringLaw, ProbVector, RngStream, constant_control_value,
+                 OffspringLaw, ProbVector, RngStream, mixed_entropy,
                  rate_by_control, reinforced_rate, relative_entropy)
 from rgw.control import _LOG_FLOOR, _objective
 from rgw.measures import _check_q, _check_same_support, align
@@ -68,11 +68,11 @@ class TestObjective:
         for p in (0.2, 0.35, 0.6):
             rho = ProbVector((1, 2), (p, 1.0 - p))
             path = ControlPath((1, 2), np.tile(rho.weights, (8, 1)))
-            blend = mix(Q, rho, FLAGSHIP.as_prob_vector())
+            blend = mix(Q, rho, FLAGSHIP)
             expected = relative_entropy(*align(rho, blend))
             assert control_objective(path, FLAGSHIP, Q) == pytest.approx(
                 expected, abs=1e-12)
-            assert constant_control_value(rho, FLAGSHIP, Q) == pytest.approx(
+            assert mixed_entropy(rho, FLAGSHIP, Q) == pytest.approx(
                 expected, abs=1e-12)
 
     def test_rejects_malformed_paths(self):
@@ -88,7 +88,7 @@ class TestOptimization:
     def test_sandwiched_between_dual_value_and_constant_bound(self):
         value, path = rate_by_control(TARGET, FLAGSHIP, Q, steps=16)
         dual = reinforced_rate(TARGET, FLAGSHIP, Q).value
-        const = constant_control_value(TARGET, FLAGSHIP, Q)
+        const = mixed_entropy(TARGET, FLAGSHIP, Q)
         assert dual - 1e-9 <= value <= const + 1e-9
         assert path.rows.shape == (16, 2)
 
@@ -114,7 +114,7 @@ class TestOptimization:
         # well below the constant bound and never below the dual rate
         nu, rho = LAWS["k7_rho_zero"]
         value, path = rate_by_control(rho, nu, Q, steps=64)
-        assert value <= constant_control_value(rho, nu, Q) - 1e-2
+        assert value <= mixed_entropy(rho, nu, Q) - 1e-2
         assert value >= reinforced_rate(rho, nu, Q).value - 1e-9
         assert np.all(path.rows[:, 1] == 0.0)
 
@@ -124,25 +124,25 @@ class TestOptimization:
         nu, rho = LAWS["k3_atom0"]
         value, path = rate_by_control(rho, nu, 0.0, steps=16)
         assert np.max(np.abs(path.rows - rho.weights)) <= 1e-15
-        assert value == pytest.approx(constant_control_value(rho, nu, 0.0),
+        assert value == pytest.approx(mixed_entropy(rho, nu, 0.0),
                                       abs=1e-15)
 
     def test_a_single_positive_atom_forces_the_path(self):
         rho = ProbVector((1, 2), (0.0, 1.0))
         value, path = rate_by_control(rho, FLAGSHIP, Q, steps=8)
         assert np.array_equal(path.rows, np.tile((0.0, 1.0), (8, 1)))
-        assert value == pytest.approx(constant_control_value(rho, FLAGSHIP, Q),
+        assert value == pytest.approx(mixed_entropy(rho, FLAGSHIP, Q),
                                       abs=1e-15)
 
 
 class TestTwoPhaseProbe:
     def test_zero_perturbation_recovers_the_constant_value(self):
-        const = constant_control_value(TARGET, FLAGSHIP, Q)
+        const = mixed_entropy(TARGET, FLAGSHIP, Q)
         assert two_phase_probe(TARGET, FLAGSHIP, Q, 0.0) == pytest.approx(
             const, abs=1e-6)
 
     def test_some_perturbation_strictly_improves(self):
-        const = constant_control_value(TARGET, FLAGSHIP, Q)
+        const = mixed_entropy(TARGET, FLAGSHIP, Q)
         best = min(two_phase_probe(TARGET, FLAGSHIP, Q, eps)
                    for eps in (0.05, 0.1, 0.2))
         assert best < const - 1e-3
@@ -295,7 +295,7 @@ def assert_newton_beats_the_serial_descent(law, memory, steps, restarts,
         rho, nu, memory, steps=steps, restarts=restarts,
         iters_per_stage=iters, rng=RngStream(seed))
     assert value <= ref_value + 1e-12
-    assert value <= constant_control_value(rho, nu, memory)
+    assert value <= mixed_entropy(rho, nu, memory)
     if memory > 0.0:
         assert value >= reinforced_rate(rho, nu, memory).value - 1e-9
     assert path.rows.shape == (steps, len(rho.support))

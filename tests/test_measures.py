@@ -48,6 +48,32 @@ class TestConstruction:
         with pytest.raises(ContractViolationError):
             OffspringLaw((1, 2), (0.5, float("nan")))
 
+    def test_zero_weights_are_dropped(self):
+        law = OffspringLaw((0, 1, 2, 5), (0.0, 0.25, 0.75, 0.0))
+        assert law.support == (1, 2)
+        assert tuple(law.weights) == (0.25, 0.75)
+
+    def test_all_zero_law_rejected(self):
+        with pytest.raises(ContractViolationError, match="no positive weight"):
+            OffspringLaw((1, 2), (0.0, 0.0))
+
+    def test_negative_weight_within_tolerance_rejected(self):
+        # a target clips such a weight to 0; a law has no such slack
+        assert ProbVector((1, 2), (-1e-15, 1.0)).weights[0] == 0.0
+        with pytest.raises(ContractViolationError, match="non-negative"):
+            OffspringLaw((1, 2), (-1e-15, 1.0))
+
+    def test_a_law_is_a_probability_vector(self):
+        assert isinstance(UNIFORM12, ProbVector)
+        assert repr(UNIFORM12) == "OffspringLaw({1: 0.5, 2: 0.5})"
+        rho = ProbVector((1, 2), (0.3, 0.7))
+        assert relative_entropy(rho, UNIFORM12) == relative_entropy(
+            rho, ProbVector((1, 2), (0.5, 0.5)))
+        assert linf_distance(UNIFORM12, rho) == pytest.approx(0.2, abs=1e-15)
+        law_a, rho_a = align(UNIFORM12, ProbVector((2, 3), (0.4, 0.6)))
+        assert law_a.support == rho_a.support == (1, 2, 3)
+        assert tuple(law_a.weights) == (0.5, 0.5, 0.0)
+
     def test_prob_lookup_and_mean(self):
         assert UNIFORM12.prob(2) == 0.5
         assert UNIFORM12.prob(7) == 0.0
@@ -114,7 +140,7 @@ class TestRelativeEntropy:
 
     def test_flagship_value(self):
         got = relative_entropy(ProbVector((1, 2), (1 / 3, 2 / 3)),
-                               UNIFORM12.as_prob_vector())
+                               UNIFORM12)
         assert got == pytest.approx(0.05663301226513255, abs=1e-15)
 
     @given(simplex(4), simplex(4))

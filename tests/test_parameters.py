@@ -1,4 +1,4 @@
-"""Every public function that takes the memory parameter q, 25 of them,
+"""Every public function that takes the memory parameter q, 24 of them,
 rejects it alike, and so do the control oracles of the tests."""
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from rgw import (ContractViolationError, ControlPath, LogWeights,
                  OffspringLaw, ProbVector, RngStream,
                  activity_constraint_residual, activity_from_law,
                  classify_reinforced, concentration_target,
-                 constant_control_value, enumerate_expected_counts,
+                 enumerate_expected_counts,
                  gibbs_conditional_estimate, growth_exponent,
                  law_from_activity, many_to_one_estimate,
                  min_rate_over_halfspace, mixed_entropy, proportional_baseline,
@@ -40,8 +40,6 @@ CALLS = [
     ("growth_exponent", lambda q: growth_exponent(FLAGSHIP, q), True),
     ("min_rate_over_halfspace",
      lambda q: min_rate_over_halfspace(FLAGSHIP, q, (0.0, 1.0), 0.8), False),
-    ("constant_control_value",
-     lambda q: constant_control_value(TARGET, FLAGSHIP, q), True),
     ("rate_by_control",
      lambda q: rate_by_control(TARGET, FLAGSHIP, q, steps=2), True),
     ("simulate_tree_campaign",
@@ -103,4 +101,4 @@ def test_every_public_function_of_q_is_listed():
                if inspect.isfunction(getattr(rgw, name))
                and "q" in inspect.signature(getattr(rgw, name)).parameters}
     assert takes_q == {c[0] for c in CALLS}
-    assert len(CALLS) == 25
+    assert len(CALLS) == 24

@@ -17,8 +17,7 @@ from scipy.special import roots_jacobi
 from rgw import (ContractViolationError, NumericError, OffspringLaw,
                  ProbVector, RngStream, concentration_target, growth_exponent,
                  min_rate_over_halfspace, pair, reinforced_log_mgf,
-                 reinforced_log_mgf_grad, reinforced_rate, relative_entropy,
-                 sanov_rate)
+                 reinforced_log_mgf_grad, reinforced_rate, relative_entropy)
 from rgw.measures import LogWeights, align
 
 from helpers import mix
@@ -416,7 +415,7 @@ class TestRate:
         assert reinforced_rate(chain, FLAGSHIP, Q).value == pytest.approx(
             math.log(1.5), abs=1e-9)
         # the rate vanishes exactly at the base law
-        assert reinforced_rate(FLAGSHIP.as_prob_vector(), FLAGSHIP,
+        assert reinforced_rate(FLAGSHIP, FLAGSHIP,
                                Q).value == pytest.approx(0.0, abs=1e-10)
 
     def test_matches_closed_form_curve(self):
@@ -463,13 +462,13 @@ class TestRate:
             q = float(gen.uniform(0.05, 0.9))
             value = reinforced_rate(rho, nu, q).value
             assert value <= -math.log(q) + 1e-9
-            blend = mix(q, rho, nu.as_prob_vector())
+            blend = mix(q, rho, nu)
             assert value <= relative_entropy(*align(rho, blend)) + 1e-9
 
     def test_small_memory_approaches_memoryless(self):
         rho = ProbVector((1, 2), (0.3, 0.7))
         near = reinforced_rate(rho, FLAGSHIP, 1e-3).value
-        assert abs(near - sanov_rate(rho, FLAGSHIP)) <= 0.05
+        assert abs(near - relative_entropy(rho, FLAGSHIP)) <= 0.05
 
     def test_agrees_with_direct_search(self):
         # maximize the pairing minus the log-moment functional over tilts
@@ -572,7 +571,7 @@ class TestSolveRecord:
 
         monkeypatch.setattr(rate, "_boundary_nodes", spy)
         for case in [*solve_bit_cases(),
-                     (FLAGSHIP.as_prob_vector(), FLAGSHIP, Q)]:
+                     (FLAGSHIP, FLAGSHIP, Q)]:
             counts.clear()
             dual = reinforced_rate(*case)
             assert counts and dual.nodes == sum(counts)
@@ -624,7 +623,7 @@ class TestEdges:
         dual = reinforced_rate(rho, nu, q)
         assert time.perf_counter() - start <= EDGE_SOLVE_S
         assert 0.0 <= dual.value <= -math.log(q)
-        blend = mix(q, rho, nu.as_prob_vector())
+        blend = mix(q, rho, nu)
         assert dual.value <= relative_entropy(*align(rho, blend)) + 1e-9
         assert dual.residual <= 1e-9
         # Fenchel-Young equality at the returned tilt, by the quadrature path
@@ -648,16 +647,17 @@ class TestEdges:
 
 class TestSanov:
     def test_equals_relative_entropy(self):
+        # the memoryless rate is the relative entropy to the law itself
         rho = ProbVector((1, 2), (0.2, 0.8))
-        assert sanov_rate(rho, FLAGSHIP) == pytest.approx(
-            relative_entropy(rho, FLAGSHIP.as_prob_vector()), abs=1e-15)
+        assert relative_entropy(rho, FLAGSHIP) == pytest.approx(
+            0.2 * math.log(0.2 / 0.5) + 0.8 * math.log(0.8 / 0.5), abs=1e-15)
 
     def test_mismatched_supports_are_rejected(self):
         from rgw import SupportMismatchError
 
         rho = ProbVector((1, 3), (0.5, 0.5))
         with pytest.raises(SupportMismatchError):
-            sanov_rate(rho, FLAGSHIP)
+            relative_entropy(rho, FLAGSHIP)
 
 
 class TestConcentrationTarget:
@@ -723,9 +723,8 @@ def _project_feasible(x: np.ndarray, w: np.ndarray, c: float,
 
 def descent_min_rate_over_halfspace(nu, q, w, c, *, max_iter=300, tol=1e-8):
     w = np.asarray(w, dtype=float)
-    nu_vec = nu.as_prob_vector()
     floor = 1e-10
-    x = _project_feasible(nu_vec.weights.copy(), w, c)
+    x = _project_feasible(nu.weights.copy(), w, c)
     x = np.maximum(x, floor)
     x /= x.sum()
     dual = reinforced_rate(ProbVector(nu.support, x), nu, q)
@@ -828,6 +827,13 @@ class TestHalfspaceDual:
         # no comparison with NaN holds, so the bound is refused up front
         with pytest.raises(ContractViolationError):
             min_rate_over_halfspace(FLAGSHIP, Q, (0.0, 1.0), math.nan)
+
+    @pytest.mark.parametrize("w", [(math.nan, 1.0), (0.0, math.inf),
+                                   (-math.inf, 1.0), (0.0, 1.0, 2.0)],
+                             ids=["nan", "inf", "minus_inf", "long"])
+    def test_malformed_functional_is_rejected(self, w):
+        with pytest.raises(ContractViolationError, match="halfspace functional"):
+            min_rate_over_halfspace(FLAGSHIP, Q, w, 0.5)
 
     def test_boundary_at_max_w_is_the_law_restricted_to_the_argmax(self):
         argmin, value = min_rate_over_halfspace(FLAGSHIP, Q, (0.0, 1.0), 1.0)

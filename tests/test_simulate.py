@@ -575,7 +575,7 @@ class TestReinforcedUrn:
         _, census = simulate_reinforced_urn(FLAGSHIP, Q, 1_000_000,
                                             RngStream(14))
         assert linf_distance(census.normalize(),
-                             FLAGSHIP.as_prob_vector()) < 0.01
+                             FLAGSHIP) < 0.01
 
 
 class TestSpineUrn:
@@ -768,7 +768,7 @@ class TestReplacementMatrix:
         assert spec.matrix.shape == (4, 4)
         assert spec.eigenvalue == pytest.approx(1.0, abs=1e-10)
         assert linf_distance(spec.support_distribution,
-                             nu.as_prob_vector()) < 1e-8
+                             nu) < 1e-8
 
     def test_left_pair_agrees_with_power_iteration(self):
         rho = ProbVector((1, 2), (0.35, 0.65))
@@ -822,7 +822,7 @@ class TestGibbs:
         est, acc = gibbs_conditional_estimate(FLAGSHIP, Q, 200, [1.0, 1.0],
                                               0.0, 10000, RngStream(20))
         assert acc == 1.0
-        assert linf_distance(est, FLAGSHIP.as_prob_vector()) < 0.02
+        assert linf_distance(est, FLAGSHIP) < 0.02
 
     def test_rare_constraint_concentrates_on_the_minimizer(self):
         est, acc = gibbs_conditional_estimate(FLAGSHIP, Q, 40, [0.0, 1.0],
@@ -836,6 +836,22 @@ class TestGibbs:
         with pytest.raises(StatisticalFailureError):
             gibbs_conditional_estimate(FLAGSHIP, Q, 5, [0.0, 1.0], 1.01,
                                        1000, RngStream(22))
+
+    @pytest.mark.parametrize("w, c", [
+        ((math.nan, 1.0), 0.5), ((0.0, math.inf), 0.5),
+        ((-math.inf, 1.0), 0.5), ((0.0, 1.0), math.nan), ((0.0, 1.0, 2.0), 0.5),
+    ], ids=["nan_w", "inf_w", "minus_inf_w", "nan_c", "long_w"])
+    def test_malformed_halfspace_is_refused_before_any_draw(self, w, c,
+                                                            monkeypatch):
+        # as min_rate_over_halfspace refuses it, where no replica could be
+        # accepted and every one would be drawn to find that out
+        def no_draws(*args, **kwargs):
+            raise AssertionError("replicas drawn for a malformed halfspace")
+
+        monkeypatch.setattr(simulate, "_urn_classes", no_draws)
+        with pytest.raises(ContractViolationError, match="halfspace"):
+            gibbs_conditional_estimate(FLAGSHIP, Q, 5, w, c, 10**9,
+                                       RngStream(22))
 
 
 # The row-wise urn batch the class step replaced, kept as its oracle: every

@@ -37,6 +37,10 @@ class TestLambertW:
             y = lambert_w0(float(x))
             assert abs(y * math.exp(y) - x) / max(1.0, abs(x)) < 1e-14
 
+    def test_infinity_maps_to_infinity(self):
+        # the Halley start log x - log log x would be inf - inf there
+        assert lambert_w0(math.inf) == math.inf
+
     def test_below_the_branch_point_is_rejected(self):
         with pytest.raises(ContractViolationError):
             lambert_w0(BRANCH_POINT - 1e-9)
