@@ -539,6 +539,9 @@ def _verify_control(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.mode == "control":
+        for flag in ("quick", "full"):
+            if getattr(args, flag):
+                raise _UsageError(f"--{flag} applies only to 'verify suite'")
         return _verify_control(args)
     for flag in ("law", "q", "rho", "m"):
         if getattr(args, flag) is not None:

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     ContractViolationError,
     DegenerateLawError,
+    InfeasibleError,
     SupportMismatchError,
 )
 
@@ -55,6 +56,15 @@ def _as_weights(weights, n: int) -> np.ndarray:
     return w
 
 
+def _normalized(w: np.ndarray) -> np.ndarray:
+    """Non-negative weights that sum to 1 within ``_SUM_TOL``, rescaled to
+    sum to 1."""
+    total = w.sum()
+    if abs(total - 1.0) > _SUM_TOL:
+        raise ContractViolationError(f"probability weights sum to {total!r}, not 1")
+    return w / total
+
+
 def _freeze(obj, **fields):
     for name, value in fields.items():
         if isinstance(value, np.ndarray):
@@ -76,10 +86,7 @@ class ProbVector:
             if (w < -_SUM_TOL).any():
                 raise ContractViolationError("probability weights must be non-negative")
             w = np.maximum(w, 0.0)
-        total = w.sum()
-        if abs(total - 1.0) > _SUM_TOL:
-            raise ContractViolationError(f"probability weights sum to {total!r}, not 1")
-        _freeze(self, support=sup, weights=w / total)
+        _freeze(self, support=sup, weights=_normalized(w))
 
     def __repr__(self):
         body = ", ".join(f"{k}: {p:.6g}" for k, p in zip(self.support, self.weights))
@@ -108,9 +115,12 @@ class OffspringLaw(ProbVector):
         if (w < 0).any():
             raise ContractViolationError("offspring weights must be non-negative")
         keep = w > 0.0
-        if not keep.any():
-            raise ContractViolationError("offspring law has no positive weight")
-        super().__init__([k for k, m in zip(sup, keep) if m], w[keep])
+        if not keep.all():
+            if not keep.any():
+                raise ContractViolationError("offspring law has no positive weight")
+            sup = tuple(k for k, m in zip(sup, keep) if m)
+            w = w[keep]
+        _freeze(self, support=sup, weights=_normalized(w))
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,7 +248,8 @@ def _check_q(q: float, *, allow_zero: bool = False):
 
 def _check_halfspace(w, c: float, support) -> np.ndarray:
     """The normal of the halfspace {rho : <rho, w> >= c} as an array, once
-    it is known to be finite over the support and the bound not NaN."""
+    it is known to be finite over the support, the bound not NaN, and the
+    halfspace to meet the simplex (c <= max w)."""
     w = np.asarray(w, dtype=float)
     if w.shape != (len(support),):
         raise ContractViolationError(
@@ -247,6 +258,8 @@ def _check_halfspace(w, c: float, support) -> np.ndarray:
         raise ContractViolationError("halfspace functional must be finite")
     if math.isnan(c):
         raise ContractViolationError("halfspace bound must be a number")
+    if w.max() < c:
+        raise InfeasibleError("halfspace does not meet the simplex")
     return w
 
 

@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ContractViolationError, InfeasibleError, NumericError
+from .errors import ContractViolationError, NumericError
 from .measures import (
     LogWeights,
     OffspringLaw,
@@ -162,7 +162,7 @@ def _boundary_nodes(m: np.ndarray, lg1m: np.ndarray, c_total: float):
         pts.extend(_graded_edges(a, b, width0))
     pts = np.asarray(pts)
     nodes, wts = _legendre_rule(_BOUNDARY_ORDER)
-    half = 0.5 * np.diff(pts)
+    half = 0.5 * (pts[1:] - pts[:-1])
     mid = pts[:-1] + half
     x = (mid[:, None] + half[:, None] * nodes).ravel()
     w = (half[:, None] * wts).ravel()
@@ -212,20 +212,20 @@ def _tilt_eval(lam: LogWeights, nu: OffspringLaw, q: float):
     """Log-mgf and its gradient at a tilt with a finite entry, by the
     boundary-layer rule.
 
-    With gap_k = lam_k - max lam, the entries at gap 0 are pinned and the
-    others enter with m_k = log(1 - e^{gap_k}) and log(1 - delta_k) = gap_k.
+    With gap_k = lam_k - max lam, the entries at gap 0 are pinned, those at
+    gap -inf contribute factor 1, and the others enter with m_k = log(1 -
+    e^{gap_k}) and log(1 - delta_k) = gap_k.
     """
-    vals = lam.values
-    finite = lam.finite_mask()
-    lam_bar = float(np.max(vals[finite]))
-    gap = vals - lam_bar
+    lam_bar = float(lam.values.max())
+    gap = lam.values - lam_bar
     exponents = nu.weights * (1.0 - q) / q
     top = gap == 0.0
-    low = finite & ~top
+    low = (gap < 0.0) & (gap > -np.inf)
     c_top = float(exponents[top].sum())
-    ival, g = _boundary_eval(np.log(-np.expm1(gap[low])), gap[low],
+    gap_low = gap[low]
+    ival, g = _boundary_eval(np.log(-np.expm1(gap_low)), gap_low,
                              exponents[low], c_top, q)[:2]
-    grad = np.zeros(len(vals))
+    grad = np.zeros(len(gap))
     grad[low] = g
     grad[top] = (1.0 - float(g.sum())) * exponents[top] / c_top
     return math.log(q) + lam_bar - math.log(ival), grad
@@ -253,8 +253,8 @@ def reinforced_rate(rho: ProbVector, nu: OffspringLaw, q: float) -> RateDual:
     # ratios equal up to rounding are ties: pinning them together moves the
     # residual by at most their relative difference
     ratio = rho_work / c_work
-    top = ratio >= np.max(ratio) * (1.0 - 1e-13)
-    rho_low, c_low = rho_work[~top], c_work[~top]
+    top = ratio >= ratio.max() * (1.0 - 1e-13)
+    rho_low, c_low, rho_top = rho_work[~top], c_work[~top], rho_work[top]
     c_top = float(c_work[top].sum())
     share = c_work[top] / c_top
 
@@ -266,8 +266,8 @@ def reinforced_rate(rho: ProbVector, nu: OffspringLaw, q: float) -> RateDual:
                                                   c_low, c_top, q)
         nodes += count
         resid = np.concatenate([g - rho_low,
-                                (1.0 - g.sum()) * share - rho_work[top]])
-        return ival, resid, float(np.max(np.abs(resid))), jacobian
+                                (1.0 - g.sum()) * share - rho_top])
+        return ival, resid, float(np.abs(resid).max()), jacobian
 
     m = np.log(np.maximum(1.0 - rho_low, 1e-300)) / c_low
     m = np.minimum(np.maximum(m, -1e9), _BOUNDARY_CLIP)
@@ -280,12 +280,18 @@ def reinforced_rate(rho: ProbVector, nu: OffspringLaw, q: float) -> RateDual:
         jac = np.concatenate([jac, -share[:, None] * jac.sum(axis=0)])
         jtj = jac.T @ jac
         rhs = -jac.T @ resid_vec
-        damp = np.diag(jtj).copy()
-        damp[damp <= 0.0] = max(float(damp.max(initial=0.0)), 1e-300)
+        # Marquardt scaling by the diagonal, with the largest entry standing
+        # in where it is not positive; a NaN entry passes through
+        damp = jtj.diagonal()
+        if (damp <= 0.0).any():
+            damp = np.where(damp <= 0.0,
+                            max(float(damp.max(initial=0.0)), 1e-300), damp)
         accepted = False
         for _ in range(15):
+            lhs = jtj.copy()
+            lhs.flat[::len(damp) + 1] += tau * damp
             try:
-                step = np.linalg.solve(jtj + tau * np.diag(damp), rhs)
+                step = np.linalg.solve(lhs, rhs)
             except np.linalg.LinAlgError:
                 tau *= 10.0
                 continue
@@ -367,9 +373,7 @@ def min_rate_over_halfspace(nu: OffspringLaw, q: float, w, c: float):
     """
     _check_q(q)
     w = _check_halfspace(w, c, nu.support)
-    top = float(np.max(w))
-    if top < c:
-        raise InfeasibleError("halfspace does not meet the simplex")
+    top = float(w.max())
     if float(np.dot(nu.weights, w)) >= c:
         return nu, 0.0
     if c == top:

@@ -71,11 +71,9 @@ _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
 
 # spine urn steps are verified a chunk at a time (see simulate_spine_urn): a
-# chunk holds at most this many steps times colors, so a pass's arrays stay
-# under 1 MB each, and keeps only its verified prefix after this many passes
-# that change a pick
+# chunk holds at most this many steps times colors, so its arrays stay under
+# 1 MB each
 _SPECULATE_CELLS = 1 << 16
-_SPECULATE_PASSES = 4
 
 
 @dataclass(frozen=True)
@@ -586,6 +584,20 @@ def enumerate_expected_counts(nu: OffspringLaw, q: float, n: int) -> dict[tuple[
     return result
 
 
+def _spine_path(state: np.ndarray, added: np.ndarray,
+                act: np.ndarray) -> np.ndarray:
+    """The spine urn's weights before each step that adds the colors
+    ``added`` and after the last, one row per color weight and a last row
+    for the total, from ``state``. A color weight adds 0.0 on the steps that
+    pass it by, which leaves it exact."""
+    k = act.size - 1
+    inc = np.zeros((k + 1, added.size + 1))
+    inc[:, 0] = state
+    inc[added, np.arange(1, added.size + 1)] = act[added]
+    inc[k, 1:] = act[added] + act[k]
+    return np.cumsum(inc, axis=1)
+
+
 def simulate_spine_urn(nu: OffspringLaw, q: float, a, n: int,
                        rng: RngStream) -> tuple[ProbVector, SpineUrnState]:
     """Two-activity urn encoding the spine dynamics for activity vector a.
@@ -605,16 +617,16 @@ def simulate_spine_urn(nu: OffspringLaw, q: float, a, n: int,
     one-step-at-a-time loop does.
 
     A pick depends on the weights left by the picks before it, so the urn is
-    stepped by speculation, a chunk of m steps at a time. The chunk first
-    guesses every pick from its starting weights, then builds the weight
-    path of its last guess, by sequential cumulative sums that add the same
-    floats in the same order as the loop, and picks again along it, until
-    the picks repeat their guess. Where they first differ, at step j, the
-    steps up to j saw their true weights; if the passes run out the chunk
-    keeps only those steps, and its path is rebuilt from them. So the
-    stream, every comparison and the result are those of the loop. Chunks
-    grow with i, as a chunk moves the weights by about m / i, up to
-    ``_SPECULATE_CELLS`` weights in all.
+    stepped by speculation, a chunk of m steps at a time. The chunk guesses
+    every pick from its starting weights, builds the weight path of its
+    guess, by sequential cumulative sums that add the same floats in the
+    same order as the loop, and picks again along it. Up to the first pick
+    that changes, at step j, the guess was right, so the steps up to and
+    including j saw their true weights: the chunk keeps those steps (all m
+    when no pick changes), and the path is rebuilt from them where it was
+    cut. So the stream, every comparison and the result are those of the
+    loop. Chunks grow with i, as a chunk moves the weights by about m / i,
+    up to ``_SPECULATE_CELLS`` weights in all.
     """
     _check_q(q)
     if n < 1:
@@ -641,15 +653,6 @@ def simulate_spine_urn(nu: OffspringLaw, q: float, a, n: int,
     u_color = g_rng.random(n)
     star = _fresh_indices(cum_star, u_color)
 
-    def path(state, added):
-        # per weight, its value before each step and after the last; a color
-        # weight adds 0.0 on the steps that pass it by, which leaves it exact
-        inc = np.zeros((k + 1, added.size + 1))
-        inc[:, 0] = state
-        inc[added, np.arange(1, added.size + 1)] = act[added]
-        inc[k, 1:] = act[added] + act[k]
-        return np.cumsum(inc, axis=1)
-
     def pick(w, i, m):
         # steps i..i+m-1 with weights w before each (one column for all)
         t = u_pick[i:i + m] * w[k]
@@ -670,16 +673,12 @@ def simulate_spine_urn(nu: OffspringLaw, q: float, a, n: int,
     while i < n:
         m = min(n - i, max(64, i // 16), cap)
         guess = pick(state[:, None], i, m)
-        for _ in range(_SPECULATE_PASSES):
-            steps = path(state, guess)
-            dec = pick(steps[:, :-1], i, m)
-            miss = np.flatnonzero(dec != guess)
-            if miss.size == 0:
-                break
-            guess = dec
-        else:
+        steps = _spine_path(state, guess, act)
+        dec = pick(steps[:, :-1], i, m)
+        miss = np.flatnonzero(dec != guess)
+        if miss.size:
             dec = dec[:miss[0] + 1]
-            steps = path(state, dec)
+            steps = _spine_path(state, dec, act)
         added[i:i + dec.size] = dec
         state = steps[:, -1]
         i += dec.size
@@ -743,8 +742,10 @@ def gibbs_conditional_estimate(nu: OffspringLaw, q: float, n: int, w, c: float,
 
     Rejection sampling: run ``replicas`` reinforced sequences of length n and
     keep those whose empirical frequency vector rho satisfies <rho, w> >= c.
-    Returns the conditional mean vector and the acceptance rate. Raises a
-    statistical failure with diagnostics if nothing is accepted.
+    Returns the conditional mean vector and the acceptance rate. A halfspace
+    that misses the simplex (c > max w) raises InfeasibleError before any
+    draw; a statistical failure with diagnostics is raised if nothing is
+    accepted.
 
     Replicas are stepped as draw-histogram classes (``_urn_classes``): one
     multinomial per class per step, at most min(replicas, C(i+k-1, k-1))

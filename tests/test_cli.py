@@ -476,9 +476,16 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_statistical_failure(self, capsys):
+        # a feasible halfspace that no replica meets: only 40 draws of atom 2
+        assert run(["gibbs", "--law", LAW, "--q", "1/3", "--n", "40", "--w",
+                    "1:0;2:1", "--c", "1.0", "--replicas", "200"]) == 2
+        assert "no replica satisfied" in capsys.readouterr().err
+
+    def test_empty_halfspace(self, capsys):
         assert run(["gibbs", "--law", LAW, "--q", "1/3", "--n", "5", "--w",
-                    "1:0;2:1", "--c", "1.01", "--replicas", "200"]) == 2
-        capsys.readouterr()
+                    "1:0;2:1", "--c", "1.01", "--replicas", "200"]) == 1
+        assert capsys.readouterr().err == (
+            "invalid input: halfspace does not meet the simplex\n")
 
     @pytest.mark.parametrize("args", [
         ["survival", "--law", LAW, "--q-grid", "1/0:4/5:1/5"],
@@ -601,6 +608,14 @@ class TestExitCodes:
     def test_verify_suite_refuses_control_flags(self, flag, value, capsys):
         # the suite would run whole and pass, the flag silently unread
         assert run(["verify", "--quick", flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and flag in err
+
+    @pytest.mark.parametrize("flag", ["--quick", "--full"])
+    def test_verify_control_refuses_suite_levels(self, flag, capsys):
+        # the audit would run and pass, the level silently unread
+        assert run(["verify", "control", flag, "--rho", "1:0.2;2:0.8",
+                    "--m", "4"]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and flag in err
 

@@ -494,7 +494,11 @@ class TestRate:
 
 def solve_bit_cases():
     """Six seeded solves with two or three coordinates below the tilt
-    maximum: 3- then 4-atom laws, each at q = 0.05, 0.5 and 0.95."""
+    maximum, 3- then 4-atom laws, each at q = 0.05, 0.5 and 0.95; then six
+    hand-picked ones, 3- then 4-atom laws at q = 0.05, 1/3 and 0.9, among
+    them a target with a zero entry (tilt -inf there), tied ratios rho/nu at
+    the tilt maximum and below it (0, 1, 2, 6), and a tilt entry 1.5e-11
+    below the maximum (0, 2, 3, 4)."""
     gen = RngStream(29).generator("rate-tests")
     for size in (3, 4):
         for q in (0.05, 0.5, 0.95):
@@ -504,33 +508,93 @@ def solve_bit_cases():
             rho = np.maximum(gen.dirichlet(np.ones(size)), 1e-3)
             yield (ProbVector(support, rho / rho.sum()),
                    OffspringLaw(support, nu / nu.sum()), q)
+    for support, nu, rho, q in [
+            ((0, 2, 5), (0.3, 0.5, 0.2), (0.1, 0.3, 0.6), 0.05),
+            ((1, 2, 4), (0.25, 0.5, 0.25), (0.0, 0.35, 0.65), 1.0 / 3.0),
+            ((0, 1, 3), (0.2, 0.5, 0.3), (0.15, 0.25, 0.6), 0.9),
+            ((0, 1, 2, 6), (0.1, 0.4, 0.3, 0.2), (0.05, 0.2, 0.45, 0.3), 0.05),
+            ((1, 2, 3, 5), (0.4, 0.3, 0.2, 0.1), (0.2, 0.3, 0.3, 0.2),
+             1.0 / 3.0),
+            ((0, 2, 3, 4), (0.35, 0.25, 0.25, 0.15), (0.1, 0.2, 0.3, 0.4),
+             0.9)]:
+        yield ProbVector(support, rho), OffspringLaw(support, nu), q
 
 
-def solve_bits(dual) -> tuple:
+def solve_bits(rho, nu, q) -> tuple:
+    """float.hex of the solve's value, tilt and residual, its iterations and
+    nodes, and float.hex of the log-mgf and its gradient at the tilt."""
+    dual = reinforced_rate(rho, nu, q)
+    grad = reinforced_log_mgf_grad(dual.tilt, nu, q)
     return (dual.value.hex(), tuple(float(t).hex() for t in dual.tilt.values),
-            dual.residual.hex(), dual.iterations)
+            dual.residual.hex(), dual.iterations, dual.nodes,
+            reinforced_log_mgf(dual.tilt, nu, q).hex(),
+            tuple(float(g).hex() for g in grad.weights))
 
 
-# float.hex of value, tilt and residual, and the iteration count, of the six
-# solve_bit_cases, recorded with the solver of commit 491acea (a Jacobian
-# built at every evaluation); from the root of the repository:
-#   PYTHONPATH=src:tests python -c "from test_rate import *; [print(solve_bits(reinforced_rate(*case))) for case in solve_bit_cases()]"
+# solve_bits of the solve_bit_cases, recorded at commit 2b1a2b1 (the value,
+# tilt, residual and iterations of the seeded six are those of 491acea, which
+# built a Jacobian at every evaluation); from the root of the repository:
+#   PYTHONPATH=src:tests python -c "from test_rate import *; [print(solve_bits(*case)) for case in solve_bit_cases()]"
 SOLVE_BITS = [
-    ("0x1.db2a157de9f90p-3", ("-0x1.0f43f2681e64fp-4", "-0x1.9c4cf748c86edp+0",
-                              "0x0.0p+0"), "0x1.b100000000000p-43", 8),
-    ("0x1.cf7401b4314f0p-5", ("0x0.0p+0", "-0x1.5148953e084b4p-1",
-                              "-0x1.becb6b2be442fp-6"), "0x1.77b8000000000p-43", 5),
-    ("0x1.81c930aabd8b0p-8", ("0x0.0p+0", "-0x1.9b7e9e7f06290p+0",
-                              "-0x1.2b707d5ff1864p-73"), "0x1.0588000000000p-39", 5),
-    ("0x1.5079c5cf21d74p-2", ("-0x1.064538092c12fp+1", "-0x1.02cd59c52174bp+1",
-                              "-0x1.6a338ea7665fbp-1", "0x0.0p+0"),
-     "0x1.eb00000000000p-46", 6),
-    ("0x1.904417eb7f190p-4", ("-0x1.9665dcd8f5306p-1", "-0x1.2b6b948a37609p+0",
-                              "-0x1.3db5a3253c8a9p-4", "0x0.0p+0"),
-     "0x1.e9fbf00000000p-34", 4),
-    ("0x1.df5338c1ab200p-14", ("0x0.0p+0", "-0x1.d9a01964b68dap-22",
-                               "-0x1.e9c102a7a0752p-7", "-0x1.cb92297ad6756p-70"),
-     "0x1.f831e00000000p-33", 4),
+    ("0x1.db2a157de9f90p-3",
+     ("-0x1.0f43f2681e64fp-4", "-0x1.9c4cf748c86edp+0", "0x0.0p+0"),
+     "0x1.b100000000000p-43", 8, 6680, "-0x1.020719b415c10p-1",
+     ("0x1.1d9a10b260831p-1", "0x1.2ad5bf4882d2cp-3", "0x1.2f60fef6fd908p-2")),
+    ("0x1.cf7401b4314f0p-5",
+     ("0x0.0p+0", "-0x1.5148953e084b4p-1", "-0x1.becb6b2be442fp-6"),
+     "0x1.77b8000000000p-43", 5, 1880, "-0x1.04f3332ff4e14p-3",
+     ("0x1.96da55eb9b259p-1", "0x1.a72ed277192efp-4", "0x1.a1fe7e2c0da49p-4")),
+    ("0x1.81c930aabd8b0p-8",
+     ("0x0.0p+0", "-0x1.9b7e9e7f06290p+0", "-0x1.2b707d5ff1864p-73"),
+     "0x1.0588000000000p-39", 5, 3040, "-0x1.eb12a1ee2a5f8p-8",
+     ("0x1.13349e005557ap-1", "0x1.06015bab8a2a9p-10", "0x1.d890c2a3a9c69p-2")),
+    ("0x1.5079c5cf21d74p-2",
+     ("-0x1.064538092c12fp+1", "-0x1.02cd59c52174bp+1",
+      "-0x1.6a338ea7665fbp-1", "0x0.0p+0"),
+     "0x1.eb00000000000p-46", 6, 4480, "-0x1.0348d97877ad4p+0",
+     ("0x1.c7614237d634ap-6", "0x1.39c6fcdfbccabp-3", "0x1.cb9a325a1ace1p-2",
+      "0x1.7b0c3b1289694p-2")),
+    ("0x1.904417eb7f190p-4",
+     ("-0x1.9665dcd8f5306p-1", "-0x1.2b6b948a37609p+0",
+      "-0x1.3db5a3253c8a9p-4", "0x0.0p+0"),
+     "0x1.e9fbf00000000p-34", 4, 1400, "-0x1.c890da52a8e30p-3",
+     ("0x1.59d2ab225de4bp-4", "0x1.29079cba7ff48p-6", "0x1.e85a4d29afb4bp-2",
+      "0x1.aea08e4210d2dp-2")),
+    ("0x1.df5338c1ab200p-14",
+     ("0x0.0p+0", "-0x1.d9a01964b68dap-22", "-0x1.e9c102a7a0752p-7",
+      "-0x1.cb92297ad6756p-70"),
+     "0x1.f831e00000000p-33", 4, 2840, "-0x1.22421e63dcd00p-11",
+     ("0x1.00bb94dfe734ap-1", "0x1.b57a1007d46e3p-3", "0x1.e181f62f77a86p-6",
+      "0x1.05b3aed94fe52p-2")),
+    ("0x1.630ccf8d52220p-2",
+     ("-0x1.f1cb42a47bbbfp+0", "-0x1.61d7e48e168ffp+0", "0x0.0p+0"),
+     "0x1.8510000000000p-42", 5, 3840, "-0x1.e963cb099c268p-1",
+     ("0x1.9999999999aa9p-4", "0x1.3333333331ae1p-2", "0x1.3333333333f3ap-1")),
+    ("0x1.ee1ef656fc2e4p-3", ("-inf", "-0x1.bc0b125993703p-2", "0x0.0p+0"),
+     "0x1.f238000000000p-37", 4, 1760, "-0x1.9279c197a4e4cp-2",
+     ("0x0.0p+0", "0x1.66666666281f6p-2", "0x1.4cccccccebf05p-1")),
+    ("0x1.22197563e1000p-16",
+     ("-0x1.287133ec97517p-18", "-0x1.6b294fc3b44b0p-11", "0x0.0p+0"),
+     "0x1.7789200000000p-36", 4, 1760, "-0x1.90d0397b4c600p-13",
+     ("0x1.33333332776eap-3", "0x1.00000000293f9p-2", "0x1.333333334d849p-1")),
+    ("0x1.e4f5b7f95ccc0p-4",
+     ("-0x1.fffa702155795p-1", "-0x1.fffa702156548p-1", "0x0.0p+0",
+      "0x0.0p+0"),
+     "0x1.7250000000000p-43", 5, 3840, "-0x1.793aa60f02478p-2",
+     ("0x1.9999999998dfcp-5", "0x1.9999999998275p-3", "0x1.cccccccccd49ep-2",
+      "0x1.3333333333869p-2")),
+    ("0x1.7904e2aad4c30p-5",
+     ("-0x1.12d907ff1ace3p-1", "-0x1.321b66b742571p-3",
+      "-0x1.54947b1e28f96p-6", "0x0.0p+0"),
+     "0x1.2ca3a00000000p-35", 6, 2960, "-0x1.a2bca27ee6794p-3",
+     ("0x1.99999999b9c75p-3", "0x1.3333333359864p-2", "0x1.333333329ce16p-2",
+      "0x1.9999999a59699p-3")),
+    ("0x1.cc05bad83bd00p-12",
+     ("-0x1.2b6b2f0232a24p-6", "-0x1.89a3df952e154p-19",
+      "-0x1.028fc70514b4bp-36", "0x0.0p+0"),
+     "0x1.d280000000000p-45", 5, 2800, "-0x1.291d5864dcd60p-9",
+     ("0x1.9999999999ab1p-4", "0x1.9999999999bd0p-3", "0x1.3333333332f8ep-2",
+      "0x1.9999999999bdep-2")),
 ]
 
 
@@ -538,8 +602,7 @@ class TestSolveRecord:
     def test_solves_below_two_or_more_coordinates_keep_their_bits(self):
         # the goldens pin two-atom laws only, where the array sums run in
         # the loops' order; these pin the solves the order could move
-        got = [solve_bits(reinforced_rate(*case)) for case in solve_bit_cases()]
-        assert got == SOLVE_BITS
+        assert [solve_bits(*case) for case in solve_bit_cases()] == SOLVE_BITS
 
     def test_a_solve_builds_one_jacobian_per_iteration(self, monkeypatch):
         # the last accepted point and rejected trial points build none

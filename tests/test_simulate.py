@@ -11,10 +11,11 @@ import warnings
 import numpy as np
 import pytest
 
-from rgw import (ContractViolationError, NumericError, OffspringLaw,
-                 ProbVector, RngStream, activity_from_law,
-                 enumerate_expected_counts, gibbs_conditional_estimate,
-                 law_from_activity, linf_distance, many_to_one_estimate,
+from rgw import (ContractViolationError, InfeasibleError, NumericError,
+                 OffspringLaw, ProbVector, RngStream, StatisticalFailureError,
+                 activity_from_law, enumerate_expected_counts,
+                 gibbs_conditional_estimate, law_from_activity,
+                 linf_distance, many_to_one_estimate,
                  replacement_matrix, simulate_reinforced_urn,
                  simulate_spine_urn, simulate_tree_campaign,
                  survival_functional)
@@ -733,15 +734,23 @@ class TestChunkedUrnsMatchTheLoop:
                 assert np.array_equal(state.counts, ref_state.counts)
                 assert np.array_equal(state.activities, ref_state.activities)
 
-    def test_chunks_cut_short_stay_exact(self, nu, rho, q, monkeypatch):
-        # one pass per chunk: a spine chunk whose first guess is off keeps
-        # only its verified prefix
-        monkeypatch.setattr(simulate, "_SPECULATE_PASSES", 1)
+    def test_spine_chunk_keeps_a_prefix(self, nu, rho, q, monkeypatch):
+        # a chunk whose re-pick changes its guess keeps a proper prefix, the
+        # steps up to that pick, and builds their path from its state again:
+        # a path shorter than the one before it, from the same state. The
+        # run is one of test_spine_urn's, which matches it to the loop
+        paths = []
+        build = simulate._spine_path
+
+        def spy(state, added, act):
+            paths.append((state.copy(), added.size))
+            return build(state, added, act)
+
+        monkeypatch.setattr(simulate, "_spine_path", spy)
         a = activity_from_law(ProbVector(nu.support, rho), nu, q)
-        _, state = simulate_spine_urn(nu, q, a, 5000, RngStream(4))
-        assert np.array_equal(state.counts,
-                              loop_spine_urn(nu, q, a, 5000,
-                                             RngStream(4))[1].counts)
+        simulate_spine_urn(nu, q, a, URN_STEPS[-1], RngStream(3))
+        assert any(np.array_equal(s0, s1) and m1 < m0
+                   for (s0, m0), (s1, m1) in zip(paths, paths[1:]))
 
 
 def power_left_pair(mat: np.ndarray, *, tol: float = 1e-13,
@@ -830,12 +839,24 @@ class TestGibbs:
         assert 0.0 < acc < 0.05
         assert linf_distance(est, ProbVector((1, 2), (0.2, 0.8))) < 0.05
 
-    def test_impossible_constraint_raises(self):
-        from rgw import StatisticalFailureError
+    def test_impossible_constraint_raises(self, monkeypatch):
+        # c above max w: no frequency vector meets it, so it is refused as
+        # min_rate_over_halfspace refuses it, before any replica is drawn
+        def no_draws(*args, **kwargs):
+            raise AssertionError("replicas drawn for an empty halfspace")
 
-        with pytest.raises(StatisticalFailureError):
+        monkeypatch.setattr(simulate, "_urn_classes", no_draws)
+        with pytest.raises(InfeasibleError):
             gibbs_conditional_estimate(FLAGSHIP, Q, 5, [0.0, 1.0], 1.01,
                                        1000, RngStream(22))
+
+    def test_no_accepted_replica_is_a_statistical_failure(self):
+        # c = max w is feasible, but only a run of 40 draws of atom 2 meets
+        # it, which about 7e-8 of the replicas do
+        with pytest.raises(StatisticalFailureError) as failed:
+            gibbs_conditional_estimate(FLAGSHIP, Q, 40, [0.0, 1.0], 1.0,
+                                       1000, RngStream(22))
+        assert failed.value.diagnostics["accepted"] == 0
 
     @pytest.mark.parametrize("w, c", [
         ((math.nan, 1.0), 0.5), ((0.0, math.inf), 0.5),
