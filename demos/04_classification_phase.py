@@ -6,9 +6,8 @@ A target empirical out-degree measure is evanescent when its rate exceeds
 the cost of the trait paying for itself, and strongly persistent with
 positive probability when a conditioned-tree entropy criterion holds. The
 two margins trade places as the target moves away from the concentration
-point; this script scans the transition, bounds the memory parameter above
-which the persistence criterion holds (by its convexity bound, which lies
-above the criterion's exact root in q), and exhibits a two-type
+point; this script scans the transition, finds the least memory parameter
+above which the persistence criterion holds, and exhibits a two-type
 decomposition certificate.
 """
 
@@ -46,9 +45,8 @@ print()
 print("persistent up to p =", f"{last_pe:.4f},",
       "evanescent from p =", f"{first_ev:.4f}")
 
-# memory enough for a given target to persist, by the convexity bound (an
-# upper bound on the least such memory); the concentration target needs
-# none, a degree-poor target needs a lot
+# the least memory for a given target to persist: the concentration target
+# needs none, a degree-poor target needs a lot
 print()
 for rho in (ProbVector((1, 2), (0.2, 0.8)), ProbVector((1, 2), (0.9, 0.1))):
     needed = min_memory_for_persistence(rho, law)

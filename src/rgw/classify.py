@@ -33,6 +33,7 @@ from .errors import ContractViolationError, NumericError
 from .measures import (
     OffspringLaw,
     ProbVector,
+    _bisect,
     _check_q,
     _check_same_support,
     _on_support,
@@ -140,12 +141,12 @@ def classify_reinforced(rho: ProbVector, nu: OffspringLaw, q: float) -> Verdict:
 
 
 def min_memory_for_persistence(rho: ProbVector, nu: OffspringLaw) -> float | None:
-    """Least memory above which the convexity bound certifies persistence.
+    """Least memory above which the persistence margin is positive.
 
-    The mixed entropy is at most (1-q) times the entropy against nu, so the
-    persistence margin is positive for every q above
-    1 - pairing / entropy. Returns that threshold clipped at 0, or None when
-    rho charges atoms outside the base support (entropy infinite).
+    The mixed entropy decreases in q and is at most (1-q) times the entropy
+    against nu, so this is the root where it falls to the log-degree
+    pairing, bisected below 1 - pairing / entropy. Returns 0 when no memory
+    is needed, or None when rho charges atoms off the base support.
     """
     if rho.prob(0) > 0.0:
         raise ContractViolationError("the target must not charge atom 0")
@@ -153,20 +154,22 @@ def min_memory_for_persistence(rho: ProbVector, nu: OffspringLaw) -> float | Non
     ent = relative_entropy(rho_a, nu_a)
     if ent == math.inf:
         return None
-    if ent == 0.0:
-        return 0.0
     gain = pair(rho_a, log_degree_weights(rho_a.support))
+    if gain >= ent:
+        return 0.0
     if gain <= 0.0:
         raise ContractViolationError(
             "the target pays no log-degree gain, no memory level can help")
-    return max(0.0, 1.0 - gain / ent)
+    return _bisect(lambda q: mixed_entropy(rho, nu, q) <= gain, 0.0,
+                   1.0 - gain / ent)
 
 
 def activity_constraint_residual(a, nu: OffspringLaw, q: float) -> float:
-    """Signed defect of the admissibility identity sum nu/(1-qa) = 1/(1-q)."""
+    """Signed admissibility defect sum nu/(1-qa) - 1/(1-q); inf at a = 1/q."""
     _check_q(q)
     a = np.asarray(a, dtype=float)
-    return float(np.sum(nu.weights / (1.0 - q * a)) - 1.0 / (1.0 - q))
+    with np.errstate(divide="ignore"):
+        return float(np.sum(nu.weights / (1.0 - q * a)) - 1.0 / (1.0 - q))
 
 
 def _check_activity_box(a, nu: OffspringLaw, q: float) -> np.ndarray:

@@ -27,6 +27,7 @@ from .errors import (
 )
 
 _SUM_TOL = 1e-12
+_BISECTION_ITERS = 200
 
 
 def _as_support(support) -> tuple[int, ...]:
@@ -261,6 +262,21 @@ def _check_halfspace(w, c: float, support) -> np.ndarray:
     if w.max() < c:
         raise InfeasibleError("halfspace does not meet the simplex")
     return w
+
+
+def _bisect(above, lo: float, hi: float) -> float:
+    """Midpoint of the bracket [lo, hi] of the point where the monotone
+    predicate ``above`` turns true, once the bracket stops shrinking or
+    after ``_BISECTION_ITERS`` halvings."""
+    for _ in range(_BISECTION_ITERS):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,6 @@ last point nor a rejected trial point pays for one.
 
 Conventions: entries lam(k) = -inf contribute factor 1 to the integrand and
 get gradient component 0; the all -inf tilt yields -inf.
-
-SciPy stays off the import path: only min_rate_over_halfspace imports it
-(``scipy.optimize.brentq``), on its first call, which costs about 0.5 s
-once per process.
 """
 
 from __future__ import annotations
@@ -44,6 +40,7 @@ from .measures import (
     LogWeights,
     OffspringLaw,
     ProbVector,
+    _bisect,
     _check_halfspace,
     _check_q,
     _check_same_support,
@@ -366,7 +363,7 @@ def min_rate_over_halfspace(nu: OffspringLaw, q: float, w, c: float):
     theta max(w), so the atoms maximizing w sit at 0 and the others at
     -theta (max w - w). For memory near 1 the optimal theta is
     exp(-O(q/(1-q))), below float resolution next to 1, so the root is
-    found in log theta and the integrals are taken in the boundary-layer
+    bisected in log theta and the integrals are taken in the boundary-layer
     coordinates of reinforced_rate. At c = max w no finite theta attains
     the sup: the minimizer is nu conditioned on the atoms maximizing w, the
     gradient at the limit tilt, which is 0 there and -inf elsewhere.
@@ -411,10 +408,7 @@ def min_rate_over_halfspace(nu: OffspringLaw, q: float, w, c: float):
     else:
         raise NumericError("halfspace dual root not bracketed",
                            {"log_theta": outer})
-    from scipy import optimize
-
-    lo, hi = sorted((inner, outer))
-    log_theta = optimize.brentq(excess, lo, hi, xtol=1e-14)
+    log_theta = _bisect(lambda t: excess(t) >= 0.0, *sorted((inner, outer)))
     ival, g = evaluate(log_theta)
     weights = np.empty(len(w))
     weights[low] = g

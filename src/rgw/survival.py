@@ -23,10 +23,9 @@ import numpy as np
 
 from .classify import _check_activity_box, activity_constraint_residual
 from .errors import ContractViolationError, NumericError
-from .measures import OffspringLaw, _check_q
+from .measures import OffspringLaw, _bisect, _check_q
 
 _BRANCH_POINT = -math.exp(-1.0)
-_BISECTION_ITERS = 200
 # certification demands strict negativity; the margin keeps roundoff at a
 # true zero (degenerate single-atom laws) from minting a certificate
 _CERT_TOL = 1e-12
@@ -152,21 +151,6 @@ class SurvivalReport:
     constraint_residual: float
 
 
-def _bisect(above, lo: float, hi: float) -> float:
-    """Midpoint of the bracket [lo, hi] of the point where the monotone
-    predicate ``above`` turns true, once the bracket stops shrinking or
-    after ``_BISECTION_ITERS`` halvings."""
-    for _ in range(_BISECTION_ITERS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if above(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 def _positive_degrees(nu: OffspringLaw):
     degs = [k for k in nu.support if k != 0 and nu.prob(k) > 0.0]
     if not degs:
@@ -230,8 +214,9 @@ def solve_survival_minimizer(nu: OffspringLaw, q: float) -> SurvivalReport:
     weights = nu.weights
     anchor = max((i for i, k in enumerate(nu.support) if k != 0),
                  key=lambda i: weights[i])
-    rest = target - sum(weights[i] / (1.0 - q * activities[i])
-                        for i in range(len(weights)) if i != anchor)
+    with np.errstate(divide="ignore"):  # an activity at 1/q: rest is -inf
+        rest = target - sum(weights[i] / (1.0 - q * activities[i])
+                            for i in range(len(weights)) if i != anchor)
     if rest > weights[anchor]:
         polished = (1.0 - weights[anchor] / rest) / q
         if 0.0 <= polished < 1.0 / q:

@@ -22,11 +22,11 @@ import time
 
 import numpy as np
 
-from .classify import DECISION_TOL, VerdictKind, classify_reinforced, law_from_activity
+from .classify import DECISION_TOL, classify_reinforced, law_from_activity
 from .control import rate_by_control
 from .errors import ContractViolationError, NumericError, StatisticalFailureError
-from .measures import (LogWeights, OffspringLaw, ProbVector, linf_distance,
-                       log_degree_weights, mixed_entropy, pair)
+from .measures import (LogWeights, OffspringLaw, ProbVector, _bisect,
+                       linf_distance, log_degree_weights, mixed_entropy, pair)
 from .rate import concentration_target, reinforced_log_mgf, reinforced_rate
 from .rng import RngStream
 from .simulate import (enumerate_expected_counts, many_to_one_estimate,
@@ -40,7 +40,7 @@ _Q_FLAGSHIP = 1.0 / 3.0
 _GROWTH_LIMIT = math.log(8.0 / 5.0)
 
 # analytic crossings of the half-and-half family rho_p = (p, 1-p):
-# evanescence margin changes sign at the first, persistence at the second
+# persistence margin changes sign at the first, evanescence at the second
 _CROSSING_PERSISTENCE = 0.8322126812559791
 _CROSSING_EVANESCENCE = 0.8368353218922084
 
@@ -265,37 +265,40 @@ def _check_survival_oracle(instances) -> tuple[float, float]:
     return 1e-6, worst
 
 
-_PHASE_MESH = 1.0 / 200.0
-
-
-def _scan_verdicts(mesh: float):
-    ps = np.arange(round(0.70 / mesh), round(0.96 / mesh)) * mesh
-    kinds = []
+def _phase_roots():
+    """Bisect (p, 1-p) over [0.70, 0.96] for the persistence and evanescence
+    crossings: both roots, inf if a bracket end has the wrong sign, and the
+    (evanescence, persistence) margins of every classify."""
     margins = []
-    for p in ps:
-        rho = ProbVector((1, 2), (p, 1.0 - p))
-        verdict = classify_reinforced(rho, _FLAGSHIP, _Q_FLAGSHIP)
-        kinds.append(verdict.kind)
-        margins.append((verdict.margin_evanescence, verdict.margin_persistence))
-    return ps, kinds, margins
+
+    def margins_at(p: float):
+        v = classify_reinforced(ProbVector((1, 2), (p, 1.0 - p)), _FLAGSHIP,
+                                _Q_FLAGSHIP)
+        margins.append((v.margin_evanescence, v.margin_persistence))
+        return margins[-1]
+
+    roots = []
+    for above in (lambda p: margins_at(p)[1] <= 0.0,
+                  lambda p: margins_at(p)[0] > 0.0):
+        bracketed = not above(0.70) and above(0.96)
+        roots.append(_bisect(above, 0.70, 0.96) if bracketed else math.inf)
+    return roots, margins
 
 
-def _check_phase_boundary(scan) -> tuple[float, float]:
-    ps, kinds, _ = scan
-    persistent = [p for p, k in zip(ps, kinds)
-                  if k is VerdictKind.STRONGLY_PERSISTENT]
-    evanescent = [p for p, k in zip(ps, kinds) if k is VerdictKind.EVANESCENT]
-    if not persistent or not evanescent:
-        return _PHASE_MESH, math.inf
-    last_persistent = max(persistent)
-    first_evanescent = min(evanescent)
-    worst = max(abs(last_persistent - _CROSSING_PERSISTENCE),
-                abs(first_evanescent - _CROSSING_EVANESCENCE))
-    return _PHASE_MESH, worst
+def _check_phase_boundary(phase) -> tuple[float, float]:
+    """The roots against the crossings, which equal bit for bit the roots of
+    the closed forms (closed_form_rate, mixed_entropy). The evanescence root
+    misses by 1e-14, the rate quadrature's floor, a hundredth of the gate."""
+    roots, _ = phase
+    return 1e-12, max(abs(roots[0] - _CROSSING_PERSISTENCE),
+                      abs(roots[1] - _CROSSING_EVANESCENCE))
 
 
-def _check_phase_exclusivity(scan) -> tuple[float, float]:
-    _, _, margins = scan
+def _check_phase_exclusivity(phase) -> tuple[float, float]:
+    """No probe certifies both verdicts: that needs rate > gain > entropy,
+    and the rate never exceeds the entropy. The probes span [0.70, 0.96] and
+    crowd at the crossings, where the band between thresholds is thinnest."""
+    _, margins = phase
     return DECISION_TOL, max(max(0.0, min(ev, pe)) for ev, pe in margins)
 
 
@@ -310,7 +313,7 @@ def verify_suite(level: str = "quick", seed: int = 42) -> dict:
     Returns a JSON-ready report: one entry per check with its tolerance, the
     observed deviation, and the pass flag, plus an overall verdict. Work that
     several checks share (the control solve, the replacement spectra, the
-    survival solves, the verdict scan) runs once per call, inside the first
+    survival solves, the phase roots) runs once per call, inside the first
     check that needs it, and is timed there.
 
     A check that raises one of the package's typed errors fails without
@@ -339,9 +342,7 @@ def verify_suite(level: str = "quick", seed: int = 42) -> dict:
     def survival_instances():
         return _survival_instances(rng)
 
-    @functools.cache
-    def verdict_scan():
-        return _scan_verdicts(_PHASE_MESH)
+    phase_roots = functools.cache(_phase_roots)
 
     plan = [
         ("closed_form_log_mgf", lambda: _check_closed_form_log_mgf()),
@@ -375,9 +376,9 @@ def verify_suite(level: str = "quick", seed: int = 42) -> dict:
          lambda: _check_survival_baseline(survival_instances())),
         ("survival_oracle_gap",
          lambda: _check_survival_oracle(survival_instances())),
-        ("phase_boundary", lambda: _check_phase_boundary(verdict_scan())),
+        ("phase_boundary", lambda: _check_phase_boundary(phase_roots())),
         ("phase_exclusivity",
-         lambda: _check_phase_exclusivity(verdict_scan())),
+         lambda: _check_phase_exclusivity(phase_roots())),
     ]
     if full:
         plan.append(("census_lln",

@@ -13,8 +13,8 @@ from rgw import (ContractViolationError, DECISION_TOL, OffspringLaw,
                  ProbVector, RngStream, VerdictKind, activity_from_law,
                  activity_constraint_residual, classify_memoryless,
                  classify_reinforced, law_from_activity, linf_distance,
-                 min_memory_for_persistence, pair, log_degree_weights,
-                 reinforced_rate, relative_entropy,
+                 min_memory_for_persistence, mixed_entropy, pair,
+                 log_degree_weights, reinforced_rate, relative_entropy,
                  search_two_type_decomposition, simulate_reinforced_urn,
                  survival_functional, two_type_weak_persistence)
 from rgw.measures import align
@@ -148,8 +148,9 @@ class TestMinMemory:
         assert min_memory_for_persistence(ProbVector((2,), (1.0,)),
                                           FLAGSHIP) == 0.0
 
-    def test_seventy_percent_ratio_gives_thirty_percent_memory(self):
-        # tune the base law so the log-degree gain is 0.7 of the entropy
+    def test_seventy_percent_ratio_bounds_the_memory_by_thirty_percent(self):
+        # tune the base law so the log-degree gain is 0.7 of the entropy, so
+        # that the convexity bound 1 - gain/entropy reads 0.3
         rho = ProbVector((1, 2), (0.5, 0.5))
         gain = pair(rho, log_degree_weights((1, 2)))
 
@@ -160,9 +161,15 @@ class TestMinMemory:
         t = brentq(ratio_defect, 1e-4, 0.45, xtol=1e-14)
         nu = OffspringLaw((1, 2), (t, 1.0 - t))
         threshold = min_memory_for_persistence(rho, nu)
-        assert threshold == pytest.approx(0.3, abs=1e-9)
-        verdict = classify_reinforced(rho, nu, 0.35)
-        assert verdict.kind is not VerdictKind.EVANESCENT
+        # the least memory is the root where the mixed entropy falls to the
+        # gain, below the bound
+        assert 0.0 < threshold < 0.3
+        assert mixed_entropy(rho, nu, threshold) == pytest.approx(gain,
+                                                                  abs=1e-12)
+        assert classify_reinforced(
+            rho, nu, threshold + 1e-3).kind is VerdictKind.STRONGLY_PERSISTENT
+        assert classify_reinforced(
+            rho, nu, threshold - 1e-3).kind is VerdictKind.INDETERMINATE
 
     def test_off_support_target_returns_none(self):
         rho = ProbVector((1, 3), (0.5, 0.5))

@@ -678,9 +678,9 @@ class TestTargetSupport:
 
 
 # Runs in a fresh interpreter: imports the package and the CLI, runs each
-# command given as JSON in argv[1] with its output discarded, then prints
-# the exit codes, the loaded modules of the scipy package, and whether one
-# halfspace minimum loads scipy.optimize.
+# command given as JSON in argv[1] with its output discarded and then one
+# halfspace minimum, then prints the exit codes, the loaded modules of the
+# scipy package, and whether one two-type search loads scipy.optimize.
 COLD_START = """
 import contextlib, io, json, sys
 import rgw, rgw.cli
@@ -691,16 +691,20 @@ for args in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), \\
             contextlib.redirect_stderr(io.StringIO()):
         codes.append(rgw.cli.run(args))
+law = rgw.OffspringLaw((1, 2), (0.5, 0.5))
+rgw.min_rate_over_halfspace(law, 1 / 3, (0.0, 1.0), 0.8)
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-rgw.min_rate_over_halfspace(rgw.OffspringLaw((1, 2), (0.5, 0.5)), 1 / 3,
-                            (0.0, 1.0), 0.8)
+rgw.search_two_type_decomposition(
+    rgw.ProbVector((1, 2, 3), (0.5, 1 / 6, 1 / 3)), law,
+    rgw.OffspringLaw((1,), (1.0,)))
 print(json.dumps([codes, loaded, "scipy.optimize" in sys.modules,
                   futures_at_import]))
 """
 
 
 def test_no_command_but_two_type_loads_scipy():
-    # scipy is imported only by the two-type search and the halfspace minimum
+    # scipy is imported only by the two-type search: no command, and not
+    # the halfspace minimum, whose dual root is a bisection
     commands = [
         ["rate", "--law", LAW, "--q", "1/3", "--grid", "0.25"],
         ["rate", "--law", LAW, "--q", "1/3", "--rho", "1:0.2;2:0.8"],

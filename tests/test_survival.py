@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +141,14 @@ class TestSolver:
                                                      abs=1e-10)
         assert report.minimum_value == pytest.approx(-0.47000362924573597,
                                                      abs=1e-10)
+
+    def test_memory_next_to_one_raises_without_warnings(self):
+        # an activity rounds onto the wall 1/q, where the admissibility sum
+        # divides by zero; the solve refuses it as a typed error alone
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="admissibility"):
+                solve_survival_minimizer(FLAGSHIP, 1.0 - 1e-9)
 
     def test_identity_activity_caps_the_minimum(self):
         gen = RngStream(40).generator("survival-tests")
