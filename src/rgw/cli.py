@@ -48,6 +48,10 @@ _SUBCOMMANDS = ("rate", "classify", "simulate", "urn", "spine", "two-type",
 _CSV_BLOCK = 4096
 # --grid points one command may ask for
 _GRID_MAX_POINTS = 10**5
+# --steps one urn or spine run may take: at its peak the spine urn holds
+# about 18 bytes a step and the lineage urn 41 to 57 (its pointer arrays
+# grow with q), so a run at the cap needs at most about 5.7 GB
+_STEPS_MAX = 10**8
 
 
 class _UsageError(Exception):
@@ -128,6 +132,13 @@ def _aligned_values(text: str, support: tuple[int, ...], what: str) -> list[floa
         raise _UsageError(
             f"{what} atoms {atoms} do not match the law support {support}")
     return values
+
+
+def _check_steps(steps: int) -> None:
+    # before any uniform is drawn
+    if steps > _STEPS_MAX:
+        raise _UsageError(f"--steps {steps} is too many; at most "
+                          f"{_STEPS_MAX} are allowed")
 
 
 def _fraction_grid(start: Fraction, stop: Fraction, step: Fraction, what: str,
@@ -426,6 +437,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_urn(args) -> int:
+    _check_steps(args.steps)
     nu = _parse_law(args.law)
     q = _parse_q(args.q, allow_zero=False)
     _, census = simulate_reinforced_urn(nu, q, args.steps, RngStream(args.seed))
@@ -437,6 +449,7 @@ def _cmd_urn(args) -> int:
 
 
 def _cmd_spine(args) -> int:
+    _check_steps(args.steps)
     nu = _parse_law(args.law)
     q = _parse_q(args.q, allow_zero=False)
     a = _aligned_values(args.activities, nu.support, "--activities")

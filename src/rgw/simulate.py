@@ -39,7 +39,10 @@ independent oracle with no randomness.
 A separate two-color urn with an auxiliary ball type tracks the spine
 construction used in persistence proofs. Its picks depend on the weights of
 the picks before them, so it is stepped by speculation, a verified chunk at
-a time.
+a time: a chunk guesses its picks from its starting weights, builds their
+weight path once, in one buffer held for the whole run, and keeps the
+steps up to the first pick that the path changes. Its final state counts
+the chunks and those cut short.
 """
 
 from __future__ import annotations
@@ -71,8 +74,8 @@ _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
 
 # spine urn steps are verified a chunk at a time (see simulate_spine_urn): a
-# chunk holds at most this many steps times colors, so its arrays stay under
-# 1 MB each
+# chunk holds at most this many steps times colors, so its path buffer stays
+# under 1 MB
 _SPECULATE_CELLS = 1 << 16
 
 
@@ -105,12 +108,16 @@ class TreeCampaign:
 @dataclass(frozen=True)
 class SpineUrnState:
     """Ball counts and activities of the spine urn; the last color is the
-    auxiliary one."""
+    auxiliary one. ``chunks`` is the number of speculated chunks that
+    stepped the urn and ``cut_chunks`` the number of them that kept only a
+    prefix of their guess (see simulate_spine_urn)."""
 
     support: tuple[int, ...]
     counts: np.ndarray
     activities: np.ndarray
     steps: int
+    chunks: int = 0
+    cut_chunks: int = 0
 
     def __post_init__(self):
         if (self.counts < 0).any():
@@ -121,10 +128,11 @@ class SpineUrnState:
                 f"ball total {total} != 2 + 2*{self.steps}")
 
 
-def _fresh_indices(cum_nu: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The atom of each uniform in ``u``: how many of the cumulative
-    weights before the last are at most it."""
-    j = np.zeros(u.shape, dtype=np.int64)
+def _fresh_indices(cum_nu: np.ndarray, u: np.ndarray,
+                   dtype=np.int64) -> np.ndarray:
+    """The atom of each uniform in ``u``, as ``dtype``: how many of the
+    cumulative weights before the last are at most it."""
+    j = np.zeros(u.shape, dtype=dtype)
     for c in cum_nu[:-1].tolist():
         j += c <= u
     return j
@@ -584,20 +592,6 @@ def enumerate_expected_counts(nu: OffspringLaw, q: float, n: int) -> dict[tuple[
     return result
 
 
-def _spine_path(state: np.ndarray, added: np.ndarray,
-                act: np.ndarray) -> np.ndarray:
-    """The spine urn's weights before each step that adds the colors
-    ``added`` and after the last, one row per color weight and a last row
-    for the total, from ``state``. A color weight adds 0.0 on the steps that
-    pass it by, which leaves it exact."""
-    k = act.size - 1
-    inc = np.zeros((k + 1, added.size + 1))
-    inc[:, 0] = state
-    inc[added, np.arange(1, added.size + 1)] = act[added]
-    inc[k, 1:] = act[added] + act[k]
-    return np.cumsum(inc, axis=1)
-
-
 def simulate_spine_urn(nu: OffspringLaw, q: float, a, n: int,
                        rng: RngStream) -> tuple[ProbVector, SpineUrnState]:
     """Two-activity urn encoding the spine dynamics for activity vector a.
@@ -618,15 +612,20 @@ def simulate_spine_urn(nu: OffspringLaw, q: float, a, n: int,
 
     A pick depends on the weights left by the picks before it, so the urn is
     stepped by speculation, a chunk of m steps at a time. The chunk guesses
-    every pick from its starting weights, builds the weight path of its
-    guess, by sequential cumulative sums that add the same floats in the
-    same order as the loop, and picks again along it. Up to the first pick
-    that changes, at step j, the guess was right, so the steps up to and
-    including j saw their true weights: the chunk keeps those steps (all m
-    when no pick changes), and the path is rebuilt from them where it was
-    cut. So the stream, every comparison and the result are those of the
-    loop. Chunks grow with i, as a chunk moves the weights by about m / i,
-    up to ``_SPECULATE_CELLS`` weights in all.
+    every pick from its starting weights and builds the weight path of its
+    guess in one buffer, held for the whole run: a color's row holds its
+    activity on the steps that add it and 0.0 elsewhere, which leaves the
+    weight exact, the total's row the float the loop adds, and one
+    cumulative sum along the rows adds the same floats in the same order as
+    the loop. Then the chunk picks again along the path and compares the
+    pick counts, how many running color sums each pick passed. Up to the
+    first count that changes, at step j, the guess was right, so the steps
+    up to and including j saw their true weights: the chunk keeps those
+    steps (all m when no count changes) and steps the weights once past the
+    kept prefix of its path. So the stream, every comparison and the result
+    are those of the loop. Chunks grow with i, as a chunk moves the weights
+    by about m / i, up to ``_SPECULATE_CELLS`` weights in all. The final
+    state counts the chunks and the cut ones, which kept only a prefix.
     """
     _check_q(q)
     if n < 1:
@@ -648,45 +647,69 @@ def simulate_spine_urn(nu: OffspringLaw, q: float, a, n: int,
     counts[first] = 1
     counts[k] = 1
 
+    # colors and pick counts (k for an auxiliary pick) in the smallest
+    # integer type that holds k
+    small = np.min_scalar_type(k)
     g_rng = rng.generator("spine")
     u_pick = g_rng.random(n)
-    u_color = g_rng.random(n)
-    star = _fresh_indices(cum_star, u_color)
+    star = _fresh_indices(cum_star, g_rng.random(n), small)
 
-    def pick(w, i, m):
-        # steps i..i+m-1 with weights w before each (one column for all)
+    def passed(w, i, m):
+        # how many of the loop's running color sums, in its order, steps
+        # i..i+m-1 pass, with weights w before each (one column for all):
+        # k is an auxiliary pick
         t = u_pick[i:i + m] * w[k]
-        # the loop's running sum over the colors, in its order
         acc = w[0]
-        picked = (acc <= t).astype(np.int64)
+        below = (acc <= t).astype(small)
         for c in range(1, k):
             acc = acc + w[c]
-            picked += acc <= t
-        return np.where(picked < k, picked, star[i:i + m])
+            below += acc <= t
+        return below
 
-    # state: the k color weights, then the total weight, accumulated apart
+    # the total's increment for each added color, the float the loop adds
+    total_inc = act[:k] + act[k]
+    cap = min(n, max(64, _SPECULATE_CELLS // (k + 1)))
+    # column 0 holds the state, the k color weights and then the total
+    # weight, accumulated apart; a chunk's path fills the columns after it
+    path = np.empty((k + 1, cap + 1))
     weights = counts * act
-    state = np.append(weights[:k], sum(weights.tolist()))
-    added = np.empty(n, dtype=np.int64)
-    cap = max(64, _SPECULATE_CELLS // (k + 1))
-    i = 0
+    path[:k, 0] = weights[:k]
+    path[k, 0] = sum(weights.tolist())
+    added = np.empty(n, dtype=small)
+    i = chunks = cut = 0
     while i < n:
         m = min(n - i, max(64, i // 16), cap)
-        guess = pick(state[:, None], i, m)
-        steps = _spine_path(state, guess, act)
-        dec = pick(steps[:, :-1], i, m)
-        miss = np.flatnonzero(dec != guess)
+        guess_passed = passed(path[:, :1], i, m)
+        guess = np.where(guess_passed < k, guess_passed, star[i:i + m])
+        steps = path[:, :m + 1]
+        for c in range(k):
+            np.multiply(guess == c, act[c], out=steps[c, 1:])
+        # every color is in range; "clip" writes to out without a buffer
+        np.take(total_inc, guess, out=steps[k, 1:], mode="clip")
+        np.cumsum(steps, axis=1, out=steps)
+        picked = passed(steps[:, :-1], i, m)
+        miss = np.flatnonzero(picked != guess_passed)
+        chunks += 1
         if miss.size:
-            dec = dec[:miss[0] + 1]
-            steps = _spine_path(state, dec, act)
-        added[i:i + dec.size] = dec
-        state = steps[:, -1]
-        i += dec.size
+            # step m saw its true weights: the chunk keeps the steps up to
+            # it and steps the weights once past that prefix of its path
+            m = int(miss[0])
+            c = int(picked[m]) if picked[m] < k else int(star[i + m])
+            guess[m] = c
+            path[:, 0] = steps[:, m]
+            path[c, 0] += act[c]
+            path[k, 0] += total_inc[c]
+            m += 1
+            cut += 1
+        else:
+            path[:, 0] = steps[:, m]
+        added[i:i + m] = guess[:m]
+        i += m
     tally = np.bincount(added, minlength=k)
     counts[:k] += tally
     counts[k] += n
     freqs = ProbVector(support, tally / n)
-    state = SpineUrnState(support, counts, act.copy(), n)
+    state = SpineUrnState(support, counts, act.copy(), n, chunks, cut)
     return freqs, state
 
 

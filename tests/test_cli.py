@@ -580,6 +580,30 @@ class TestExitCodes:
         with pytest.raises(cli._UsageError):
             cli._fraction_grid(step, 100001 * step, step, "q", closed=True)
 
+    @pytest.mark.parametrize("command, simulator", [
+        (["urn", "--law", LAW, "--q", "1/3"], "simulate_reinforced_urn"),
+        (["spine", "--law", LAW, "--q", "1/3", "--activities",
+          "1:0.5;2:1.3333333333333333"], "simulate_spine_urn")])
+    def test_steps_are_capped_before_any_draw(self, command, simulator,
+                                              monkeypatch, capsys):
+        # the cap reaches the simulator, stubbed here since a real run would
+        # hold gigabytes; one step more, or 10^11, is refused before it
+        class Reached(Exception):
+            pass
+
+        def stub(*args):
+            raise Reached(args[-2])
+
+        monkeypatch.setattr(cli, simulator, stub)
+        with pytest.raises(Reached) as reached:
+            run([*command, "--steps", str(cli._STEPS_MAX)])
+        assert reached.value.args == (10**8,)
+        for steps in (10**8 + 1, 10**11):
+            assert run([*command, "--steps", str(steps)]) == 1
+            assert capsys.readouterr().err == (
+                f"--steps {steps} is too many; at most 100000000 are "
+                "allowed\n")
+
     @pytest.mark.parametrize("source", ["inline", "file"])
     def test_json_target_refuses_unknown_fields(self, source, tmp_path,
                                                 capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -287,6 +288,8 @@ SHAPES = ([*itertools.product((2, 16, 64), (1, 2, 8), (0, 1, 3))]
           + [(64, 8, 250)])
 
 
+# cached, since each case is also collected under the class's former name
+@functools.cache
 def assert_newton_beats_the_serial_descent(law, memory, steps, restarts,
                                            iters, seed):
     nu, rho = LAWS[law]
@@ -304,7 +307,7 @@ def assert_newton_beats_the_serial_descent(law, memory, steps, restarts,
     assert np.max(np.abs(path.rows.mean(axis=0) - rho.weights)) <= 1e-13
 
 
-class TestBatchedDescentMatchesTheSerialLoop:
+class TestNewtonNeverEndsAboveTheSerialDescent:
     """Newton never ends above the serial annealed-descent oracle.
 
     The oracle runs at every (steps, restarts, iterations, seed) below, and
@@ -327,3 +330,8 @@ class TestBatchedDescentMatchesTheSerialLoop:
         seed = SEEDS[at % len(SEEDS)]
         assert_newton_beats_the_serial_descent(law, memory, steps, restarts,
                                                iters, seed)
+
+
+# the class's former name, kept so that test ids recorded under it still
+# run; in one session each case's check is cached, so no solve repeats
+TestBatchedDescentMatchesTheSerialLoop = TestNewtonNeverEndsAboveTheSerialDescent

@@ -734,23 +734,43 @@ class TestChunkedUrnsMatchTheLoop:
                 assert np.array_equal(state.counts, ref_state.counts)
                 assert np.array_equal(state.activities, ref_state.activities)
 
-    def test_spine_chunk_keeps_a_prefix(self, nu, rho, q, monkeypatch):
-        # a chunk whose re-pick changes its guess keeps a proper prefix, the
-        # steps up to that pick, and builds their path from its state again:
-        # a path shorter than the one before it, from the same state. The
-        # run is one of test_spine_urn's, which matches it to the loop
-        paths = []
-        build = simulate._spine_path
-
-        def spy(state, added, act):
-            paths.append((state.copy(), added.size))
-            return build(state, added, act)
-
-        monkeypatch.setattr(simulate, "_spine_path", spy)
+    def test_spine_chunk_keeps_a_prefix(self, nu, rho, q):
+        # some chunk's re-pick changes its guess, so it keeps only a prefix
+        # of it. The run is one of test_spine_urn's, which matches it to
+        # the loop
         a = activity_from_law(ProbVector(nu.support, rho), nu, q)
-        simulate_spine_urn(nu, q, a, URN_STEPS[-1], RngStream(3))
-        assert any(np.array_equal(s0, s1) and m1 < m0
-                   for (s0, m0), (s1, m1) in zip(paths, paths[1:]))
+        _, state = simulate_spine_urn(nu, q, a, URN_STEPS[-1], RngStream(3))
+        assert 0 < state.cut_chunks < state.chunks
+
+
+# Runs past the chunk cap, where the loop oracle is too slow to follow: the
+# 2-atom cap (21,845 steps a chunk) is reached from step 349,520 on, the
+# regime of verify --full's 10^6-step runs. Each entry is (tally, final
+# counts) of 400,000 steps at q = 1/3 and seed 3, recorded at commit 40f77d0
+# by
+#   PYTHONPATH=src:tests python -c "import test_simulate as t;
+#   print([t.spine_run_past_the_cap(nu, rho) for nu, rho in t.URN_CASES])"
+PAST_THE_CAP_STEPS = 400_000
+PAST_THE_CAP = [([79697, 320303], [79697, 320304, 400001]),
+                ([79771, 120485, 199744], [79771, 120485, 199745, 400001]),
+                ([0, 79873, 120102, 200025], [0, 79873, 120102, 200026,
+                                              400001])]
+
+
+def spine_run_past_the_cap(nu: OffspringLaw, rho) -> tuple[list, list]:
+    a = activity_from_law(ProbVector(nu.support, rho), nu, Q)
+    freq, state = simulate_spine_urn(nu, Q, a, PAST_THE_CAP_STEPS,
+                                     RngStream(3))
+    tally = np.rint(freq.weights * PAST_THE_CAP_STEPS).astype(int)
+    return tally.tolist(), state.counts.tolist()
+
+
+@pytest.mark.parametrize("case", range(len(URN_CASES)),
+                         ids=["2atoms", "3atoms", "4atoms_with_0"])
+def test_spine_urn_past_the_chunk_cap(case):
+    nu, rho = URN_CASES[case]
+    tally, counts = PAST_THE_CAP[case]
+    assert spine_run_past_the_cap(nu, rho) == (tally, counts)
 
 
 def power_left_pair(mat: np.ndarray, *, tol: float = 1e-13,
