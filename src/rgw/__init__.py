@@ -65,23 +65,23 @@ from .classify import (
     TwoTypeCertificate,
     Verdict,
     VerdictKind,
-    activity_constraint_residual,
-    activity_from_law,
     classify_memoryless,
     classify_reinforced,
-    law_from_activity,
     min_memory_for_persistence,
     search_two_type_decomposition,
     two_type_weak_persistence,
-    validate_activities,
 )
 from .survival import (
     SurvivalReport,
+    activity_constraint_residual,
+    activity_from_law,
     lambert_w0,
+    law_from_activity,
     proportional_baseline,
     solve_survival_minimizer,
     stationarity_ratios,
     survival_functional,
+    validate_activities,
 )
 from .verify import verify_suite
 

@@ -11,10 +11,9 @@ honestly as indeterminate rather than guessed.
 
 A separate mean test settles one more region: when the mixture of rho and
 the base law is subcritical, no line realizing rho can survive, whatever the
-margins say. This module also hosts the bijection between target frequencies
-and the activity vectors driving the spine urn, and the weak-persistence
-certificate for the two-type benchmark tree, whose best split of a target
-between the two types is found as one concave maximization.
+margins say. This module also hosts the weak-persistence certificate for
+the two-type benchmark tree, whose best split of a target between the two
+types is found as one concave maximization.
 
 SciPy stays off the import path: only search_two_type_decomposition imports
 it (``scipy.optimize.minimize`` and ``scipy.special.entr``), on its first
@@ -29,21 +28,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, NumericError
+from .errors import ContractViolationError
 from .measures import (
     OffspringLaw,
     ProbVector,
     _bisect,
     _check_q,
-    _check_same_support,
-    _on_support,
     align,
     log_degree_weights,
     mixed_entropy,
     pair,
     relative_entropy,
 )
-from .rate import reinforced_rate
+from .rate import _rate_on_law
 
 DECISION_TOL = 1e-6
 # the two-type search starts SLSQP at these fractions of each free atom's
@@ -123,10 +120,7 @@ def classify_reinforced(rho: ProbVector, nu: OffspringLaw, q: float) -> Verdict:
     if gain == -math.inf:
         return Verdict(VerdictKind.EVANESCENT, math.inf, -math.inf, subcritical)
 
-    # the rate lives on the law's own support, and is infinite off it
-    on_law = _on_support(rho, nu)
-    rate = math.inf if on_law is None else reinforced_rate(on_law, nu, q).value
-    margin_ev = rate - gain
+    margin_ev = _rate_on_law(rho, nu, q) - gain
     margin_pe = gain - ent
 
     if subcritical:
@@ -162,71 +156,6 @@ def min_memory_for_persistence(rho: ProbVector, nu: OffspringLaw) -> float | Non
             "the target pays no log-degree gain, no memory level can help")
     return _bisect(lambda q: mixed_entropy(rho, nu, q) <= gain, 0.0,
                    1.0 - gain / ent)
-
-
-def activity_constraint_residual(a, nu: OffspringLaw, q: float) -> float:
-    """Signed admissibility defect sum nu/(1-qa) - 1/(1-q); inf at a = 1/q."""
-    _check_q(q)
-    a = np.asarray(a, dtype=float)
-    with np.errstate(divide="ignore"):
-        return float(np.sum(nu.weights / (1.0 - q * a)) - 1.0 / (1.0 - q))
-
-
-def _check_activity_box(a, nu: OffspringLaw, q: float) -> np.ndarray:
-    """An activity vector as an array, checked for length and the box
-    [0, 1/q); q must already be valid."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != (len(nu.support),):
-        raise ContractViolationError(
-            f"activity vector must have length {len(nu.support)}")
-    if np.isnan(a).any() or (a < 0.0).any() or (a >= 1.0 / q).any():
-        raise ContractViolationError("activities must lie in [0, 1/q)")
-    return a
-
-
-def validate_activities(a, nu: OffspringLaw, q: float, *,
-                        tol: float = 1e-8) -> np.ndarray:
-    """Check an activity vector against its box and admissibility constraints."""
-    _check_q(q)
-    a = _check_activity_box(a, nu, q)
-    for idx, k in enumerate(nu.support):
-        if k == 0 and a[idx] != 0.0:
-            raise ContractViolationError("the activity at atom 0 must be 0")
-    resid = activity_constraint_residual(a, nu, q)
-    if abs(resid) > tol:
-        raise ContractViolationError(
-            f"activity constraint violated by {resid!r} (tolerance {tol})")
-    return a
-
-
-def activity_from_law(rho: ProbVector, nu: OffspringLaw, q: float) -> np.ndarray:
-    """Activity vector whose stationary color frequency is the given target.
-
-    a(k) = rho(k) / (q rho(k) + (1-q) nu(k)) on the shared support, 0 at
-    atom 0. Admissibility is an algebraic identity for this construction and
-    is re-checked to one part in 1e10.
-    """
-    _check_q(q)
-    _check_same_support(rho, nu)
-    if rho.prob(0) > 0.0:
-        raise ContractViolationError("the target must not charge atom 0")
-    a = rho.weights / (q * rho.weights + (1.0 - q) * nu.weights)
-    resid = activity_constraint_residual(a, nu, q)
-    if abs(resid) > 1e-10:
-        raise NumericError("activity construction lost the constraint",
-                           diagnostics={"residual": resid})
-    return a
-
-
-def law_from_activity(a, nu: OffspringLaw, q: float) -> ProbVector:
-    """Stationary target law of an admissible activity vector.
-
-    pi_a(k) = (1-q) a(k) nu(k) / (1 - q a(k)). The persistence criterion
-    sum pi_a(k) log(a(k)/k) is ``survival_functional``.
-    """
-    a = validate_activities(a, nu, q)
-    weights = (1.0 - q) * a * nu.weights / (1.0 - q * a)
-    return ProbVector(nu.support, weights)
 
 
 @dataclass(frozen=True)

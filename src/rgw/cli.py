@@ -25,19 +25,18 @@ from pathlib import Path
 import numpy as np
 
 from .classify import (classify_memoryless, classify_reinforced,
-                       law_from_activity, search_two_type_decomposition,
-                       two_type_weak_persistence)
+                       search_two_type_decomposition, two_type_weak_persistence)
 from .control import rate_by_control
 from .errors import NumericError, StatisticalFailureError
 from .measures import (OffspringLaw, ProbVector, _check_q, _on_support,
-                       _support_and_probs, load_offspring_law, mixed_entropy,
-                       relative_entropy)
-from .rate import reinforced_rate
+                       _support_and_probs, load_offspring_law, mixed_entropy)
+from .rate import _rate_on_law
 from .rng import RngStream
-from .simulate import (gibbs_conditional_estimate, simulate_reinforced_urn,
-                       simulate_spine_urn, simulate_tree_campaign)
-from .survival import solve_survival_minimizer
-from .verify import verify_suite
+from .simulate import (DEFAULT_POP_CAP, gibbs_conditional_estimate,
+                       simulate_reinforced_urn, simulate_spine_urn,
+                       simulate_tree_campaign)
+from .survival import law_from_activity, solve_survival_minimizer
+from .verify import _FLAGSHIP, _Q_FLAGSHIP, verify_suite
 
 _SUBCOMMANDS = ("rate", "classify", "simulate", "urn", "spine", "two-type",
                 "gibbs", "survival", "verify")
@@ -52,6 +51,16 @@ _GRID_MAX_POINTS = 10**5
 # about 18 bytes a step and the lineage urn 41 to 57 (its pointer arrays
 # grow with q), so a run at the cap needs at most about 5.7 GB
 _STEPS_MAX = 10**8
+# replicas times (n_max + 1) cells one ``simulate`` may ask for: the
+# campaign's population table alone holds 8 bytes a cell, 800 MB at the cap
+# against 8.8 MB for the README's 1.1M-cell run (a 10^7-cell run to
+# /dev/null peaked at 142 MB)
+_CELLS_MAX = 10**8
+# side of the dense system one ``verify control`` solve may ask for,
+# --m times (atoms the target charges + 1): at the cap (the flagship target
+# at --m 1024) a fresh process took 3.6-3.9 s and 249 MB on two cores, and
+# the cost grows with the cube of the side. A banded solve would raise it
+_CONTROL_SIDE_MAX = 3072
 
 
 class _UsageError(Exception):
@@ -272,23 +281,12 @@ def _rho_key(rho: ProbVector) -> str:
                     for k, w in zip(rho.support, rho.weights))
 
 
-def _rate_value(rho: ProbVector, nu: OffspringLaw, q: float) -> float:
-    # the rate lives on the law's own support, and is infinite off it
-    rho = _on_support(rho, nu)
-    if rho is None:
-        return math.inf
-    return relative_entropy(rho, nu) if q == 0.0 else reinforced_rate(rho, nu, q).value
-
-
-def _is_flagship(nu: OffspringLaw) -> bool:
-    return (nu.support == (1, 2) and float(nu.weights[0]) == 0.5
-            and float(nu.weights[1]) == 0.5)
-
-
 def _rate_columns(rho: ProbVector, nu: OffspringLaw, q: float) -> list:
-    closed = q == 0.0 or (_is_flagship(nu) and abs(q - 1.0 / 3.0) <= 1e-12)
+    closed = q == 0.0 or (nu.support == _FLAGSHIP.support
+                          and np.array_equal(nu.weights, _FLAGSHIP.weights)
+                          and abs(q - _Q_FLAGSHIP) <= 1e-12)
     neg_log_q = math.inf if q == 0.0 else -math.log(q)
-    return [closed, _rate_value(rho, nu, q), mixed_entropy(rho, nu, q),
+    return [closed, _rate_on_law(rho, nu, q), mixed_entropy(rho, nu, q),
             neg_log_q]
 
 
@@ -413,6 +411,10 @@ def _census_blocks(campaign, last: np.ndarray, flags: np.ndarray):
 
 
 def _cmd_simulate(args) -> int:
+    cells = args.replicas * (args.n_max + 1)
+    if cells > _CELLS_MAX:
+        raise _UsageError(f"--replicas {args.replicas} with --n-max {args.n_max} "
+                          f"gives {cells} cells; at most {_CELLS_MAX} are allowed")
     nu = _parse_law(args.law)
     q = _parse_q(args.q, allow_zero=True)
     campaign = simulate_tree_campaign(nu, q, args.n_max, args.replicas,
@@ -528,14 +530,18 @@ def _cmd_survival(args) -> int:
 def _verify_control(args) -> int:
     if args.rho is None:
         raise _UsageError("verify control needs --rho")
-    nu = _parse_law(args.law) if args.law else OffspringLaw((1, 2), (0.5, 0.5))
-    q = _parse_q(args.q, allow_zero=False) if args.q else 1.0 / 3.0
+    nu = _parse_law(args.law) if args.law else _FLAGSHIP
+    q = _parse_q(args.q, allow_zero=False) if args.q else _Q_FLAGSHIP
     rho = _on_support(_parse_prob_vector(args.rho, "--rho"), nu)
     if rho is None:
         raise _UsageError("--rho charges an atom off the law support")
-    value, path = rate_by_control(rho, nu, q,
-                                  steps=64 if args.m is None else args.m)
-    dual = _rate_value(rho, nu, q)
+    m = 64 if args.m is None else args.m
+    side = m * (int(np.count_nonzero(rho.weights)) + 1)
+    if side > _CONTROL_SIDE_MAX:
+        raise _UsageError(f"--m {m} gives a control system of side {side}; "
+                          f"at most {_CONTROL_SIDE_MAX} is allowed")
+    value, path = rate_by_control(rho, nu, q, steps=m)
+    dual = _rate_on_law(rho, nu, q)
     bound = mixed_entropy(rho, nu, q)
     steps = ([i, *row] for i, row in enumerate(path.rows))
     best_path = "".join(_render(["step"] + [f"eta_{k}" for k in path.support],
@@ -611,7 +617,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--q", required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--replicas", type=int, required=True)
-    p.add_argument("--pop-cap", type=int, default=10_000_000)
+    p.add_argument("--pop-cap", type=int, default=DEFAULT_POP_CAP)
     p.add_argument("--histograms", action="store_true",
                    help="one row per ancestral-histogram class")
     _add_common(p)
@@ -674,8 +680,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--rho", default=None, help="control mode: target law")
     p.add_argument("--m", type=int, default=None,
                    help="control mode: discretization steps (default 64); "
-                        "the cost grows as the cube of steps times the "
-                        "support size")
+                        "the dense system's side, steps times (atoms of "
+                        "--rho + 1), may be at most 3072, which took about "
+                        "4 s and 250 MB on two cores")
     p.add_argument("--restarts", type=int, default=8,
                    help="ignored; kept so existing command lines run")
     _add_common(p)

@@ -64,13 +64,6 @@ class ControlPath:
         object.__setattr__(self, "support", sup)
         object.__setattr__(self, "rows", r)
 
-    @property
-    def steps(self) -> int:
-        return int(self.rows.shape[0])
-
-    def time_average(self) -> ProbVector:
-        return ProbVector(self.support, self.rows.mean(axis=0))
-
 
 def _cesaro(m: int) -> np.ndarray:
     """Lower-triangular midpoint map from a column of rows to its psi."""

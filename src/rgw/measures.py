@@ -186,9 +186,6 @@ class LogWeights:
     def all_neg_inf(self) -> bool:
         return bool((self.values == -np.inf).all())
 
-    def finite_mask(self) -> np.ndarray:
-        return np.isfinite(self.values)
-
     def __repr__(self):
         body = ", ".join(f"{k}: {x:.6g}" for k, x in zip(self.support, self.values))
         return f"LogWeights({{{body}}})"

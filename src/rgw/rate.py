@@ -44,7 +44,9 @@ from .measures import (
     _check_halfspace,
     _check_q,
     _check_same_support,
+    _on_support,
     log_degree_weights,
+    relative_entropy,
     size_biased,
 )
 
@@ -321,6 +323,16 @@ def reinforced_rate(rho: ProbVector, nu: OffspringLaw, q: float) -> RateDual:
 # ---------------------------------------------------------------------------
 # derived quantities
 # ---------------------------------------------------------------------------
+
+def _rate_on_law(rho: ProbVector, nu: OffspringLaw, q: float) -> float:
+    """The rate of any target against the law: the relative entropy at
+    q = 0, ``reinforced_rate`` above it, and inf for a target off the law's
+    support, where the rate lives."""
+    rho = _on_support(rho, nu)
+    if rho is None:
+        return math.inf
+    return relative_entropy(rho, nu) if q == 0.0 else reinforced_rate(rho, nu, q).value
+
 
 def concentration_target(nu: OffspringLaw, q: float) -> ProbVector:
     """Limit law of the empirical lineage measure on the surviving tree.

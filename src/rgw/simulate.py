@@ -53,11 +53,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import validate_activities
 from .errors import ContractViolationError, NumericError, StatisticalFailureError
 from .measures import (EmpiricalMeasure, OffspringLaw, ProbVector, _check_halfspace,
                        _check_q)
 from .rng import RngStream
+from .survival import validate_activities
 
 DEFAULT_POP_CAP = 10_000_000
 
@@ -184,6 +184,15 @@ class _ClassKeys:
         if self.cols.size:
             hist[:, self.cols[-1]] = rest
         return keys, hist
+
+
+def _draw_law(nu: OffspringLaw, q: float, i: int, hist: np.ndarray):
+    """The law of draw i after draws with histograms ``hist``, one row each:
+    q * hist / i + (1 - q) * nu, or nu alone, for all rows, at i = 0 or
+    q = 0."""
+    if q > 0.0 and i > 0:
+        return q / i * hist + (1.0 - q) * nu.weights
+    return nu.weights
 
 
 def _run_sums(labels: np.ndarray,
@@ -341,9 +350,7 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
             if mult.size == 0:
                 break
             drawn[g] = mult.size
-            p = nu.weights
-            if q > 0.0 and g > 0:
-                p = q / g * hist + (1.0 - q) * nu.weights
+            p = _draw_law(nu, q, g, hist)
             # each chunk draws its own contiguous classes from its own stream
             draws = np.empty((mult.size, k), dtype=np.int64)
             bounds = np.searchsorted(rid, edges).tolist()
@@ -474,9 +481,7 @@ def _urn_classes(nu: OffspringLaw, q: float, n: int, replicas: int,
     for i in range(n):
         if mult.size == 0:
             break
-        p = nu.weights
-        if q > 0.0 and i > 0:
-            p = q / i * hist + (1.0 - q) * nu.weights
+        p = _draw_law(nu, q, i, hist)
         draws = rng.generator(tag, i).multinomial(mult, p)
         keys, mult = _class_step(keys, draws, cols, shift, gain)
         _, hist = layout.split(keys, i + 1)
@@ -630,7 +635,7 @@ def simulate_spine_urn(nu: OffspringLaw, q: float, a, n: int,
     _check_q(q)
     if n < 1:
         raise ContractViolationError("n must be at least 1")
-    a = validate_activities(a, nu, q, tol=1e-9)
+    a = validate_activities(a, nu, q)
     support = nu.support
     k = len(support)
     act = np.empty(k + 1)
@@ -737,7 +742,7 @@ def replacement_matrix(nu: OffspringLaw, q: float, a) -> ReplacementSpectrum:
     both, and the vector is scaled to sum 1.
     """
     _check_q(q)
-    a = validate_activities(a, nu, q, tol=1e-8)
+    a = validate_activities(a, nu, q)
     pos = [idx for idx, kk in enumerate(nu.support) if kk != 0]
     sup = tuple(nu.support[idx] for idx in pos)
     m = len(pos) + 1

@@ -1,4 +1,9 @@
-"""Survival certificate from the constrained activity minimization.
+"""Activity vectors and the survival certificate built on them.
+
+An activity vector a drives the spine urn. It is admissible when its
+stationary law pi_a(k) = (1-q) a(k) nu(k) / (1 - q a(k)) sums to 1, and
+this module holds that one rule, every check of it, and the bijection
+between admissible activities and target laws.
 
 Every admissible activity vector yields a candidate infinite line of descent;
 the certificate functional weighs its stationary frequency against the
@@ -21,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import _check_activity_box, activity_constraint_residual
 from .errors import ContractViolationError, NumericError
-from .measures import OffspringLaw, _bisect, _check_q
+from .measures import (_SUM_TOL, OffspringLaw, ProbVector, _bisect, _check_q,
+                       _check_same_support)
 
 _BRANCH_POINT = -math.exp(-1.0)
 # certification demands strict negativity; the margin keeps roundoff at a
@@ -82,6 +87,79 @@ def lambert_w0(x: float) -> float:
         if abs(step) <= 2.0 * math.ulp(1.0 + abs(w)):
             break
     return w
+
+
+def activity_constraint_residual(a, nu: OffspringLaw, q: float) -> float:
+    """Signed admissibility defect sum nu/(1-qa) - 1/(1-q); inf at a = 1/q."""
+    _check_q(q)
+    a = np.asarray(a, dtype=float)
+    with np.errstate(divide="ignore"):
+        return float(np.sum(nu.weights / (1.0 - q * a)) - 1.0 / (1.0 - q))
+
+
+def _stationary_weights(a: np.ndarray, nu: OffspringLaw, q: float,
+                        error: type[Exception] = ContractViolationError
+                        ) -> np.ndarray:
+    """The stationary law pi_a of activities a in the box, held to the one
+    admissibility rule: it sums to 1 within ``_SUM_TOL``, as every
+    ``ProbVector`` must, or ``error`` is raised. The sum misses 1 by
+    (1-q) r / q for the residual r of ``activity_constraint_residual``."""
+    with np.errstate(divide="ignore"):  # a rounded onto the wall 1/q
+        weights = (1.0 - q) * a * nu.weights / (1.0 - q * a)
+    total = weights.sum()
+    if abs(total - 1.0) > _SUM_TOL:
+        raise error(f"activities are not admissible: their stationary law "
+                    f"sums to {float(total)!r}, not 1")
+    return weights
+
+
+def _check_activity_box(a, nu: OffspringLaw, q: float) -> np.ndarray:
+    """An activity vector as an array, checked for length and the box
+    [0, 1/q); q must already be valid."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != (len(nu.support),):
+        raise ContractViolationError(
+            f"activity vector must have length {len(nu.support)}")
+    if np.isnan(a).any() or (a < 0.0).any() or (a >= 1.0 / q).any():
+        raise ContractViolationError("activities must lie in [0, 1/q)")
+    return a
+
+
+def validate_activities(a, nu: OffspringLaw, q: float) -> np.ndarray:
+    """Check an activity vector against its box and admissibility constraints."""
+    _check_q(q)
+    a = _check_activity_box(a, nu, q)
+    for idx, k in enumerate(nu.support):
+        if k == 0 and a[idx] != 0.0:
+            raise ContractViolationError("the activity at atom 0 must be 0")
+    _stationary_weights(a, nu, q)
+    return a
+
+
+def activity_from_law(rho: ProbVector, nu: OffspringLaw, q: float) -> np.ndarray:
+    """Activity vector whose stationary color frequency is the given target.
+
+    a(k) = rho(k) / (q rho(k) + (1-q) nu(k)) on the shared support, 0 at
+    atom 0. Admissibility is an algebraic identity for this construction and
+    is re-checked by the rule that ``validate_activities`` applies.
+    """
+    _check_q(q)
+    _check_same_support(rho, nu)
+    if rho.prob(0) > 0.0:
+        raise ContractViolationError("the target must not charge atom 0")
+    a = rho.weights / (q * rho.weights + (1.0 - q) * nu.weights)
+    _stationary_weights(a, nu, q, NumericError)
+    return a
+
+
+def law_from_activity(a, nu: OffspringLaw, q: float) -> ProbVector:
+    """Stationary target law of an admissible activity vector.
+
+    pi_a(k) = (1-q) a(k) nu(k) / (1 - q a(k)). The persistence criterion
+    sum pi_a(k) log(a(k)/k) is ``survival_functional``.
+    """
+    a = validate_activities(a, nu, q)
+    return ProbVector(nu.support, _stationary_weights(a, nu, q))
 
 
 def survival_functional(a, nu: OffspringLaw, q: float) -> float:

@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 
-from .classify import DECISION_TOL, classify_reinforced, law_from_activity
+from .classify import DECISION_TOL, classify_reinforced
 from .control import rate_by_control
 from .errors import ContractViolationError, NumericError, StatisticalFailureError
 from .measures import (LogWeights, OffspringLaw, ProbVector, _bisect,
@@ -32,8 +32,8 @@ from .rng import RngStream
 from .simulate import (enumerate_expected_counts, many_to_one_estimate,
                        replacement_matrix, simulate_reinforced_urn,
                        simulate_spine_urn, simulate_tree_campaign)
-from .survival import (lambert_w0, solve_survival_minimizer,
-                       stationarity_ratios)
+from .survival import (lambert_w0, law_from_activity,
+                       solve_survival_minimizer, stationarity_ratios)
 
 _FLAGSHIP = OffspringLaw((1, 2), (0.5, 0.5))
 _Q_FLAGSHIP = 1.0 / 3.0

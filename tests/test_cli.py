@@ -487,6 +487,14 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "invalid input: halfspace does not meet the simplex\n")
 
+    def test_spine_refuses_inadmissible_activities(self, capsys):
+        # the residual is -1.8e-9, so the stationary law misses 1 by 3.6e-9
+        assert run(["spine", "--law", LAW, "--q", "1/3", "--activities",
+                    "1:0.5;2:1.33333333", "--steps", "10"]) == 1
+        assert capsys.readouterr().err == (
+            "invalid input: activities are not admissible: their stationary "
+            "law sums to 0.9999999964000001, not 1\n")
+
     @pytest.mark.parametrize("args", [
         ["survival", "--law", LAW, "--q-grid", "1/0:4/5:1/5"],
         ["survival", "--law", LAW, "--q-grid", "1/5:1/0:1/5"],
@@ -603,6 +611,65 @@ class TestExitCodes:
             assert capsys.readouterr().err == (
                 f"--steps {steps} is too many; at most 100000000 are "
                 "allowed\n")
+
+    def test_simulate_cells_are_capped_before_the_law_is_read(
+            self, monkeypatch, capsys):
+        # the cap reaches the simulator, stubbed here since a real run would
+        # hold about a gigabyte; a cell more is refused before the law file
+        # is even opened
+        class Reached(Exception):
+            pass
+
+        def stub(nu, q, n_max, replicas, *args, **kwargs):
+            raise Reached(replicas * (n_max + 1))
+
+        monkeypatch.setattr(cli, "simulate_tree_campaign", stub)
+        for replicas, n_max in ((10**8, 0), (10**7, 9), (1, 10**8 - 1)):
+            with pytest.raises(Reached) as reached:
+                run(["simulate", "--law", LAW, "--q", "1/3", "--n-max",
+                     str(n_max), "--replicas", str(replicas)])
+            assert reached.value.args == (10**8,)
+        for replicas, n_max, cells in ((10**8 + 1, 0, 10**8 + 1),
+                                       (10**12, 10, 11 * 10**12),
+                                       (1, 10**12, 10**12 + 1)):
+            assert run(["simulate", "--law", "missing.json", "--q", "1/3",
+                        "--n-max", str(n_max), "--replicas",
+                        str(replicas)]) == 1
+            assert capsys.readouterr().err == (
+                f"--replicas {replicas} with --n-max {n_max} gives {cells} "
+                "cells; at most 100000000 are allowed\n")
+
+    @pytest.mark.parametrize("law, rho, m_max", [
+        (None, "1:0.2;2:0.8", 1024),
+        (None, "1:0;2:1", 1536),
+        ({"support": [1, 2, 3], "probs": [0.3, 0.4, 0.3]}, "1:0.2;2:0.3;3:0.5",
+         768)])
+    def test_control_side_is_capped_before_the_solve(self, law, rho, m_max,
+                                                     tmp_path, monkeypatch,
+                                                     capsys):
+        # the side is --m times (atoms the target charges + 1); the solve
+        # is stubbed, since at the cap it takes seconds
+        class Reached(Exception):
+            pass
+
+        def stub(rho, nu, q, *, steps):
+            raise Reached(steps)
+
+        monkeypatch.setattr(cli, "rate_by_control", stub)
+        args = ["verify", "control", "--rho", rho]
+        if law is not None:
+            path = tmp_path / "law.json"
+            path.write_text(json.dumps(law))
+            args += ["--law", str(path)]
+        with pytest.raises(Reached) as reached:
+            run([*args, "--m", str(m_max)])
+        assert reached.value.args == (m_max,)
+        for m in (m_max + 1, 100000):
+            assert run([*args, "--m", str(m)]) == 1
+            side = 3072 * m // m_max
+            assert capsys.readouterr().err == (
+                f"--m {m} gives a control system of side {side}; at most "
+                "3072 is allowed\n")
 
     @pytest.mark.parametrize("source", ["inline", "file"])
     def test_json_target_refuses_unknown_fields(self, source, tmp_path,

@@ -201,7 +201,7 @@ def polynomial_log_mgf(lam: LogWeights, nu: OffspringLaw, q: float):
     rounded = np.round(exponents)
     assert np.max(np.abs(exponents - rounded)) <= 1e-9 * max(
         1.0, float(np.max(exponents))), "exponents are not integers"
-    finite = lam.finite_mask()
+    finite = np.isfinite(lam.values)
     lam_bar = float(np.max(lam.values[finite]))
     e = np.exp(lam.values[finite] - lam_bar)
     degree = int(rounded[finite].sum())

@@ -20,7 +20,7 @@ from rgw import (ContractViolationError, InfeasibleError, NumericError,
                  simulate_spine_urn, simulate_tree_campaign,
                  survival_functional)
 from rgw import simulate
-from rgw.classify import validate_activities
+from rgw.survival import validate_activities
 from rgw.measures import EmpiricalMeasure, _check_q
 from rgw.simulate import SpineUrnState
 
@@ -639,7 +639,7 @@ def loop_spine_urn(nu: OffspringLaw, q: float, a, n: int,
     _check_q(q)
     if n < 1:
         raise ContractViolationError("n must be at least 1")
-    a = validate_activities(a, nu, q, tol=1e-9)
+    a = validate_activities(a, nu, q)
     support = nu.support
     k = len(support)
     act = np.empty(k + 1)

@@ -1,4 +1,5 @@
-"""Principal-branch product-log solver and survival certificates."""
+"""Activity vectors, the principal-branch product-log solver and survival
+certificates."""
 
 from __future__ import annotations
 
@@ -12,10 +13,12 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from rgw import (ContractViolationError, NumericError, OffspringLaw,
-                 RngStream, lambert_w0, law_from_activity,
-                 log_degree_weights, mixed_entropy, pair,
-                 proportional_baseline, solve_survival_minimizer,
-                 stationarity_ratios, survival_functional)
+                 ProbVector, RngStream, activity_from_law, lambert_w0,
+                 law_from_activity, log_degree_weights, mixed_entropy, pair,
+                 proportional_baseline, replacement_matrix,
+                 simulate_spine_urn, solve_survival_minimizer,
+                 stationarity_ratios, survival_functional,
+                 validate_activities)
 
 FLAGSHIP = OffspringLaw((1, 2), (0.5, 0.5))
 Q = 1.0 / 3.0
@@ -93,6 +96,66 @@ class TestFunctional:
         report = solve_survival_minimizer(FLAGSHIP, Q)
         _, ratios = stationarity_ratios(report.activities, FLAGSHIP, Q)
         assert np.max(ratios) - np.min(ratios) < 1e-6
+
+
+# laws, one with an atom at 0, each with a target on its positive atoms
+RULE_CASES = {
+    "flagship": (FLAGSHIP, (0.2, 0.8)),
+    "three-atom": (OffspringLaw((1, 2, 3), (0.3, 0.4, 0.3)), (0.5, 0.2, 0.3)),
+    "atom-0": (OffspringLaw((0, 1, 2, 5), (0.1, 0.3, 0.4, 0.2)),
+               (0.0, 0.2, 0.3, 0.5)),
+}
+
+# every public entry point that takes an activity vector
+ACTIVITY_ENTRIES = {
+    "validate_activities": validate_activities,
+    "law_from_activity": law_from_activity,
+    "replacement_matrix": lambda a, nu, q: replacement_matrix(nu, q, a),
+    "simulate_spine_urn":
+        lambda a, nu, q: simulate_spine_urn(nu, q, a, 10, RngStream(0)),
+}
+
+
+class TestAdmissibilityRule:
+    """One rule for every entry point: activities a are admissible when
+    their stationary law (1-q) a nu / (1 - q a) sums to 1 within 1e-12."""
+
+    @pytest.mark.parametrize("q", (0.05, 1.0 / 3.0, 0.9, 0.99))
+    @pytest.mark.parametrize("case", RULE_CASES)
+    def test_every_entry_point_accepts_exactly_the_same_vectors(self, case,
+                                                                q):
+        nu, rho = RULE_CASES[case]
+        base = activity_from_law(ProbVector(nu.support, rho), nu, q)
+        verdicts = set()
+        for delta in 10.0 ** np.arange(-15, -6):
+            for nudge in (delta, -delta):
+                a = base.copy()
+                a[-1] += nudge
+                total = np.sum((1.0 - q) * a * nu.weights / (1.0 - q * a))
+                admissible = abs(total - 1.0) <= 1e-12
+                verdicts.add(admissible)
+                for entry in ACTIVITY_ENTRIES.values():
+                    if admissible:
+                        entry(a, nu, q)
+                    else:
+                        with pytest.raises(ContractViolationError,
+                                           match="not admissible"):
+                            entry(a, nu, q)
+        # the nudges straddle the rule
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("q", [
+        0.999,
+        pytest.param(0.9999, marks=pytest.mark.xfail(
+            strict=True, raises=NumericError,
+            reason="ROADMAP item 5: the stationary law of the float "
+                   "activities misses 1 by 1.6e-12; gap coordinates would "
+                   "hold it"))])
+    def test_four_atom_law_round_trips_at_high_memory(self, q):
+        nu, rho = RULE_CASES["atom-0"]
+        rho = ProbVector(nu.support, rho)
+        back = law_from_activity(activity_from_law(rho, nu, q), nu, q)
+        assert np.max(np.abs(back.weights - rho.weights)) < 1e-12
 
 
 class TestSolver:
