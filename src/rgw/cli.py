@@ -47,9 +47,10 @@ _SUBCOMMANDS = ("rate", "classify", "simulate", "urn", "spine", "two-type",
 _CSV_BLOCK = 4096
 # --grid points one command may ask for
 _GRID_MAX_POINTS = 10**5
-# --steps one urn or spine run may take: at its peak the spine urn holds
-# about 18 bytes a step and the lineage urn 41 to 57 (its pointer arrays
-# grow with q), so a run at the cap needs at most about 5.7 GB
+# --steps one urn or spine run may take: at its peak either urn holds about
+# 9 bytes a step at 10^7 steps, whatever q (8 are the spine urn's pick
+# uniforms or the lineage urn's returned sequence), so a run at the cap
+# needs about 1 GB
 _STEPS_MAX = 10**8
 # replicas times (n_max + 1) cells one ``simulate`` may ask for: the
 # campaign's population table alone holds 8 bytes a cell, 800 MB at the cap

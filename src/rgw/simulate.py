@@ -24,15 +24,16 @@ allocates at its peak over five times what passes of 8 do (88 MB against
 16 MB, the populations included), and is slower.
 
 The same ancestral mechanism viewed along a single lineage is a Polya type
-urn, simulated here one run at a time and as batches. A run is built whole:
-each memory draw points at the earlier draw it repeats, and pointer jumping
-takes every draw to the fresh draw at the root of its chain. A batch of
-replicas is stored as classes too: replicas that share a draw histogram are
-exchangeable, so each step takes one multinomial draw per (histogram, count)
-class, and a batch of any size holds at most C(i+k-1, k-1) classes at step
-i. Batches power the many-to-one estimator (lineage draws weighted by the
-product of their values estimate expected vertex counts) and rejection-based
-conditioning, both of which read only the histogram. Exact small-depth
+urn, simulated here one run at a time and as batches. A run is built a
+block of draws at a time: each memory draw points at the earlier draw it
+repeats, and pointer jumping takes it to a draw whose atom is known. A
+batch of replicas is stored as classes too: replicas that share a draw
+histogram are exchangeable, so each step takes one multinomial draw per
+(histogram, count) class, and a batch of any size holds at most
+C(i+k-1, k-1) classes at step i. Batches power the many-to-one estimator
+(lineage draws weighted by the product of their values estimate expected
+vertex counts) and rejection-based conditioning, both of which read only
+the histogram. Exact small-depth
 expectations come from a dynamic program over draw histograms, giving an
 independent oracle with no randomness.
 
@@ -73,9 +74,10 @@ _PASS_CHUNKS = 8
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
 
-# spine urn steps are verified a chunk at a time (see simulate_spine_urn): a
-# chunk holds at most this many steps times colors, so its path buffer stays
-# under 1 MB
+# the urns draw their uniforms a block of this many at a time, and spine urn
+# steps are verified a chunk at a time (see simulate_spine_urn): a chunk
+# holds at most this many steps times colors, so its path buffer stays under
+# 1 MB
 _SPECULATE_CELLS = 1 << 16
 
 
@@ -253,7 +255,10 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
 
     Chunks of ``_CHUNK`` replicas fix the random stream: chunk c draws from
     ``rng.child(c).generator("tree", g)`` for its classes in ascending key
-    order. A pass steps up to ``_PASS_CHUNKS`` chunks together, keyed by
+    order. A pass holds one bit generator and re-keys it to that key for
+    each chunk at each generation, which leaves the stream unchanged, bit
+    for bit, without building a generator per draw (see ``rgw.rng``). A pass
+    steps up to ``_PASS_CHUNKS`` chunks together, keyed by
     pass-local replica, so each chunk's classes form one contiguous slice:
     the multinomial draws go chunk by chunk and every other step, from the
     keys to the population sums, is one array operation over the pass.
@@ -270,8 +275,9 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
     so the results do not depend on W. With one pass, or one CPU, the calling
     thread runs every pass and starts no thread. Once a pass fails, no pass
     that has not started is started, and the first failed pass in pass order
-    raises once every worker has ended. The q = 0 replica path, one generator
-    per generation for all replicas, runs on the calling thread.
+    raises once every worker has ended. The q = 0 replica path, one
+    generator re-keyed for each generation's draw over all replicas, runs on
+    the calling thread.
 
     A replica whose population reaches ``pop_cap`` stops there and is
     recorded in ``truncated_at``. ``keep_histograms`` records, for every
@@ -306,13 +312,15 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
 
     if q == 0.0 and not keep_histograms:
         active = np.full(replicas, pop_cap > 1)
+        # one generator, re-keyed for each generation's draws
+        gen = rng.generator()
         for g in range(n_max):
             idx = np.flatnonzero(active)
             if idx.size == 0:
                 break
             classes[g] = idx.size
-            g_rng = rng.generator("tree-iid", g)
-            draws = g_rng.multinomial(populations[idx, g], nu.weights)
+            draws = rng._rekey(gen, "tree-iid", g).multinomial(
+                populations[idx, g], nu.weights)
             z = draws @ support_arr
             populations[idx, g + 1] = z
             over = z >= pop_cap
@@ -346,6 +354,9 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
         mult = np.ones(rc, dtype=np.int64)
         drawn = np.zeros(n_max, dtype=np.int64)
         layers = [] if keep_histograms else None
+        # the pass's own generator, re-keyed for each chunk's draws at each
+        # generation
+        gen = rng.generator()
         for g in range(n_max):
             if mult.size == 0:
                 break
@@ -356,7 +367,7 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
             bounds = np.searchsorted(rid, edges).tolist()
             for stream, lo, hi in zip(streams, bounds, bounds[1:]):
                 if lo < hi:
-                    draws[lo:hi] = stream.generator("tree", g).multinomial(
+                    draws[lo:hi] = stream._rekey(gen, "tree", g).multinomial(
                         mult[lo:hi], p if p.ndim == 1 else p[lo:hi])
             # a draw of atom j sends support[j] children to class hist + e_j
             keys, mult = _class_step(keys, draws, pos_cols, shift, gain)
@@ -422,36 +433,64 @@ def simulate_reinforced_urn(nu: OffspringLaw, q: float, n: int,
     earlier one with probability q, else follows nu. Every draw has marginal
     law nu.
 
-    From the uniforms drawn up front, draw i > 0 is a memory draw when
+    From the uniforms u_mode, then u_val, draw i > 0 is a memory draw when
     u_mode[i] < q, and then repeats draw min(floor(u_val[i] * i), i - 1);
     any other draw is fresh and takes the atom of u_val[i] under the
-    cumulative law. Each draw points at the draw it repeats, a fresh one at
-    itself, and pointer jumping (``source = source[source]`` until nothing
-    moves) takes every draw to the fresh draw at the root of its chain, in
-    about log2 of the longest chain rounds. The stream and the sequence are
-    those of a loop taking one draw at a time.
+    cumulative law. The stream and the sequence are those of a loop taking
+    one draw at a time.
+
+    The run is built a block of ``_SPECULATE_CELLS`` draws at a time, so
+    besides the sequence it returns it holds one byte a draw for the memory
+    flags and one for the atoms. Each block draws its uniforms, and its
+    memory draws that repeat a draw before the block take that draw's atom.
+    The others repeat a draw of the block: each points at the draw it
+    repeats, and pointer jumping (``link = link[link]`` until nothing moves)
+    takes it to the root of its chain in the block, a draw whose atom is
+    known, in about log2 of the longest chain rounds.
     """
     _check_q(q)
     if n < 1:
         raise ContractViolationError("n must be at least 1")
     support = nu.support
     k = len(support)
+    small = np.min_scalar_type(k)
+    cum_nu = np.cumsum(nu.weights)
+    block = _SPECULATE_CELLS
     g_rng = rng.generator("urn")
-    # the memory draws, those with u_mode < q, then u_val
-    mem = np.flatnonzero(g_rng.random(n)[1:] < q) + 1
-    u_val = g_rng.random(n)
-    source = np.arange(n)
-    source[mem] = np.minimum((u_val[mem] * mem).astype(np.int64), mem - 1)
-    # only memory draws move: a fresh draw is its own root
-    hop = source[mem]
-    while True:
-        jumped = source[hop]
-        if np.array_equal(jumped, hop):
-            break
-        source[mem] = hop = jumped
-    drawn = _fresh_indices(np.cumsum(nu.weights), u_val[source])
+    # each block is tallied as it is built: bincount casts what it counts
+    # to intp, 8 bytes a draw over the whole run
+    tally = np.zeros(k, dtype=np.int64)
+    memory = np.empty(n, dtype=bool)
+    for lo in range(0, n, block):
+        np.less(g_rng.random(min(block, n - lo)), q, out=memory[lo:lo + block])
+    memory[0] = False
+    drawn = np.empty(n, dtype=small)
+    for lo in range(0, n, block):
+        u_val = g_rng.random(min(block, n - lo))
+        here = drawn[lo:lo + u_val.size]
+        here[:] = _fresh_indices(cum_nu, u_val, small)
+        mem = np.flatnonzero(memory[lo:lo + u_val.size])
+        at = mem + lo
+        # the draw each memory draw repeats
+        src = np.minimum((u_val[mem] * at).astype(np.int64), at - 1)
+        before = src < lo
+        here[mem[before]] = drawn[src[before]]
+        # the others, counted from the block's start
+        mem, hop = mem[~before], src[~before] - lo
+        # only these move: every other draw of the block is its own root
+        link = np.arange(u_val.size)
+        link[mem] = hop
+        while True:
+            jumped = link[hop]
+            if np.array_equal(jumped, hop):
+                break
+            link[mem] = hop = jumped
+        here[mem] = here[hop]
+        tally += np.bincount(here, minlength=k)
+    # spent, and freed before the sequence is built
+    del memory
     seq = np.asarray(support, dtype=np.int64)[drawn]
-    return seq, EmpiricalMeasure(support, np.bincount(drawn, minlength=k))
+    return seq, EmpiricalMeasure(support, tally)
 
 
 def _urn_classes(nu: OffspringLaw, q: float, n: int, replicas: int,
@@ -478,11 +517,13 @@ def _urn_classes(nu: OffspringLaw, q: float, n: int, replicas: int,
     keys = np.zeros(1, dtype=np.int64)
     hist = np.zeros((1, k), dtype=np.int64)
     mult = np.array([replicas], dtype=np.int64)
+    # one generator, re-keyed for each step's draws
+    gen = rng.generator()
     for i in range(n):
         if mult.size == 0:
             break
         p = _draw_law(nu, q, i, hist)
-        draws = rng.generator(tag, i).multinomial(mult, p)
+        draws = rng._rekey(gen, tag, i).multinomial(mult, p)
         keys, mult = _class_step(keys, draws, cols, shift, gain)
         _, hist = layout.split(keys, i + 1)
     return hist, mult
@@ -657,7 +698,11 @@ def simulate_spine_urn(nu: OffspringLaw, q: float, a, n: int,
     small = np.min_scalar_type(k)
     g_rng = rng.generator("spine")
     u_pick = g_rng.random(n)
-    star = _fresh_indices(cum_star, g_rng.random(n), small)
+    # the color of each auxiliary pick, its uniforms drawn a block at a time
+    star = np.empty(n, dtype=small)
+    for lo in range(0, n, _SPECULATE_CELLS):
+        star[lo:lo + _SPECULATE_CELLS] = _fresh_indices(
+            cum_star, g_rng.random(min(_SPECULATE_CELLS, n - lo)), small)
 
     def passed(w, i, m):
         # how many of the loop's running color sums, in its order, steps
@@ -673,14 +718,17 @@ def simulate_spine_urn(nu: OffspringLaw, q: float, a, n: int,
 
     # the total's increment for each added color, the float the loop adds
     total_inc = act[:k] + act[k]
-    cap = min(n, max(64, _SPECULATE_CELLS // (k + 1)))
+    # a chunk takes at most max(64, i // 16) steps, with i < n, so no more
+    # columns are ever filled
+    cap = min(n, max(64, min((n - 1) // 16, _SPECULATE_CELLS // (k + 1))))
     # column 0 holds the state, the k color weights and then the total
     # weight, accumulated apart; a chunk's path fills the columns after it
     path = np.empty((k + 1, cap + 1))
     weights = counts * act
     path[:k, 0] = weights[:k]
     path[k, 0] = sum(weights.tolist())
-    added = np.empty(n, dtype=small)
+    # the colors added, tallied a chunk at a time
+    tally = np.zeros(k, dtype=np.int64)
     i = chunks = cut = 0
     while i < n:
         m = min(n - i, max(64, i // 16), cap)
@@ -708,9 +756,8 @@ def simulate_spine_urn(nu: OffspringLaw, q: float, a, n: int,
             cut += 1
         else:
             path[:, 0] = steps[:, m]
-        added[i:i + m] = guess[:m]
+        tally += np.bincount(guess[:m], minlength=k)
         i += m
-    tally = np.bincount(added, minlength=k)
     counts[:k] += tally
     counts[k] += n
     freqs = ProbVector(support, tally / n)

@@ -6,6 +6,7 @@ import concurrent.futures
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -118,6 +119,8 @@ class TestTreeCampaign:
 # oracle with its plain-argsort class step and a count of the draws it
 # takes: each chunk of _CHUNK replicas is keyed and stepped alone, and draws
 # from its own child stream in ascending key order, as every pass must too.
+# It builds a fresh generator for each chunk and generation, where a pass
+# re-keys one.
 
 
 def argsort_class_step(keys, draws, pick, shift, gain):
@@ -404,6 +407,27 @@ class TestThreadCountChangesNothing:
             simulate_tree_campaign(FLAGSHIP, Q, 6, 6 * simulate._CHUNK,
                                    InterruptedChunk(52))
         assert threading.active_count() == before
+
+
+def test_replica_path_draws_as_fresh_generators():
+    # q = 0 without a census: each generation's draws are those of a fresh
+    # generator, one multinomial over the replicas still stepping
+    nu = OffspringLaw((0, 1, 3), (0.3, 0.3, 0.4))
+    n_max, replicas, cap = 9, 500, 40
+    camp = simulate_tree_campaign(nu, 0.0, n_max, replicas, RngStream(53),
+                                  pop_cap=cap)
+    pops = np.zeros((replicas, n_max + 1), dtype=np.int64)
+    pops[:, 0] = 1
+    trunc_at = np.full(replicas, -1, dtype=np.int64)
+    for g in range(n_max):
+        idx = np.flatnonzero((pops[:, g] > 0) & (trunc_at < 0))
+        z = RngStream(53).generator("tree-iid", g).multinomial(
+            pops[idx, g], nu.weights) @ np.asarray(nu.support)
+        pops[idx, g + 1] = z
+        trunc_at[idx[z >= cap]] = g + 1
+    assert np.array_equal(camp.populations, pops)
+    assert np.array_equal(camp.truncated_at, trunc_at)
+    assert (trunc_at > 0).any() and (pops[:, -1] == 0).any()
 
 
 class TestDepthPrefix:
@@ -713,15 +737,19 @@ URN_STEPS = [1, 2, 63, 64, 65, 1087, 1088, 1089, 20000]
 @pytest.mark.parametrize("nu, rho", URN_CASES,
                          ids=["2atoms", "3atoms", "4atoms_with_0"])
 class TestChunkedUrnsMatchTheLoop:
-    def test_reinforced_urn(self, nu, rho, q):
-        for seed in (1, 2, 3):
-            for n in URN_STEPS:
-                seq, census = simulate_reinforced_urn(nu, q, n,
-                                                      RngStream(seed))
-                ref_seq, ref_census = loop_reinforced_urn(nu, q, n,
+    def test_reinforced_urn(self, nu, rho, q, monkeypatch):
+        # in blocks of 100 draws too, so that most memory draws repeat one
+        # in an earlier block and chains cross many blocks
+        for block in (simulate._SPECULATE_CELLS, 100):
+            monkeypatch.setattr(simulate, "_SPECULATE_CELLS", block)
+            for seed in (1, 2, 3):
+                for n in URN_STEPS:
+                    seq, census = simulate_reinforced_urn(nu, q, n,
                                                           RngStream(seed))
-                assert np.array_equal(seq, ref_seq)
-                assert np.array_equal(census.counts, ref_census.counts)
+                    ref_seq, ref_census = loop_reinforced_urn(
+                        nu, q, n, RngStream(seed))
+                    assert np.array_equal(seq, ref_seq)
+                    assert np.array_equal(census.counts, ref_census.counts)
 
     def test_spine_urn(self, nu, rho, q):
         a = activity_from_law(ProbVector(nu.support, rho), nu, q)
@@ -733,6 +761,14 @@ class TestChunkedUrnsMatchTheLoop:
                 assert np.array_equal(freq.weights, ref_freq.weights)
                 assert np.array_equal(state.counts, ref_state.counts)
                 assert np.array_equal(state.activities, ref_state.activities)
+
+    def test_reinforced_urn_over_block_edges(self, nu, rho, q):
+        # two whole blocks and a part of a third
+        n = 2 * simulate._SPECULATE_CELLS + 5
+        seq, census = simulate_reinforced_urn(nu, q, n, RngStream(4))
+        ref_seq, ref_census = loop_reinforced_urn(nu, q, n, RngStream(4))
+        assert np.array_equal(seq, ref_seq)
+        assert np.array_equal(census.counts, ref_census.counts)
 
     def test_spine_chunk_keeps_a_prefix(self, nu, rho, q):
         # some chunk's re-pick changes its guess, so it keeps only a prefix
@@ -771,6 +807,35 @@ def test_spine_urn_past_the_chunk_cap(case):
     nu, rho = URN_CASES[case]
     tally, counts = PAST_THE_CAP[case]
     assert spine_run_past_the_cap(nu, rho) == (tally, counts)
+
+
+# Peak memory of one run, in bytes a step, by tracemalloc after a warm-up
+# run; at 2*10^5 steps a block's or a chunk's scratch arrays still show.
+MEMORY_STEPS = 200_000
+
+
+def bytes_a_step(run) -> float:
+    run(1000)
+    tracemalloc.start()
+    try:
+        run(MEMORY_STEPS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / MEMORY_STEPS
+
+
+def test_lineage_urn_memory():
+    # the returned int64 sequence is 8 bytes a step of it
+    assert bytes_a_step(lambda n: simulate_reinforced_urn(
+        FLAGSHIP, Q, n, RngStream(14))) <= 30
+
+
+def test_spine_urn_memory():
+    # the pick uniforms are 8 bytes a step of it
+    a = activity_from_law(ProbVector((1, 2), (0.2, 0.8)), FLAGSHIP, Q)
+    assert bytes_a_step(lambda n: simulate_spine_urn(
+        FLAGSHIP, Q, a, n, RngStream(16))) <= 13
 
 
 def power_left_pair(mat: np.ndarray, *, tol: float = 1e-13,

@@ -2,7 +2,7 @@
 
 Usage:
 
-    python tools/rate_ab.py PARENT_SRC CHANGE_SRC [--round rate|spine]
+    python tools/rate_ab.py PARENT_SRC CHANGE_SRC [--round rate|spine|tree]
         [--rounds 80] [--corpus 0] [--seed 77]
 
 PARENT_SRC and CHANGE_SRC are ``src`` directories that each hold an ``rgw``
@@ -24,12 +24,20 @@ five 10^6-step spine urns of the flagship at q = 1/3, one for each slice
 point, on verify's own streams. First both sides run it, and the script
 counts the runs whose frequencies or final ball counts differ in any bit.
 
+The tree round is the three campaigns, deep, wide and census, of the
+checkout's ``perfbench/tree_campaign.py`` at that workload's seed for
+``--seed``. First both sides run it, and the script counts the outputs,
+populations, truncated_at, classes and census of each campaign, that differ
+in any bit.
+
 Then the sides alternate rounds, the one that goes first switching every
-pair, so a drift in the host's speed falls on both alike; each round is
-timed by the process's CPU time. The script prints each side's median round
-and quartiles, the ratio of the medians and the pairs in which the change's
-round was the faster; the spine round also prints each side's median
-nanoseconds per urn step and the CPUs the process may use.
+pair, so a drift in the host's speed falls on both alike. A rate or spine
+round is timed by the process's CPU time; a tree round by wall-clock time,
+as a campaign runs its passes on threads, with its CPU time printed beside.
+The script prints each side's median round and quartiles, the ratio of the
+medians and the pairs in which the change's round was the faster; the spine
+round also prints each side's median nanoseconds per urn step, and the spine
+and tree rounds the CPUs the process may use.
 """
 
 from __future__ import annotations
@@ -123,11 +131,51 @@ def spine_round(sides, args):
     return spine_runs
 
 
+def same_output(parent, change) -> bool:
+    """Whether two campaign outputs are equal bit for bit: arrays in dtype
+    and every entry, censuses in every layer's entries and their order."""
+    if isinstance(parent, np.ndarray):
+        return parent.dtype == change.dtype and np.array_equal(parent, change)
+    return parent == change and (
+        parent is None
+        or [list(layer) for layer in parent]
+        == [list(layer) for layer in change])
+
+
+def tree_round(sides, args):
+    """The tree round's work for one side, after its bit comparison."""
+    # tree_campaign imports rgw by name, and harness for its timers
+    sys.modules.setdefault("rgw", sides["change"])
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tree_campaign as tc
+
+    workload = tc.Workload(None, args.seed)
+
+    def campaigns(pkg):
+        law = pkg.OffspringLaw(workload.law.support, workload.law.weights)
+        return [pkg.simulate_tree_campaign(law, tc.Q, n, replicas,
+                                           pkg.RngStream(workload.seed, shape),
+                                           keep_histograms=histograms)
+                for shape, (_, n, replicas, histograms)
+                in enumerate(tc.SHAPES)]
+
+    outputs = {label: [(c.populations, c.truncated_at, c.classes, c.histograms)
+                       for c in campaigns(pkg)]
+               for label, pkg in sides.items()}
+    pairs = [(p, c) for parent, change in zip(outputs["parent"],
+                                              outputs["change"])
+             for p, c in zip(parent, change)]
+    differ = sum(not same_output(p, c) for p, c in pairs)
+    print(f"bit comparison: {differ} of {len(pairs)} outputs differ")
+    return campaigns
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
-    parser.add_argument("--round", choices=("rate", "spine"), default="rate",
+    parser.add_argument("--round", choices=("rate", "spine", "tree"),
+                        default="rate",
                         help="the work timed")
     parser.add_argument("--rounds", type=int, default=80,
                         help="timed rounds per side")
@@ -135,27 +183,39 @@ def main() -> None:
                         help="corpus cases added to the rate round's bit "
                              "comparison")
     parser.add_argument("--seed", type=int, default=77,
-                        help="seed of those corpus cases")
+                        help="seed of those corpus cases, or the tree "
+                             "round's workload seed")
     args = parser.parse_args()
     if args.rounds < 2:
         parser.error("--rounds must be at least 2, for the quartiles")
 
     sides = {"parent": load(args.parent_src, "rgw_parent"),
              "change": load(args.change_src, "rgw_change")}
-    work = (spine_round if args.round == "spine" else rate_round)(sides, args)
+    work = {"rate": rate_round, "spine": spine_round,
+            "tree": tree_round}[args.round](sides, args)
 
+    wall = args.round == "tree"
     times: dict[str, list[float]] = {"parent": [], "change": []}
+    cpu: dict[str, list[float]] = {"parent": [], "change": []}
     order = ["parent", "change"]
     for _ in range(args.rounds):
         for label in order:
-            start = time.process_time()
+            start, cpu_start = time.perf_counter(), time.process_time()
             work(sides[label])
-            times[label].append(time.process_time() - start)
+            cpu[label].append(time.process_time() - cpu_start)
+            times[label].append(time.perf_counter() - start if wall
+                                else cpu[label][-1])
         order.reverse()
+    clock = "wall" if wall else "CPU"
     for label, t in times.items():
         q1, med, q3 = statistics.quantiles(t, n=4)
-        print(f"{label}: median {med:.4f} s, quartiles {q1:.4f} - {q3:.4f} s "
-              f"over {len(t)} rounds")
+        print(f"{label}: median {med:.4f} s {clock}, quartiles {q1:.4f} - "
+              f"{q3:.4f} s over {len(t)} rounds")
+    if wall:
+        for label, t in cpu.items():
+            q1, med, q3 = statistics.quantiles(t, n=4)
+            print(f"{label}: median {med:.4f} s CPU, quartiles {q1:.4f} - "
+                  f"{q3:.4f} s")
     ratio = statistics.median(times["change"]) / statistics.median(
         times["parent"])
     faster = sum(c < p for p, c in zip(times["parent"], times["change"]))
@@ -165,10 +225,12 @@ def main() -> None:
         steps = len(SPINE_SLICE) * SPINE_STEPS
         per_step = {label: statistics.median(t) / steps * 1e9
                     for label, t in times.items()}
+        print(f"ns per spine step: parent {per_step['parent']:.1f}, change "
+              f"{per_step['change']:.1f}")
+    if args.round != "rate":
         cpus = (len(os.sched_getaffinity(0))
                 if hasattr(os, "sched_getaffinity") else os.cpu_count())
-        print(f"ns per spine step: parent {per_step['parent']:.1f}, change "
-              f"{per_step['change']:.1f}; {cpus} CPUs")
+        print(f"{cpus} CPUs")
 
 
 if __name__ == "__main__":
