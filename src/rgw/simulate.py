@@ -74,11 +74,20 @@ _PASS_CHUNKS = 8
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
 
-# the urns draw their uniforms a block of this many at a time, and spine urn
-# steps are verified a chunk at a time (see simulate_spine_urn): a chunk
+# the spine urn draws its star uniforms a block of this many at a time, and
+# verifies its steps a chunk at a time (see simulate_spine_urn): a chunk
 # holds at most this many steps times colors, so its path buffer stays under
 # 1 MB
 _SPECULATE_CELLS = 1 << 16
+# the lineage urn is built a block of this many draws at a time (see
+# simulate_reinforced_urn): a block's scratch, about 56 bytes a draw at q
+# near 1, stays under 1 MB
+_URN_BLOCK = 1 << 14
+
+# a class step sums its children into one slot per key, skipping the sort,
+# where the keys span at most this many slots per child (see _class_step):
+# past it, reading the slots takes longer than the sort saves
+_DENSE_SLOTS = 8
 
 
 @dataclass(frozen=True)
@@ -175,13 +184,13 @@ class _ClassKeys:
         """The leading digits and the histograms, of total ``total``, of
         ``keys``."""
         hist = np.zeros((keys.size, self.place.size), dtype=np.int64)
-        rest = np.full(keys.size, total, dtype=np.int64)
+        rest = total
         # the digits, least significant first, peeled off one at a time
         for c in self.cols[:-1].tolist():
             higher = keys // self.radix
             digit = keys - higher * self.radix
             hist[:, c] = digit
-            rest -= digit
+            rest = rest - digit
             keys = higher
         if self.cols.size:
             hist[:, self.cols[-1]] = rest
@@ -191,9 +200,22 @@ class _ClassKeys:
 def _draw_law(nu: OffspringLaw, q: float, i: int, hist: np.ndarray):
     """The law of draw i after draws with histograms ``hist``, one row each:
     q * hist / i + (1 - q) * nu, or nu alone, for all rows, at i = 0 or
-    q = 0."""
+    q = 0.
+
+    The fresh mass (1 - q) * nu is added in place. A broadcast add runs its
+    inner loop once per row, so under 5 atoms it is added a column at a
+    time instead, the same floats: the column adds measured faster at 2 to
+    4 atoms and slower at 6 and 8.
+    """
     if q > 0.0 and i > 0:
-        return q / i * hist + (1.0 - q) * nu.weights
+        p = hist * (q / i)
+        fresh = (1.0 - q) * nu.weights
+        if fresh.size < 5:
+            for col, c in zip(p.T, fresh.tolist()):
+                col += c
+        else:
+            p += fresh
+        return p
     return nu.weights
 
 
@@ -202,39 +224,56 @@ def _run_sums(labels: np.ndarray,
     """The last index of each run of equal ``labels`` and the sum of
     ``values`` over it.
 
-    The sums are differences of int64 cumulative sums, which wrap modulo
-    2^64, so each is exact wherever it fits int64, as a sum taken run by
-    run is.
+    The sums are the int64 cumulative sums at the run ends, differenced in
+    place. Both steps wrap modulo 2^64, so each sum is exact wherever it
+    fits int64, as a sum taken run by run is, even where the running sum
+    wraps past 2^63.
     """
     last = np.ones(labels.size, dtype=bool)
     np.not_equal(labels[1:], labels[:-1], out=last[:-1])
-    ends = np.flatnonzero(last)
-    return ends, np.diff(np.cumsum(values)[ends], prepend=0)
+    ends = last.nonzero()[0]
+    sums = values.cumsum().take(ends)
+    # NumPy buffers the overlapping operand, so each run subtracts the
+    # cumulative sum before it, not its difference
+    sums[1:] -= sums[:-1]
+    return ends, sums
 
 
 def _class_step(keys: np.ndarray, draws: np.ndarray, pick: np.ndarray,
-                shift: np.ndarray, gain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                shift: np.ndarray, gain: np.ndarray,
+                space: int) -> tuple[np.ndarray, np.ndarray]:
     """The classes born of one step, in ascending key order, with their
     multiplicities.
 
     ``keys`` ascend strictly, and ``draws[i]`` holds the outcome counts of
     the members of the class keyed ``keys[i]``; each draw counted in column
     ``pick[c]`` sends ``gain[c]`` children to the class keyed
-    ``keys[i] + shift[c]``. Equal keys merge by sort and int64 sums, which
-    keep multiplicities exact where bincount's float64 weights would round
-    past 2^53.
+    ``keys[i] + shift[c]``, a key below ``space``. Equal keys merge by int64
+    sums, which keep multiplicities exact wherever they fit int64, where
+    bincount's float64 weights would round past 2^53.
+
+    Where the keys span at most ``_DENSE_SLOTS`` slots per child, every
+    child is summed into a slot per key, whose nonzero slots are the classes
+    in key order. Otherwise the children with members are sorted and summed
+    run by run: laid out a column at a time, as ``keys`` ascend, each column
+    is one sorted run, which the stable sort (timsort for int64) merges
+    instead of sorting anew.
     """
-    # children laid out a column at a time: ``keys`` ascend, so each column
-    # is one sorted run, and the stable sort (timsort for int64) merges the
-    # runs instead of sorting them anew
-    kids = draws.T[pick] * gain[:, None]
+    kids = draws.T[pick]
+    kids *= gain[:, None]
     child = keys + shift[:, None]
-    born = kids > 0
-    child, kids = child[born], kids[born]
-    order = np.argsort(child, kind="stable")
-    child = child[order]
-    ends, mult = _run_sums(child, kids[order])
-    return child[ends], mult
+    if space <= _DENSE_SLOTS * kids.size:
+        # counts are non-negative, so a slot is nonzero where members landed
+        slots = np.zeros(space, dtype=np.int64)
+        np.add.at(slots, child.ravel(), kids.ravel())
+        child = (slots != 0).nonzero()[0]
+        return child, slots.take(child)
+    born = (kids > 0).ravel().nonzero()[0]
+    child = child.ravel().take(born)
+    order = child.argsort(kind="stable")
+    child = child.take(order)
+    ends, mult = _run_sums(child, kids.ravel().take(born).take(order))
+    return child.take(ends), mult
 
 
 def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
@@ -362,19 +401,22 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
                 break
             drawn[g] = mult.size
             p = _draw_law(nu, q, g, hist)
-            # each chunk draws its own contiguous classes from its own stream
-            draws = np.empty((mult.size, k), dtype=np.int64)
-            bounds = np.searchsorted(rid, edges).tolist()
-            for stream, lo, hi in zip(streams, bounds, bounds[1:]):
-                if lo < hi:
-                    draws[lo:hi] = stream._rekey(gen, "tree", g).multinomial(
-                        mult[lo:hi], p if p.ndim == 1 else p[lo:hi])
+            # each chunk draws its own contiguous classes from its own
+            # stream; a lone chunk's draws are used as drawn
+            bounds = rid.searchsorted(edges).tolist()
+            draws = [stream._rekey(gen, "tree", g).multinomial(
+                         mult[lo:hi], p if p.ndim == 1 else p[lo:hi])
+                     for stream, lo, hi in zip(streams, bounds, bounds[1:])
+                     if lo < hi]
+            draws = draws[0] if len(draws) == 1 else np.concatenate(draws)
             # a draw of atom j sends support[j] children to class hist + e_j
-            keys, mult = _class_step(keys, draws, pos_cols, shift, gain)
+            keys, mult = _class_step(keys, draws, pos_cols, shift, gain,
+                                     rc * layout.lead)
             rid, hist = layout.split(keys, g + 1)
-            # a truncated replica holds no classes, so its column stays 0
-            ends, z = _run_sums(rid, mult)
-            pops[rid[ends], g + 1] = z
+            # each replica's population, summed into its column as int64,
+            # exactly wherever it fits; a truncated replica holds no
+            # classes, so its column stays 0
+            np.add.at(pops[:, g + 1], rid, mult)
             if layers is not None:
                 # equal histogram digits mean equal histograms, so each
                 # distinct one becomes a tuple once and its classes share it
@@ -439,9 +481,11 @@ def simulate_reinforced_urn(nu: OffspringLaw, q: float, n: int,
     cumulative law. The stream and the sequence are those of a loop taking
     one draw at a time.
 
-    The run is built a block of ``_SPECULATE_CELLS`` draws at a time, so
-    besides the sequence it returns it holds one byte a draw for the memory
-    flags and one for the atoms. Each block draws its uniforms, and its
+    The run is built a block of ``_URN_BLOCK`` (16,384) draws at a time,
+    so besides the sequence it returns it holds one byte a draw for the
+    memory flags and one for the atoms, and one block's scratch, under 1 MB
+    whatever q: a run of 2*10^5 steps peaks at about 10 bytes a step at
+    q = 1/3 and at q = 0.98 alike. Each block draws its uniforms, and its
     memory draws that repeat a draw before the block take that draw's atom.
     The others repeat a draw of the block: each points at the draw it
     repeats, and pointer jumping (``link = link[link]`` until nothing moves)
@@ -455,7 +499,7 @@ def simulate_reinforced_urn(nu: OffspringLaw, q: float, n: int,
     k = len(support)
     small = np.min_scalar_type(k)
     cum_nu = np.cumsum(nu.weights)
-    block = _SPECULATE_CELLS
+    block = _URN_BLOCK
     g_rng = rng.generator("urn")
     # each block is tallied as it is built: bincount casts what it counts
     # to intp, 8 bytes a draw over the whole run
@@ -524,7 +568,7 @@ def _urn_classes(nu: OffspringLaw, q: float, n: int, replicas: int,
             break
         p = _draw_law(nu, q, i, hist)
         draws = rng._rekey(gen, tag, i).multinomial(mult, p)
-        keys, mult = _class_step(keys, draws, cols, shift, gain)
+        keys, mult = _class_step(keys, draws, cols, shift, gain, layout.lead)
         _, hist = layout.split(keys, i + 1)
     return hist, mult
 

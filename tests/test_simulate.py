@@ -462,8 +462,11 @@ class TestDepthPrefix:
                     [list(layer) for layer in camp.histograms]
 
 
+# each case through both merges: the sort, and the slot per key
+@pytest.mark.parametrize("slots", [0, math.inf], ids=["sorted", "slotted"])
 class TestClassStep:
-    def test_matches_a_plain_argsort(self):
+    def test_matches_a_plain_argsort(self, slots, monkeypatch):
+        monkeypatch.setattr(simulate, "_DENSE_SLOTS", slots)
         gen = RngStream(44).generator("class-step")
         for case in range(300):
             n = int(gen.integers(0, 40)) if case % 10 else 0
@@ -476,18 +479,34 @@ class TestClassStep:
             pick = gen.choice(cols + 1, size=cols, replace=False)
             shift = gen.integers(0, 12, cols).astype(np.int64)
             gain = gen.integers(1, 4, cols).astype(np.int64)
-            got = simulate._class_step(keys, draws, pick, shift, gain)
+            # every child's key is below 60 + 11
+            got = simulate._class_step(keys, draws, pick, shift, gain, 71)
             want = argsort_class_step(keys, draws, pick, shift, gain)
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
             assert got[0].dtype == got[1].dtype == np.int64
 
-    def test_no_children(self):
+    def test_no_children(self, slots, monkeypatch):
+        monkeypatch.setattr(simulate, "_DENSE_SLOTS", slots)
         pick, shift, gain = np.arange(2), np.array([1, 5]), np.array([1, 2])
         for keys in (np.zeros(0, dtype=np.int64), np.array([3, 7])):
             draws = np.zeros((keys.size, 2), dtype=np.int64)
-            child, mult = simulate._class_step(keys, draws, pick, shift, gain)
+            child, mult = simulate._class_step(keys, draws, pick, shift, gain,
+                                               13)
             assert child.size == 0 and mult.size == 0
+
+
+def test_run_sums_exact_past_a_wrapping_running_sum():
+    # the running sum passes 2^63 after the second run and wraps, while
+    # every run's sum fits int64
+    big = 2**62
+    labels = np.array([0, 0, 1, 2, 2, 3, 3, 3], dtype=np.int64)
+    values = np.array([big, big - 1, big, 5, big, big - 7, 1, 3],
+                      dtype=np.int64)
+    ends, sums = simulate._run_sums(labels, values)
+    assert ends.tolist() == [1, 2, 4, 7]
+    assert sums.tolist() == [2**63 - 1, big, big + 5, big - 3]
+    assert sums.dtype == np.int64
 
 
 class TestCampaignClasses:
@@ -740,8 +759,8 @@ class TestChunkedUrnsMatchTheLoop:
     def test_reinforced_urn(self, nu, rho, q, monkeypatch):
         # in blocks of 100 draws too, so that most memory draws repeat one
         # in an earlier block and chains cross many blocks
-        for block in (simulate._SPECULATE_CELLS, 100):
-            monkeypatch.setattr(simulate, "_SPECULATE_CELLS", block)
+        for block in (simulate._URN_BLOCK, 100):
+            monkeypatch.setattr(simulate, "_URN_BLOCK", block)
             for seed in (1, 2, 3):
                 for n in URN_STEPS:
                     seq, census = simulate_reinforced_urn(nu, q, n,
@@ -764,7 +783,7 @@ class TestChunkedUrnsMatchTheLoop:
 
     def test_reinforced_urn_over_block_edges(self, nu, rho, q):
         # two whole blocks and a part of a third
-        n = 2 * simulate._SPECULATE_CELLS + 5
+        n = 2 * simulate._URN_BLOCK + 5
         seq, census = simulate_reinforced_urn(nu, q, n, RngStream(4))
         ref_seq, ref_census = loop_reinforced_urn(nu, q, n, RngStream(4))
         assert np.array_equal(seq, ref_seq)
@@ -825,10 +844,12 @@ def bytes_a_step(run) -> float:
     return peak / MEMORY_STEPS
 
 
-def test_lineage_urn_memory():
-    # the returned int64 sequence is 8 bytes a step of it
+@pytest.mark.parametrize("q, bound", [(Q, 30), (0.98, 15)])
+def test_lineage_urn_memory(q, bound):
+    # the returned int64 sequence is 8 bytes a step of it; at q = 0.98 most
+    # draws are memory draws, whose scratch fills a block
     assert bytes_a_step(lambda n: simulate_reinforced_urn(
-        FLAGSHIP, Q, n, RngStream(14))) <= 30
+        FLAGSHIP, q, n, RngStream(14))) <= bound
 
 
 def test_spine_urn_memory():

@@ -2,8 +2,9 @@
 
 Usage:
 
-    python tools/rate_ab.py PARENT_SRC CHANGE_SRC [--round rate|spine|tree]
-        [--rounds 80] [--corpus 0] [--seed 77]
+    python tools/rate_ab.py PARENT_SRC CHANGE_SRC
+        [--round rate|spine|tree|batch] [--rounds 80] [--corpus 0]
+        [--seed 77]
 
 PARENT_SRC and CHANGE_SRC are ``src`` directories that each hold an ``rgw``
 package, for instance ``src`` of a ``git archive`` of the parent commit and
@@ -30,14 +31,23 @@ checkout's ``perfbench/tree_campaign.py`` at that workload's seed for
 populations, truncated_at, classes and census of each campaign, that differ
 in any bit.
 
+The batch round is one singleton-heavy urn batch: ``gibbs_conditional_estimate``
+over 8 uniform atoms on 1..8 at q = 1/3, n = 40 and 10^5 replicas, its
+halfspace the draws' mean value at least 4.5, on the stream ``--seed``. Most
+of its classes hold one replica from step 15 on. First both sides run it,
+and the script counts the outputs, the mean frequencies and the acceptance
+rate, that differ in any bit.
+
 Then the sides alternate rounds, the one that goes first switching every
 pair, so a drift in the host's speed falls on both alike. A rate or spine
-round is timed by the process's CPU time; a tree round by wall-clock time,
-as a campaign runs its passes on threads, with its CPU time printed beside.
-The script prints each side's median round and quartiles, the ratio of the
-medians and the pairs in which the change's round was the faster; the spine
-round also prints each side's median nanoseconds per urn step, and the spine
-and tree rounds the CPUs the process may use.
+round is timed by the process's CPU time, and so is a batch round, which
+runs on the calling thread; a tree round by wall-clock time, as a campaign
+runs its passes on threads, with its CPU time printed beside. The script
+prints each side's median round and quartiles, the ratio of the medians and
+the pairs in which the change's round was the faster; the spine round also
+prints each side's median nanoseconds per urn step, the tree round each
+side's median wall time for each shape, and the spine, tree and batch rounds
+the CPUs the process may use.
 """
 
 from __future__ import annotations
@@ -151,30 +161,73 @@ def tree_round(sides, args):
 
     workload = tc.Workload(None, args.seed)
 
-    def campaigns(pkg):
+    def campaign(pkg, shape):
+        _, n, replicas, histograms = tc.SHAPES[shape]
         law = pkg.OffspringLaw(workload.law.support, workload.law.weights)
-        return [pkg.simulate_tree_campaign(law, tc.Q, n, replicas,
-                                           pkg.RngStream(workload.seed, shape),
-                                           keep_histograms=histograms)
-                for shape, (_, n, replicas, histograms)
-                in enumerate(tc.SHAPES)]
+        return pkg.simulate_tree_campaign(law, tc.Q, n, replicas,
+                                          pkg.RngStream(workload.seed, shape),
+                                          keep_histograms=histograms)
 
     outputs = {label: [(c.populations, c.truncated_at, c.classes, c.histograms)
-                       for c in campaigns(pkg)]
+                       for c in (campaign(pkg, shape)
+                                 for shape in range(len(tc.SHAPES)))]
                for label, pkg in sides.items()}
     pairs = [(p, c) for parent, change in zip(outputs["parent"],
                                               outputs["change"])
              for p, c in zip(parent, change)]
     differ = sum(not same_output(p, c) for p, c in pairs)
     print(f"bit comparison: {differ} of {len(pairs)} outputs differ")
-    return campaigns
+
+    # each campaign's wall time, by side and shape, for the shape medians
+    shape_times = {pkg.__name__: {name: [] for name, *_ in tc.SHAPES}
+                   for pkg in sides.values()}
+
+    def work(pkg):
+        for shape, (name, *_) in enumerate(tc.SHAPES):
+            start = time.perf_counter()
+            campaign(pkg, shape)
+            shape_times[pkg.__name__][name].append(time.perf_counter() - start)
+
+    def report():
+        for label, pkg in sides.items():
+            medians = ", ".join(f"{name} {statistics.median(t):.4f} s"
+                                for name, t in shape_times[pkg.__name__].items())
+            print(f"{label} shape medians (wall): {medians}")
+    work.report = report
+    return work
+
+
+# the batch round's urn batch, most of its classes singletons from step 15 on
+BATCH_SUPPORT = tuple(range(1, 9))
+BATCH_Q = 1.0 / 3.0
+BATCH_STEPS = 40
+BATCH_REPLICAS = 100_000
+BATCH_THRESHOLD = 4.5
+
+
+def batch_outputs(pkg, seed: int) -> tuple:
+    """The batch round's Gibbs estimate, as float.hex."""
+    law = pkg.OffspringLaw(BATCH_SUPPORT, (1.0 / len(BATCH_SUPPORT),)
+                           * len(BATCH_SUPPORT))
+    mean, acceptance = pkg.gibbs_conditional_estimate(
+        law, BATCH_Q, BATCH_STEPS, BATCH_SUPPORT, BATCH_THRESHOLD,
+        BATCH_REPLICAS, pkg.RngStream(seed))
+    return (*(float(x).hex() for x in mean.weights), float(acceptance).hex())
+
+
+def batch_round(sides, args):
+    """The batch round's work for one side, after its bit comparison."""
+    parent, change = (batch_outputs(pkg, args.seed) for pkg in sides.values())
+    differ = sum(p != c for p, c in zip(parent, change))
+    print(f"bit comparison: {differ} of {len(parent)} outputs differ")
+    return lambda pkg: batch_outputs(pkg, args.seed)
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
-    parser.add_argument("--round", choices=("rate", "spine", "tree"),
+    parser.add_argument("--round", choices=("rate", "spine", "tree", "batch"),
                         default="rate",
                         help="the work timed")
     parser.add_argument("--rounds", type=int, default=80,
@@ -183,8 +236,9 @@ def main() -> None:
                         help="corpus cases added to the rate round's bit "
                              "comparison")
     parser.add_argument("--seed", type=int, default=77,
-                        help="seed of those corpus cases, or the tree "
-                             "round's workload seed")
+                        help="seed of those corpus cases, the tree "
+                             "round's workload seed or the batch round's "
+                             "stream")
     args = parser.parse_args()
     if args.rounds < 2:
         parser.error("--rounds must be at least 2, for the quartiles")
@@ -192,7 +246,7 @@ def main() -> None:
     sides = {"parent": load(args.parent_src, "rgw_parent"),
              "change": load(args.change_src, "rgw_change")}
     work = {"rate": rate_round, "spine": spine_round,
-            "tree": tree_round}[args.round](sides, args)
+            "tree": tree_round, "batch": batch_round}[args.round](sides, args)
 
     wall = args.round == "tree"
     times: dict[str, list[float]] = {"parent": [], "change": []}
@@ -227,6 +281,8 @@ def main() -> None:
                     for label, t in times.items()}
         print(f"ns per spine step: parent {per_step['parent']:.1f}, change "
               f"{per_step['change']:.1f}")
+    if args.round == "tree":
+        work.report()
     if args.round != "rate":
         cpus = (len(os.sched_getaffinity(0))
                 if hasattr(os, "sched_getaffinity") else os.cpu_count())
