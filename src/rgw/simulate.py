@@ -5,18 +5,19 @@ out-degrees along an individual's ancestral line: a memory draw samples from
 that histogram, a fresh draw samples from the base law, and each child
 inherits the parent's histogram plus the parent's own draw. Individuals of one
 replica that share a histogram are therefore exchangeable, so a generation is
-stored as classes (replica, histogram, multiplicity), and one multinomial draw
-per class replaces one draw per individual. A replica holds at most
-C(g+k-1, k-1) classes at generation g over k atoms, so the cost of a campaign
-grows polynomially in depth while its population grows exponentially.
+stored as classes (replica, histogram, multiplicity), and one multinomial per
+class, taken for two atoms as one binomial of the first atom, replaces one
+draw per individual. A replica holds at most C(g+k-1, k-1) classes at
+generation g over k atoms, so the cost of a campaign grows polynomially in
+depth while its population grows exponentially.
 
 The draw schedule of a campaign is fixed by chunks: replicas come in chunks of
 1024, and each chunk draws from its own stream, its classes in ascending key
 order. The work is done in passes: a pass steps a few chunks as one class
 array, keyed by pass-local replica so the chunks stay contiguous, and only the
-multinomial draws go chunk by chunk, so the results do not depend on the pass
-size. Passes are independent, each writing its own replicas' rows, so they run
-on the standard thread pool with as many workers as the process has CPUs, and
+draws go chunk by chunk, so the results do not depend on the pass size.
+Passes are independent, each writing its own replicas' rows, so they run on
+the standard thread pool with as many workers as the process has CPUs, and
 the results do not depend on that number either. At most 8 chunks are in
 flight, one pass of 8 or several smaller ones, since the arrays, and so peak
 memory, grow with them: at 100k replicas, one pass over all 98 chunks
@@ -29,8 +30,9 @@ block of draws at a time: each memory draw points at the earlier draw it
 repeats, and pointer jumping takes it to a draw whose atom is known. A
 batch of replicas is stored as classes too: replicas that share a draw
 histogram are exchangeable, so each step takes one multinomial draw per
-(histogram, count) class, and a batch of any size holds at most
-C(i+k-1, k-1) classes at step i. Batches power the many-to-one estimator
+(histogram, count) class, taken for two atoms as one binomial of the
+first atom, and a batch of any size holds at most C(i+k-1, k-1) classes at
+step i. Batches power the many-to-one estimator
 (lineage draws weighted by the product of their values estimate expected
 vertex counts) and rejection-based conditioning, both of which read only
 the histogram. Exact small-depth
@@ -50,7 +52,9 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -97,23 +101,29 @@ class TreeCampaign:
     ``populations[r, g]`` is the size of generation g in replica r. Entries in
     columns past a replica's truncation generation are 0 and carry no meaning;
     ``truncated_at[r]`` is that generation, or -1 if the cap was never hit.
-    ``classes[g]`` is the number of multinomial draws taken at generation g,
-    summed over replicas: the classes of the replicas still stepping, or
-    those replicas themselves at q = 0 without a census.
+    ``classes[g]`` is the number of draws taken at generation g, one
+    multinomial per class, taken for two atoms as one binomial of the first
+    atom, summed over replicas: the classes of the replicas still stepping,
+    or those replicas themselves at q = 0 without a census.
     ``histograms[g]``, kept on request, is generation g's census
     ``{(replica, counts): individuals}`` with one entry per class; entries
-    with equal counts share one tuple.
+    with equal counts share one tuple. Like the arrays, each layer is read
+    only, a mapping proxy of its dict.
     """
 
     support: tuple[int, ...]
     populations: np.ndarray
     truncated_at: np.ndarray
-    histograms: tuple[dict[tuple[int, tuple[int, ...]], int], ...] | None
+    histograms: tuple[Mapping[tuple[int, tuple[int, ...]], int], ...] | None
     classes: np.ndarray
 
     def __post_init__(self):
         for arr in (self.populations, self.truncated_at, self.classes):
             arr.setflags(write=False)
+        if self.histograms is not None:
+            # frozen: the field is set once, here, through object
+            object.__setattr__(self, "histograms",
+                               tuple(map(MappingProxyType, self.histograms)))
 
 
 @dataclass(frozen=True)
@@ -239,28 +249,66 @@ def _run_sums(labels: np.ndarray,
     return ends, sums
 
 
-def _class_step(keys: np.ndarray, draws: np.ndarray, pick: np.ndarray,
-                shift: np.ndarray, gain: np.ndarray,
+def _draw_children(nu: OffspringLaw, q: float, i: int,
+                   hist: np.ndarray | None, mult: np.ndarray, segments,
+                   pick: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    """The children of each class by outcome column: one multinomial draw
+    of its multiplicity over the law of draw i after its histogram (see
+    ``_draw_law``), taken for two atoms as one binomial of the first atom.
+
+    Row c holds each class's draws of atom ``pick[c]`` times ``gain[c]``.
+    ``segments`` yields ``(generator, lo, hi)`` in class order: classes lo:hi
+    draw from that generator, in order. Each segment's draws are taken
+    before the next is read, so the segments may re-key one generator.
+
+    Over two atoms NumPy's multinomial draws each row's first count by the
+    routine that ``Generator.binomial`` draws by, from the same state, and
+    gives the second atom the rest. So the binomial of the law's first
+    column, in the floats ``_draw_law`` computes it in, draws the same counts
+    from the same stream, bit for bit, without the multinomial's loop over
+    rows or its (classes, 2) law and counts.
+    """
+    if nu.weights.size == 2:
+        p0 = nu.weights[0]
+        if q > 0.0 and i > 0:
+            p0 = hist[:, 0] * (q / i)
+            p0 += (1.0 - q) * nu.weights[0]
+        first = [gen.binomial(mult[lo:hi], p0 if p0.ndim == 0 else p0[lo:hi])
+                 for gen, lo, hi in segments]
+        # a lone segment's draws are used as drawn
+        first = first[0] if len(first) == 1 else np.concatenate(first)
+        kids = np.empty((pick.size, mult.size), dtype=np.int64)
+        for row, c, s in zip(kids, pick.tolist(), gain.tolist()):
+            np.multiply(first if c == 0 else mult - first, s, out=row)
+        return kids
+    p = _draw_law(nu, q, i, hist)
+    draws = [gen.multinomial(mult[lo:hi], p if p.ndim == 1 else p[lo:hi])
+             for gen, lo, hi in segments]
+    draws = draws[0] if len(draws) == 1 else np.concatenate(draws)
+    kids = draws.T[pick]
+    kids *= gain[:, None]
+    return kids
+
+
+def _class_step(keys: np.ndarray, kids: np.ndarray, shift: np.ndarray,
                 space: int) -> tuple[np.ndarray, np.ndarray]:
     """The classes born of one step, in ascending key order, with their
     multiplicities.
 
-    ``keys`` ascend strictly, and ``draws[i]`` holds the outcome counts of
-    the members of the class keyed ``keys[i]``; each draw counted in column
-    ``pick[c]`` sends ``gain[c]`` children to the class keyed
-    ``keys[i] + shift[c]``, a key below ``space``. Equal keys merge by int64
-    sums, which keep multiplicities exact wherever they fit int64, where
-    bincount's float64 weights would round past 2^53.
+    ``keys`` ascend strictly, and ``kids`` holds one row per outcome column
+    that continues a class (see ``_draw_children``): ``kids[c, i]`` children
+    of the class keyed ``keys[i]`` go to the class keyed ``keys[i] +
+    shift[c]``, a key below ``space``. Equal keys merge by int64 sums, which
+    keep multiplicities exact wherever they fit int64, where bincount's
+    float64 weights would round past 2^53.
 
     Where the keys span at most ``_DENSE_SLOTS`` slots per child, every
     child is summed into a slot per key, whose nonzero slots are the classes
     in key order. Otherwise the children with members are sorted and summed
-    run by run: laid out a column at a time, as ``keys`` ascend, each column
-    is one sorted run, which the stable sort (timsort for int64) merges
-    instead of sorting anew.
+    run by run: laid out a row at a time, as ``keys`` ascend, each row is
+    one sorted run, which the stable sort (timsort for int64) merges instead
+    of sorting anew.
     """
-    kids = draws.T[pick]
-    kids *= gain[:, None]
     child = keys + shift[:, None]
     if space <= _DENSE_SLOTS * kids.size:
         # counts are non-negative, so a slot is nonzero where members landed
@@ -287,10 +335,12 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
     at generation g takes one multinomial draw of m over
     q * histogram / g + (1 - q) * nu (nu alone at g = 0); a draw of atom j
     sends support[j] children per draw to the class histogram + e_j, and
-    equal classes merge. The work per generation is one draw per class, at
-    most C(g+k-1, k-1) per replica over k atoms, whatever the population.
-    With q = 0 and no histogram request the histogram is not needed, so each
-    replica is one class and advances by one multinomial draw.
+    equal classes merge. The work per generation is one multinomial per
+    class, taken for two atoms as one binomial of the first atom (see
+    ``_draw_children``), at most C(g+k-1, k-1) per replica over k atoms,
+    whatever the population. With q = 0 and no histogram request the
+    histogram is not needed, so each replica is one class and advances by
+    one multinomial draw.
 
     Chunks of ``_CHUNK`` replicas fix the random stream: chunk c draws from
     ``rng.child(c).generator("tree", g)`` for its classes in ascending key
@@ -299,8 +349,8 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
     for bit, without building a generator per draw (see ``rgw.rng``). A pass
     steps up to ``_PASS_CHUNKS`` chunks together, keyed by
     pass-local replica, so each chunk's classes form one contiguous slice:
-    the multinomial draws go chunk by chunk and every other step, from the
-    keys to the population sums, is one array operation over the pass.
+    the draws go chunk by chunk and every other step, from the keys to the
+    population sums, is one array operation over the pass.
 
     Passes run on a ``ThreadPoolExecutor`` of W workers, where W is the least
     of ``_PASS_CHUNKS``, the CPUs this process may use and the passes; the
@@ -320,9 +370,9 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
 
     A replica whose population reaches ``pop_cap`` stops there and is
     recorded in ``truncated_at``. ``keep_histograms`` records, for every
-    generation, the census ``{(replica, counts): individuals}``: one dict
-    entry per class, where the classes of a layer that share a histogram
-    share one immutable ``counts`` tuple.
+    generation, the census ``{(replica, counts): individuals}``: one
+    read-only mapping entry per class, where the classes of a layer that
+    share a histogram share one immutable ``counts`` tuple.
 
     A campaign to depth N cut to generations <= n is the campaign to depth
     n from the same stream, bit for bit: ``populations[:, :n+1]``,
@@ -351,6 +401,7 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
 
     if q == 0.0 and not keep_histograms:
         active = np.full(replicas, pop_cap > 1)
+        every = np.arange(k)
         # one generator, re-keyed for each generation's draws
         gen = rng.generator()
         for g in range(n_max):
@@ -358,9 +409,9 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
             if idx.size == 0:
                 break
             classes[g] = idx.size
-            draws = rng._rekey(gen, "tree-iid", g).multinomial(
-                populations[idx, g], nu.weights)
-            z = draws @ support_arr
+            z = _draw_children(nu, q, g, None, populations[idx, g],
+                               [(rng._rekey(gen, "tree-iid", g), 0, idx.size)],
+                               every, support_arr).sum(axis=0)
             populations[idx, g + 1] = z
             over = z >= pop_cap
             truncated_at[idx[over]] = g + 1
@@ -400,18 +451,17 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
             if mult.size == 0:
                 break
             drawn[g] = mult.size
-            p = _draw_law(nu, q, g, hist)
             # each chunk draws its own contiguous classes from its own
-            # stream; a lone chunk's draws are used as drawn
+            # stream; a draw of atom j sends support[j] children to class
+            # hist + e_j
             bounds = rid.searchsorted(edges).tolist()
-            draws = [stream._rekey(gen, "tree", g).multinomial(
-                         mult[lo:hi], p if p.ndim == 1 else p[lo:hi])
-                     for stream, lo, hi in zip(streams, bounds, bounds[1:])
-                     if lo < hi]
-            draws = draws[0] if len(draws) == 1 else np.concatenate(draws)
-            # a draw of atom j sends support[j] children to class hist + e_j
-            keys, mult = _class_step(keys, draws, pos_cols, shift, gain,
-                                     rc * layout.lead)
+            kids = _draw_children(
+                nu, q, g, hist, mult,
+                ((stream._rekey(gen, "tree", g), lo, hi)
+                 for stream, lo, hi in zip(streams, bounds, bounds[1:])
+                 if lo < hi),
+                pos_cols, gain)
+            keys, mult = _class_step(keys, kids, shift, rc * layout.lead)
             rid, hist = layout.split(keys, g + 1)
             # each replica's population, summed into its column as int64,
             # exactly wherever it fits; a truncated replica holds no
@@ -546,8 +596,10 @@ def _urn_classes(nu: OffspringLaw, q: float, n: int, replicas: int,
     The batch starts as one class, the empty histogram of multiplicity
     ``replicas``. At step i each class of histogram h and multiplicity m
     takes one multinomial draw of m over q * h / i + (1 - q) * nu (nu alone
-    at i = 0), from ``rng.generator(tag, i)`` in ascending key order, and
-    the draws of atom j go on to the class h + e_j. Only the atoms in
+    at i = 0), from ``rng.generator(tag, i)`` in ascending key order: one
+    multinomial per class, taken for two atoms as one binomial of the first
+    atom (see ``_draw_children``). The draws of atom j go on to the class
+    h + e_j. Only the atoms in
     ``cols`` continue a sequence; one that draws another atom leaves the
     batch. Step i holds at most min(replicas, C(i+k-1, k-1)) classes over k
     atoms.
@@ -566,9 +618,10 @@ def _urn_classes(nu: OffspringLaw, q: float, n: int, replicas: int,
     for i in range(n):
         if mult.size == 0:
             break
-        p = _draw_law(nu, q, i, hist)
-        draws = rng._rekey(gen, tag, i).multinomial(mult, p)
-        keys, mult = _class_step(keys, draws, cols, shift, gain, layout.lead)
+        kids = _draw_children(nu, q, i, hist, mult,
+                              [(rng._rekey(gen, tag, i), 0, mult.size)],
+                              cols, gain)
+        keys, mult = _class_step(keys, kids, shift, layout.lead)
         _, hist = layout.split(keys, i + 1)
     return hist, mult
 
@@ -585,9 +638,10 @@ def many_to_one_estimate(nu: OffspringLaw, q: float, n: int, replicas: int,
     sample mean and its standard error.
 
     Replicas are stepped as draw-histogram classes (``_urn_classes``): one
-    multinomial per class per step, at most min(replicas, C(i+k-1, k-1))
-    classes at step i over k atoms, and a sequence that draws 0 leaves the
-    batch with weight 0. The weight and ``target`` are evaluated once per
+    multinomial per class per step, taken for two atoms as one binomial of
+    the first atom, at most min(replicas, C(i+k-1, k-1)) classes at step i
+    over k atoms, and a sequence that draws 0 leaves the batch with weight
+    0. The weight and ``target`` are evaluated once per
     class, and the mean and the standard deviation (ddof 1) over the
     replicas follow exactly from the multiplicities. Raises ``NumericError``
     if a weight or the standard error overflows float64.
@@ -867,9 +921,10 @@ def gibbs_conditional_estimate(nu: OffspringLaw, q: float, n: int, w, c: float,
     accepted.
 
     Replicas are stepped as draw-histogram classes (``_urn_classes``): one
-    multinomial per class per step, at most min(replicas, C(i+k-1, k-1))
-    classes at step i over k atoms. The constraint is tested once per
-    class, and a class counts as many replicas as it holds.
+    multinomial per class per step, taken for two atoms as one binomial of
+    the first atom, at most min(replicas, C(i+k-1, k-1)) classes at step i
+    over k atoms. The constraint is tested once per class, and a class
+    counts as many replicas as it holds.
     """
     _check_q(q, allow_zero=True)
     if n < 1 or replicas < 1:

@@ -61,6 +61,17 @@ class TestTreeCampaign:
         assert camp.truncated_at.flags.writeable is False
         assert camp.classes.flags.writeable is False
 
+    def test_census_layers_are_read_only(self):
+        camp = simulate_tree_campaign(FLAGSHIP, Q, 4, 5, RngStream(3),
+                                      keep_histograms=True)
+        for layer in camp.histograms:
+            key = next(iter(layer))
+            with pytest.raises(TypeError):
+                layer[key] = 0
+            with pytest.raises(TypeError):
+                layer[(99, (0, 0))] = 1
+        assert camp.histograms[0] == {(r, (0, 0)): 1 for r in range(5)}
+
     def test_mean_population_matches_enumeration(self):
         replicas = 20000
         camp = simulate_tree_campaign(FLAGSHIP, Q, 8, replicas, RngStream(8))
@@ -226,7 +237,8 @@ def assert_is_the_chunk_loop(camp, loop):
 
 # (law, q, n_max, replicas, options): atom 0 in the support, a cap hit in
 # the middle of passes, censuses (one over three histogram digits), and q = 0
-# on the class path
+# on the class path; two-atom laws, which draw by binomial, with censuses at
+# q > 0 and q = 0 and with atom 0 under a cap
 PASS_CASES = [(FLAGSHIP, Q, 8, 5000, {}),
               (OffspringLaw((0, 1, 3), (0.2, 0.5, 0.3)), 0.45, 7, 4500, {}),
               (OffspringLaw((1, 2, 3, 5), (0.3, 0.3, 0.2, 0.2)), 0.6, 7, 4200,
@@ -236,13 +248,19 @@ PASS_CASES = [(FLAGSHIP, Q, 8, 5000, {}),
               (OffspringLaw((0, 1, 2), (0.1, 0.3, 0.6)), 0.0, 8, 4400,
                {"pop_cap": 30, "keep_histograms": True}),
               (OffspringLaw((0, 1, 2, 4), (0.1, 0.3, 0.3, 0.3)), 0.5, 7, 4700,
-               {"pop_cap": 60, "keep_histograms": True})]
+               {"pop_cap": 60, "keep_histograms": True}),
+              (FLAGSHIP, Q, 7, 4300, {"keep_histograms": True}),
+              (FLAGSHIP, 0.0, 7, 4600, {"keep_histograms": True}),
+              (OffspringLaw((0, 2), (0.3, 0.7)), 0.5, 8, 4800,
+               {"pop_cap": 40})]
+PASS_IDS = ["flagship", "atom0", "cap", "census", "census_q0",
+            "census_digits", "flagship_census", "flagship_census_q0",
+            "two_atom0_cap"]
 
 
 class TestPassesMatchTheChunkLoop:
     @pytest.mark.parametrize("nu, q, n_max, replicas, options", PASS_CASES,
-                             ids=["flagship", "atom0", "cap", "census",
-                                  "census_q0", "census_digits"])
+                             ids=PASS_IDS)
     def test_passes_of_two_chunks(self, nu, q, n_max, replicas, options,
                                   monkeypatch):
         # replicas not a multiple of the chunk, in three passes or more
@@ -331,8 +349,7 @@ def spy_pool(monkeypatch):
 
 class TestThreadCountChangesNothing:
     @pytest.mark.parametrize("nu, q, n_max, replicas, options", PASS_CASES,
-                             ids=["flagship", "atom0", "cap", "census",
-                                  "census_q0", "census_digits"])
+                             ids=PASS_IDS)
     def test_any_thread_count_matches_the_chunk_loop(self, nu, q, n_max,
                                                      replicas, options,
                                                      monkeypatch, spy_pool):
@@ -409,10 +426,12 @@ class TestThreadCountChangesNothing:
         assert threading.active_count() == before
 
 
-def test_replica_path_draws_as_fresh_generators():
+@pytest.mark.parametrize("nu", [OffspringLaw((0, 1, 3), (0.3, 0.3, 0.4)),
+                                OffspringLaw((0, 3), (0.4, 0.6))],
+                         ids=["three_atoms", "two_atoms"])
+def test_replica_path_draws_as_fresh_generators(nu):
     # q = 0 without a census: each generation's draws are those of a fresh
     # generator, one multinomial over the replicas still stepping
-    nu = OffspringLaw((0, 1, 3), (0.3, 0.3, 0.4))
     n_max, replicas, cap = 9, 500, 40
     camp = simulate_tree_campaign(nu, 0.0, n_max, replicas, RngStream(53),
                                   pop_cap=cap)
@@ -434,8 +453,7 @@ class TestDepthPrefix:
     @pytest.mark.parametrize("census", [False, True], ids=["as_given",
                                                            "census_flipped"])
     @pytest.mark.parametrize("nu, q, n_max, replicas, options", PASS_CASES,
-                             ids=["flagship", "atom0", "cap", "census",
-                                  "census_q0", "census_digits"])
+                             ids=PASS_IDS)
     def test_deep_campaign_cut_to_depth_n_is_the_depth_n_campaign(
             self, nu, q, n_max, replicas, options, census):
         # flipping the census moves the q = 0 case onto the replica path
@@ -480,7 +498,8 @@ class TestClassStep:
             shift = gen.integers(0, 12, cols).astype(np.int64)
             gain = gen.integers(1, 4, cols).astype(np.int64)
             # every child's key is below 60 + 11
-            got = simulate._class_step(keys, draws, pick, shift, gain, 71)
+            got = simulate._class_step(keys, draws.T[pick] * gain[:, None],
+                                       shift, 71)
             want = argsort_class_step(keys, draws, pick, shift, gain)
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
@@ -491,9 +510,83 @@ class TestClassStep:
         pick, shift, gain = np.arange(2), np.array([1, 5]), np.array([1, 2])
         for keys in (np.zeros(0, dtype=np.int64), np.array([3, 7])):
             draws = np.zeros((keys.size, 2), dtype=np.int64)
-            child, mult = simulate._class_step(keys, draws, pick, shift, gain,
-                                               13)
+            child, mult = simulate._class_step(
+                keys, draws.T[pick] * gain[:, None], shift, 13)
             assert child.size == 0 and mult.size == 0
+
+
+class TestBinomialIsTheTwoAtomMultinomial:
+    # the identity two-atom draws rest on: NumPy draws a two-column
+    # multinomial row as one binomial of its first column, the rest going to
+    # the second, so both take the same counts and leave the same state
+
+    @staticmethod
+    def both(n, p, p0):
+        # each from one generator re-keyed, with its Philox state after
+        def state():
+            st = gen.bit_generator.state
+            return (st["state"]["counter"].tolist(), st["state"]["key"].tolist(),
+                    st["buffer"].tolist(), st["buffer_pos"], st["has_uint32"],
+                    st["uinteger"])
+
+        stream, gen = RngStream(54), RngStream(0).generator()
+        draws = stream._rekey(gen, "pair").multinomial(n, p)
+        after_multinomial = state()
+        first = stream._rekey(gen, "pair").binomial(n, p0)
+        return draws, after_multinomial, first, state()
+
+    def test_rows_of_two_columns(self):
+        gen = RngStream(55).generator("cases")
+        p0 = np.concatenate([
+            [0.0, 1.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+             0.3, 0.7, 1e-9, 1.0 - 1e-9],
+            gen.random(200)])
+        # n = 0, inversion (n min(p, 1 - p) <= 30) and BTPE (above 30)
+        n = np.concatenate([[0, 0, 10, 1000, 1000, 10_000, 10_000, 50, 50],
+                            gen.integers(1, 60, 100),
+                            gen.integers(1, 5000, 100)])
+        n[9::7] = 0
+        p = np.column_stack([p0, 1.0 - p0])
+        draws, after_multinomial, first, after_binomial = self.both(n, p,
+                                                                    p0)
+        spread = n * np.minimum(p0, 1.0 - p0)
+        assert (spread > 30).sum() > 50 and (n == 0).sum() > 20
+        assert ((n > 0) & (spread <= 30)).sum() > 50
+        assert np.array_equal(draws, np.column_stack([first, n - first]))
+        assert after_binomial == after_multinomial
+
+    @pytest.mark.parametrize("q, i", [(Q, 7), (0.9, 30), (0.0, 5), (Q, 0)])
+    def test_first_atom_law_is_the_draw_laws_first_column(self, q, i):
+        # bit for bit, so the binomial draws what the multinomial over the
+        # whole law would; a last-bit change in it rarely moves a count
+        class Recorder:
+            def binomial(self, n, p):
+                laws.append(np.broadcast_to(np.float64(p), np.shape(n)))
+                return np.zeros(np.shape(n), dtype=np.int64)
+
+        nu = OffspringLaw((1, 2), (0.3, 0.7))
+        gen = RngStream(56).generator("hist")
+        first = gen.integers(0, i + 1, 500)
+        hist = np.column_stack([first, i - first])
+        mult = np.ones(first.size, dtype=np.int64)
+        laws = []
+        simulate._draw_children(nu, q, i, hist, mult,
+                                [(Recorder(), 0, 200), (Recorder(), 200, 500)],
+                                np.arange(2), np.array([1, 2]))
+        law = simulate._draw_law(nu, q, i, hist)
+        want = np.broadcast_to(law[:, 0] if law.ndim == 2 else law[0],
+                               first.shape)
+        got = np.concatenate(laws)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("p0", [0.0, 0.25, 0.5, 0.6, 1.0])
+    def test_scalar_first_atom_against_the_law(self, p0):
+        # the replica path: one law, as 1-D weights, for every row
+        n = np.array([0, 1, 7, 40, 300, 5000, 0, 100_000])
+        draws, after_multinomial, first, after_binomial = self.both(
+            n, np.array([p0, 1.0 - p0]), p0)
+        assert np.array_equal(draws, np.column_stack([first, n - first]))
+        assert after_binomial == after_multinomial
 
 
 def test_run_sums_exact_past_a_wrapping_running_sum():

@@ -3,8 +3,8 @@
 Usage:
 
     python tools/rate_ab.py PARENT_SRC CHANGE_SRC
-        [--round rate|spine|tree|batch] [--rounds 80] [--corpus 0]
-        [--seed 77]
+        [--round rate|spine|tree|triangulation|batch] [--rounds 80]
+        [--corpus 0] [--seed 77]
 
 PARENT_SRC and CHANGE_SRC are ``src`` directories that each hold an ``rgw``
 package, for instance ``src`` of a ``git archive`` of the parent commit and
@@ -31,6 +31,12 @@ checkout's ``perfbench/tree_campaign.py`` at that workload's seed for
 populations, truncated_at, classes and census of each campaign, that differ
 in any bit.
 
+The triangulation round is the two campaigns of ``verify --full --seed
+42``'s ``triangulation`` check, on verify's own streams: the flagship, 10^5
+replicas to depth 6, at q = 0, which takes the replica path, and at q = 1/3.
+First both sides run them, and the script counts the outputs, populations,
+truncated_at and classes of each campaign, that differ in any bit.
+
 The batch round is one singleton-heavy urn batch: ``gibbs_conditional_estimate``
 over 8 uniform atoms on 1..8 at q = 1/3, n = 40 and 10^5 replicas, its
 halfspace the draws' mean value at least 4.5, on the stream ``--seed``. Most
@@ -41,13 +47,15 @@ rate, that differ in any bit.
 Then the sides alternate rounds, the one that goes first switching every
 pair, so a drift in the host's speed falls on both alike. A rate or spine
 round is timed by the process's CPU time, and so is a batch round, which
-runs on the calling thread; a tree round by wall-clock time, as a campaign
-runs its passes on threads, with its CPU time printed beside. The script
-prints each side's median round and quartiles, the ratio of the medians and
-the pairs in which the change's round was the faster; the spine round also
-prints each side's median nanoseconds per urn step, the tree round each
-side's median wall time for each shape, and the spine, tree and batch rounds
-the CPUs the process may use.
+runs on the calling thread; a tree or triangulation round by wall-clock
+time, as a campaign runs its passes on threads, with its CPU time printed
+beside. The script prints each side's median round and quartiles, the ratio
+of the medians and the pairs in which the change's round was the faster; the
+spine round also prints each side's median nanoseconds per urn step, the
+tree round each side's median wall time for each shape and the wide shape's
+median nanoseconds per class (its median wall time over its
+``classes.sum()``), and every round but the rate round the CPUs the process
+may use.
 """
 
 from __future__ import annotations
@@ -181,6 +189,9 @@ def tree_round(sides, args):
     # each campaign's wall time, by side and shape, for the shape medians
     shape_times = {pkg.__name__: {name: [] for name, *_ in tc.SHAPES}
                    for pkg in sides.values()}
+    wide = [name for name, *_ in tc.SHAPES].index("wide")
+    wide_classes = {label: int(out[wide][2].sum())
+                    for label, out in outputs.items()}
 
     def work(pkg):
         for shape, (name, *_) in enumerate(tc.SHAPES):
@@ -193,8 +204,45 @@ def tree_round(sides, args):
             medians = ", ".join(f"{name} {statistics.median(t):.4f} s"
                                 for name, t in shape_times[pkg.__name__].items())
             print(f"{label} shape medians (wall): {medians}")
+        per_class = {label: statistics.median(shape_times[pkg.__name__]["wide"])
+                     / wide_classes[label] * 1e9
+                     for label, pkg in sides.items()}
+        print(f"ns per class (wide, {wide_classes['change']} classes): "
+              f"parent {per_class['parent']:.1f}, change "
+              f"{per_class['change']:.1f}")
     work.report = report
     return work
+
+
+# verify --full's triangulation campaigns: the flagship to depth 6 at each
+# of its memory parameters, on stream 100 + 10 qi + 6 of verify's seed
+TRIANGULATION_QS = (0.0, 1.0 / 3.0)
+TRIANGULATION_DEPTH = 6
+TRIANGULATION_REPLICAS = 100_000
+TRIANGULATION_SEED = 42
+
+
+def triangulation_outputs(pkg) -> list[np.ndarray]:
+    """verify --full's triangulation campaigns, as their populations,
+    truncated_at and classes."""
+    ver = pkg.verify
+    rng = pkg.RngStream(TRIANGULATION_SEED, 900)
+    outputs = []
+    for qi, q in enumerate(TRIANGULATION_QS):
+        camp = pkg.simulate_tree_campaign(
+            ver._FLAGSHIP, q, TRIANGULATION_DEPTH, TRIANGULATION_REPLICAS,
+            rng.child(100 + 10 * qi + TRIANGULATION_DEPTH))
+        outputs += [camp.populations, camp.truncated_at, camp.classes]
+    return outputs
+
+
+def triangulation_round(sides, args):
+    """The triangulation round's work for one side, after its bit
+    comparison."""
+    parent, change = (triangulation_outputs(pkg) for pkg in sides.values())
+    differ = sum(not same_output(p, c) for p, c in zip(parent, change))
+    print(f"bit comparison: {differ} of {len(parent)} outputs differ")
+    return triangulation_outputs
 
 
 # the batch round's urn batch, most of its classes singletons from step 15 on
@@ -227,7 +275,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
-    parser.add_argument("--round", choices=("rate", "spine", "tree", "batch"),
+    parser.add_argument("--round", choices=("rate", "spine", "tree",
+                                            "triangulation", "batch"),
                         default="rate",
                         help="the work timed")
     parser.add_argument("--rounds", type=int, default=80,
@@ -238,7 +287,8 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=77,
                         help="seed of those corpus cases, the tree "
                              "round's workload seed or the batch round's "
-                             "stream")
+                             "stream; the spine and triangulation rounds "
+                             "run on verify's seed 42")
     args = parser.parse_args()
     if args.rounds < 2:
         parser.error("--rounds must be at least 2, for the quartiles")
@@ -246,9 +296,10 @@ def main() -> None:
     sides = {"parent": load(args.parent_src, "rgw_parent"),
              "change": load(args.change_src, "rgw_change")}
     work = {"rate": rate_round, "spine": spine_round,
-            "tree": tree_round, "batch": batch_round}[args.round](sides, args)
+            "tree": tree_round, "triangulation": triangulation_round,
+            "batch": batch_round}[args.round](sides, args)
 
-    wall = args.round == "tree"
+    wall = args.round in ("tree", "triangulation")
     times: dict[str, list[float]] = {"parent": [], "change": []}
     cpu: dict[str, list[float]] = {"parent": [], "change": []}
     order = ["parent", "change"]
