@@ -12,8 +12,7 @@ alone. So a generator built here can be re-keyed in place, its key set and
 its counter and buffer reset, and it then draws what a fresh generator of
 that key draws, bit for bit, without the cost of building one. Each pass of
 a tree campaign holds one bit generator and re-keys it for each chunk and
-generation, as the campaign's q = 0 replica path and an urn batch do for
-each step; the stream is unchanged.
+generation, as an urn batch does for each step; the stream is unchanged.
 """
 
 from __future__ import annotations

@@ -104,7 +104,7 @@ class TreeCampaign:
     ``classes[g]`` is the number of draws taken at generation g, one
     multinomial per class, taken for two atoms as one binomial of the first
     atom, summed over replicas: the classes of the replicas still stepping,
-    or those replicas themselves at q = 0 without a census.
+    one per replica at q = 0 without a census.
     ``histograms[g]``, kept on request, is generation g's census
     ``{(replica, counts): individuals}`` with one entry per class; entries
     with equal counts share one tuple. Like the arrays, each layer is read
@@ -166,7 +166,8 @@ class _ClassKeys:
     A key is a leading digit (a replica) at place ``lead``, above the
     histogram's columns ``cols[:-1]`` in radix ``radix``. The last of
     ``cols`` is fixed by the histogram's total and takes no digit; the other
-    columns stay 0 in every class, so they take none either.
+    columns stay 0 in every class, so they take none either. With no
+    ``cols`` a key is its leading digit alone, and every histogram reads 0.
     """
 
     cols: np.ndarray
@@ -210,21 +211,11 @@ class _ClassKeys:
 def _draw_law(nu: OffspringLaw, q: float, i: int, hist: np.ndarray):
     """The law of draw i after draws with histograms ``hist``, one row each:
     q * hist / i + (1 - q) * nu, or nu alone, for all rows, at i = 0 or
-    q = 0.
-
-    The fresh mass (1 - q) * nu is added in place. A broadcast add runs its
-    inner loop once per row, so under 5 atoms it is added a column at a
-    time instead, the same floats: the column adds measured faster at 2 to
-    4 atoms and slower at 6 and 8.
+    q = 0. The fresh mass (1 - q) * nu is added in place.
     """
     if q > 0.0 and i > 0:
         p = hist * (q / i)
-        fresh = (1.0 - q) * nu.weights
-        if fresh.size < 5:
-            for col, c in zip(p.T, fresh.tolist()):
-                col += c
-        else:
-            p += fresh
+        p += (1.0 - q) * nu.weights
         return p
     return nu.weights
 
@@ -250,7 +241,7 @@ def _run_sums(labels: np.ndarray,
 
 
 def _draw_children(nu: OffspringLaw, q: float, i: int,
-                   hist: np.ndarray | None, mult: np.ndarray, segments,
+                   hist: np.ndarray, mult: np.ndarray, segments,
                    pick: np.ndarray, gain: np.ndarray) -> np.ndarray:
     """The children of each class by outcome column: one multinomial draw
     of its multiplicity over the law of draw i after its histogram (see
@@ -338,9 +329,9 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
     equal classes merge. The work per generation is one multinomial per
     class, taken for two atoms as one binomial of the first atom (see
     ``_draw_children``), at most C(g+k-1, k-1) per replica over k atoms,
-    whatever the population. With q = 0 and no histogram request the
-    histogram is not needed, so each replica is one class and advances by
-    one multinomial draw.
+    whatever the population. With q = 0 no draw reads the histogram, and
+    without a census the keys carry no histogram digits, so each replica is
+    one class.
 
     Chunks of ``_CHUNK`` replicas fix the random stream: chunk c draws from
     ``rng.child(c).generator("tree", g)`` for its classes in ascending key
@@ -364,9 +355,7 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
     so the results do not depend on W. With one pass, or one CPU, the calling
     thread runs every pass and starts no thread. Once a pass fails, no pass
     that has not started is started, and the first failed pass in pass order
-    raises once every worker has ended. The q = 0 replica path, one
-    generator re-keyed for each generation's draw over all replicas, runs on
-    the calling thread.
+    raises once every worker has ended.
 
     A replica whose population reaches ``pop_cap`` stops there and is
     recorded in ``truncated_at``. ``keep_histograms`` records, for every
@@ -378,10 +367,9 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
     n from the same stream, bit for bit: ``populations[:, :n+1]``,
     ``classes[:n]``, ``histograms[:n+1]`` with each layer in its order, and
     ``truncated_at`` with the entries above n read as -1. It holds because
-    generation g draws from ``rng.child(c).generator("tree", g)``, or
-    ``rng.generator("tree-iid", g)`` on the replica path, whatever the
-    depth, and ascending keys order the classes by replica, then histogram,
-    lexicographically whatever the key radix.
+    generation g draws from ``rng.child(c).generator("tree", g)`` whatever
+    the depth, and ascending keys order the classes by replica, then
+    histogram, lexicographically whatever the key radix.
     """
     _check_q(q, allow_zero=True)
     if n_max < 1 or replicas < 1 or pop_cap < 1:
@@ -399,29 +387,13 @@ def simulate_tree_campaign(nu: OffspringLaw, q: float, n_max: int,
     if pop_cap <= 1:
         truncated_at[:] = 0
 
-    if q == 0.0 and not keep_histograms:
-        active = np.full(replicas, pop_cap > 1)
-        every = np.arange(k)
-        # one generator, re-keyed for each generation's draws
-        gen = rng.generator()
-        for g in range(n_max):
-            idx = np.flatnonzero(active)
-            if idx.size == 0:
-                break
-            classes[g] = idx.size
-            z = _draw_children(nu, q, g, None, populations[idx, g],
-                               [(rng._rekey(gen, "tree-iid", g), 0, idx.size)],
-                               every, support_arr).sum(axis=0)
-            populations[idx, g + 1] = z
-            over = z >= pop_cap
-            truncated_at[idx[over]] = g + 1
-            active[idx] = (z > 0) & ~over
-        return TreeCampaign(support, populations, truncated_at, None, classes)
-
     # A class is keyed by its pass-local replica id, then its histogram on
-    # the positive atoms; the atom-0 column is always 0.
+    # the positive atoms; the atom-0 column is always 0. Where no draw reads
+    # the histogram and no census records it, the keys carry no histogram
+    # digits, so each replica is one class.
     pos_cols = np.flatnonzero(support_arr > 0)
-    layout = _ClassKeys.layout(pos_cols, k, n_max, min(replicas, _CHUNK))
+    digits = pos_cols if q > 0.0 or keep_histograms else pos_cols[:0]
+    layout = _ClassKeys.layout(digits, k, n_max, min(replicas, _CHUNK))
     fit = np.iinfo(np.int64).max // (layout.lead * _CHUNK)
     threads = min(_PASS_CHUNKS, _CPUS, -(-replicas // _CHUNK))
     per_pass = _CHUNK * max(1, min(_PASS_CHUNKS // threads, fit))

@@ -197,7 +197,7 @@ class TestRender:
     @pytest.mark.parametrize("probs, q, pop_cap", [
         # atom 0: some replicas die out and print survived false
         ({"support": [0, 1, 2], "probs": [0.3, 0.2, 0.5]}, "1/3", 10_000_000),
-        # the campaign's q = 0 branch
+        # q = 0: one class per replica
         (None, "0", 10_000_000),
         # some replicas cut short by the cap
         (None, "1/3", 60),

@@ -125,6 +125,16 @@ class TestTreeCampaign:
         with pytest.raises(ContractViolationError, match="overflow"):
             simulate_tree_campaign(nu, Q, 10_000, 4, RngStream(25))
 
+    def test_keys_without_histogram_digits_never_overflow(self):
+        # at q = 0 without a census a key is its replica alone, so the depth
+        # that overflows histogram keys still runs; a census needs the digits
+        nu = OffspringLaw(tuple(range(1, 8)), (1.0 / 7.0,) * 7)
+        camp = simulate_tree_campaign(nu, 0.0, 10_000, 4, RngStream(25))
+        assert np.all(camp.truncated_at > 0)
+        with pytest.raises(ContractViolationError, match="overflow"):
+            simulate_tree_campaign(nu, 0.0, 10_000, 4, RngStream(25),
+                                   keep_histograms=True)
+
 
 # The per-chunk class loop that passes of chunks replaced, kept as their
 # oracle with its plain-argsort class step and a count of the draws it
@@ -155,7 +165,9 @@ def chunk_loop_campaign(nu, q, n_max, replicas, rng, *,
     k = len(support)
     support_arr = np.asarray(support, dtype=np.int64)
     pos_cols = np.flatnonzero(support_arr > 0)
-    layout = simulate._ClassKeys.layout(pos_cols, k, n_max,
+    # histogram digits only where a draw or the census reads them
+    digits = pos_cols if q > 0.0 or keep_histograms else pos_cols[:0]
+    layout = simulate._ClassKeys.layout(digits, k, n_max,
                                         min(replicas, simulate._CHUNK))
     shift, gain = layout.place[pos_cols], support_arr[pos_cols]
     pop_parts, trunc_parts = [], []
@@ -237,8 +249,10 @@ def assert_is_the_chunk_loop(camp, loop):
 
 # (law, q, n_max, replicas, options): atom 0 in the support, a cap hit in
 # the middle of passes, censuses (one over three histogram digits), and q = 0
-# on the class path; two-atom laws, which draw by binomial, with censuses at
-# q > 0 and q = 0 and with atom 0 under a cap
+# with a census; two-atom laws, which draw by binomial, with censuses at
+# q > 0 and q = 0 and with atom 0 under a cap; and q = 0 without a census,
+# one class per replica, by multinomial with extinctions under a cap and by
+# binomial
 PASS_CASES = [(FLAGSHIP, Q, 8, 5000, {}),
               (OffspringLaw((0, 1, 3), (0.2, 0.5, 0.3)), 0.45, 7, 4500, {}),
               (OffspringLaw((1, 2, 3, 5), (0.3, 0.3, 0.2, 0.2)), 0.6, 7, 4200,
@@ -252,10 +266,13 @@ PASS_CASES = [(FLAGSHIP, Q, 8, 5000, {}),
               (FLAGSHIP, Q, 7, 4300, {"keep_histograms": True}),
               (FLAGSHIP, 0.0, 7, 4600, {"keep_histograms": True}),
               (OffspringLaw((0, 2), (0.3, 0.7)), 0.5, 8, 4800,
-               {"pop_cap": 40})]
+               {"pop_cap": 40}),
+              (OffspringLaw((0, 1, 3), (0.3, 0.3, 0.4)), 0.0, 9, 4500,
+               {"pop_cap": 40}),
+              (FLAGSHIP, 0.0, 8, 4900, {})]
 PASS_IDS = ["flagship", "atom0", "cap", "census", "census_q0",
             "census_digits", "flagship_census", "flagship_census_q0",
-            "two_atom0_cap"]
+            "two_atom0_cap", "q0_cap", "flagship_q0"]
 
 
 class TestPassesMatchTheChunkLoop:
@@ -426,29 +443,6 @@ class TestThreadCountChangesNothing:
         assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("nu", [OffspringLaw((0, 1, 3), (0.3, 0.3, 0.4)),
-                                OffspringLaw((0, 3), (0.4, 0.6))],
-                         ids=["three_atoms", "two_atoms"])
-def test_replica_path_draws_as_fresh_generators(nu):
-    # q = 0 without a census: each generation's draws are those of a fresh
-    # generator, one multinomial over the replicas still stepping
-    n_max, replicas, cap = 9, 500, 40
-    camp = simulate_tree_campaign(nu, 0.0, n_max, replicas, RngStream(53),
-                                  pop_cap=cap)
-    pops = np.zeros((replicas, n_max + 1), dtype=np.int64)
-    pops[:, 0] = 1
-    trunc_at = np.full(replicas, -1, dtype=np.int64)
-    for g in range(n_max):
-        idx = np.flatnonzero((pops[:, g] > 0) & (trunc_at < 0))
-        z = RngStream(53).generator("tree-iid", g).multinomial(
-            pops[idx, g], nu.weights) @ np.asarray(nu.support)
-        pops[idx, g + 1] = z
-        trunc_at[idx[z >= cap]] = g + 1
-    assert np.array_equal(camp.populations, pops)
-    assert np.array_equal(camp.truncated_at, trunc_at)
-    assert (trunc_at > 0).any() and (pops[:, -1] == 0).any()
-
-
 class TestDepthPrefix:
     @pytest.mark.parametrize("census", [False, True], ids=["as_given",
                                                            "census_flipped"])
@@ -456,7 +450,8 @@ class TestDepthPrefix:
                              ids=PASS_IDS)
     def test_deep_campaign_cut_to_depth_n_is_the_depth_n_campaign(
             self, nu, q, n_max, replicas, options, census):
-        # flipping the census moves the q = 0 case onto the replica path
+        # flipping the census moves each q = 0 case between keys with and
+        # without histogram digits
         if census:
             options = dict(options,
                            keep_histograms=not options.get("keep_histograms"))
@@ -581,7 +576,7 @@ class TestBinomialIsTheTwoAtomMultinomial:
 
     @pytest.mark.parametrize("p0", [0.0, 0.25, 0.5, 0.6, 1.0])
     def test_scalar_first_atom_against_the_law(self, p0):
-        # the replica path: one law, as 1-D weights, for every row
+        # at q = 0 or i = 0: one law, as 1-D weights, for every row
         n = np.array([0, 1, 7, 40, 300, 5000, 0, 100_000])
         draws, after_multinomial, first, after_binomial = self.both(
             n, np.array([p0, 1.0 - p0]), p0)

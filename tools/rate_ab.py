@@ -33,9 +33,10 @@ in any bit.
 
 The triangulation round is the two campaigns of ``verify --full --seed
 42``'s ``triangulation`` check, on verify's own streams: the flagship, 10^5
-replicas to depth 6, at q = 0, which takes the replica path, and at q = 1/3.
-First both sides run them, and the script counts the outputs, populations,
-truncated_at and classes of each campaign, that differ in any bit.
+replicas to depth 6, at q = 0 and at q = 1/3. First both sides run them,
+and the script counts the outputs, populations, truncated_at and classes of
+each campaign, that differ in any bit, and names each one that differs by
+its memory parameter and field.
 
 The batch round is one singleton-heavy urn batch: ``gibbs_conditional_estimate``
 over 8 uniform atoms on 1..8 at q = 1/3, n = 40 and 10^5 replicas, its
@@ -222,17 +223,19 @@ TRIANGULATION_REPLICAS = 100_000
 TRIANGULATION_SEED = 42
 
 
-def triangulation_outputs(pkg) -> list[np.ndarray]:
+def triangulation_outputs(pkg) -> dict[str, np.ndarray]:
     """verify --full's triangulation campaigns, as their populations,
-    truncated_at and classes."""
+    truncated_at and classes, each named by its memory parameter and
+    field."""
     ver = pkg.verify
     rng = pkg.RngStream(TRIANGULATION_SEED, 900)
-    outputs = []
+    outputs = {}
     for qi, q in enumerate(TRIANGULATION_QS):
         camp = pkg.simulate_tree_campaign(
             ver._FLAGSHIP, q, TRIANGULATION_DEPTH, TRIANGULATION_REPLICAS,
             rng.child(100 + 10 * qi + TRIANGULATION_DEPTH))
-        outputs += [camp.populations, camp.truncated_at, camp.classes]
+        for field in ("populations", "truncated_at", "classes"):
+            outputs[f"q={q:.4g} {field}"] = getattr(camp, field)
     return outputs
 
 
@@ -240,8 +243,10 @@ def triangulation_round(sides, args):
     """The triangulation round's work for one side, after its bit
     comparison."""
     parent, change = (triangulation_outputs(pkg) for pkg in sides.values())
-    differ = sum(not same_output(p, c) for p, c in zip(parent, change))
-    print(f"bit comparison: {differ} of {len(parent)} outputs differ")
+    differ = [name for name in parent
+              if not same_output(parent[name], change[name])]
+    print(f"bit comparison: {len(differ)} of {len(parent)} outputs differ"
+          + (f": {', '.join(differ)}" if differ else ""))
     return triangulation_outputs
 
 
